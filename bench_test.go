@@ -176,6 +176,35 @@ func BenchmarkPipelinePhases(b *testing.B) {
 	b.ReportMetric(float64(len(snap.Documents)), "docs/run")
 }
 
+// BenchmarkJSONLDecode measures the ingest path every -in and -stream run
+// starts with: corpus.Iterator over an in-memory JSONL snapshot, line
+// splitting and document decoding included. MB/s is against the snapshot's
+// bytes; allocs/op over docs/run is the decoder's allocations per document
+// (one per non-empty string field), which cmd/benchdiff gates.
+func BenchmarkJSONLDecode(b *testing.B) {
+	snap := corpus.NewGenerator(kb.Default(1), corpus.Table2Specs(),
+		corpus.Config{Seed: 2, Scale: benchScale}).Generate()
+	var buf bytes.Buffer
+	if err := corpus.WriteJSONL(&buf, snap.Documents); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := corpus.NewIterator(bytes.NewReader(data), corpus.IteratorConfig{})
+		docs := 0
+		for it.Next() {
+			docs++
+		}
+		if err := it.Err(); err != nil || docs != len(snap.Documents) {
+			b.Fatalf("decoded %d of %d documents: %v", docs, len(snap.Documents), err)
+		}
+	}
+	b.ReportMetric(float64(len(snap.Documents)), "docs/run")
+}
+
 // BenchmarkIncrementalRefit contrasts the incremental miner's per-epoch
 // cost with the full re-model a batch system pays for every refresh.
 // "epoch-trickle" re-ingests a four-document batch into a miner already

@@ -25,7 +25,7 @@ import (
 // defaultBench is the fast, low-variance subset: the end-to-end pipeline,
 // the NLP front end, and the hot inner loops. The table/figure
 // reproduction benches are excluded — they are experiments, not gates.
-const defaultBench = "PipelinePhases|ExtractionThroughput|Tokenize$|^BenchmarkParse$|Posterior$|EvidenceStoreAdd|GroupingThroughput|StoreMergeThroughput|ObsOverhead|IncrementalRefit|WireCodec|DistributedMine"
+const defaultBench = "PipelinePhases|JSONLDecode|ExtractionThroughput|Tokenize$|^BenchmarkParse$|Posterior$|EvidenceStoreAdd|GroupingThroughput|StoreMergeThroughput|ObsOverhead|IncrementalRefit|WireCodec|DistributedMine"
 
 // obsTolerance caps how much the observability layer may slow the
 // pipeline when a sink is attached: ObsOverhead/on is gated against
@@ -39,6 +39,7 @@ const obsTolerance = 0.02
 // wall time hides it on an idle machine.
 var allocGated = map[string]bool{
 	"PipelinePhases":       true,
+	"JSONLDecode":          true,
 	"Tokenize":             true,
 	"ExtractionThroughput": true,
 	"WireCodec/encode":     true,

@@ -66,9 +66,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -310,6 +312,9 @@ func run() int {
 		}
 		it := corpus.NewIterator(f, corpus.IteratorConfig{Lenient: *lenient})
 		for it.Next() {
+			if len(docs) == sizingSample {
+				docs = slices.Grow(docs, remainingDocs(f, len(docs)))
+			}
 			d := it.Doc()
 			docs = append(docs, surveyor.Document{URL: d.URL, Domain: d.Domain, Text: d.Text})
 		}
@@ -401,6 +406,24 @@ func run() int {
 		}
 	}
 	return exit
+}
+
+// sizingSample is how many documents the -in loader reads before it sizes
+// its slice for the rest of the file: enough for a fair mean length and to
+// make the reader's read-ahead small against the bytes they took.
+const sizingSample = 16384
+
+// remainingDocs estimates how many documents follow the n that brought f's
+// offset to where it is: the bytes left over the mean bytes per document so
+// far, plus an eighth for that read-ahead and for shorter documents to
+// come. 0 when f has no size or offset (a pipe); append covers any shortfall.
+func remainingDocs(f *os.File, n int) int {
+	st, serr := f.Stat()
+	off, err := f.Seek(0, io.SeekCurrent)
+	if serr != nil || err != nil || off <= 0 || st.Size() <= off {
+		return 0
+	}
+	return int(float64(st.Size()-off) / float64(off) * float64(n) * 1.125)
 }
 
 // mine runs an in-memory corpus as one batch (the default), across

@@ -137,8 +137,8 @@ func (it *Iterator) Next() bool {
 			continue
 		}
 		it.st.Lines++
-		var d Document
-		if err := json.Unmarshal(line, &d); err != nil {
+		d, err := decodeLine(line)
+		if err != nil {
 			if !it.cfg.Lenient {
 				it.done = true
 				it.err = &LineError{Line: it.st.Lines, Err: err}
@@ -171,35 +171,36 @@ func (it *Iterator) Err() error { return it.err }
 func (it *Iterator) Stats() IteratorStats { return it.st }
 
 // readLine reads one physical line, stripping the trailing newline (and a
-// preceding carriage return). A line longer than MaxLineBytes is consumed
-// to its end — holding at most MaxLineBytes plus one bufio buffer in
-// memory — and reported as tooLong. rerr is io.EOF on an unterminated
-// final line or when the input is exhausted.
+// preceding carriage return). A line that fits the bufio buffer is returned
+// in place — valid until the next read — and only a longer one is assembled
+// in it.buf. A line longer than MaxLineBytes is consumed to its end —
+// holding at most MaxLineBytes plus one bufio buffer in memory — and
+// reported as tooLong. rerr is io.EOF on an unterminated final line or when
+// the input is exhausted.
 func (it *Iterator) readLine() (line []byte, tooLong bool, rerr error) {
+	frag, err := it.br.ReadSlice('\n')
 	buf := it.buf[:0]
-	for {
-		frag, err := it.br.ReadSlice('\n')
-		if len(buf) <= it.cfg.MaxLineBytes {
-			buf = append(buf, frag...)
-		}
-		if errors.Is(err, bufio.ErrBufferFull) {
-			if len(buf) > it.cfg.MaxLineBytes {
-				derr := it.discardLine()
-				it.buf = buf[:0]
-				if errors.Is(derr, io.EOF) {
-					derr = nil // the oversized line was the last one
-				}
-				return nil, true, derr
+	for errors.Is(err, bufio.ErrBufferFull) {
+		buf = append(buf, frag...)
+		if len(buf) > it.cfg.MaxLineBytes {
+			derr := it.discardLine()
+			it.buf = buf[:0]
+			if errors.Is(derr, io.EOF) {
+				derr = nil // the oversized line was the last one
 			}
-			continue
+			return nil, true, derr
 		}
-		it.buf = buf
-		line = trimEOL(buf)
-		if len(line) > it.cfg.MaxLineBytes {
-			return nil, true, err
-		}
-		return line, false, err
+		frag, err = it.br.ReadSlice('\n')
 	}
+	if len(buf) > 0 {
+		buf = append(buf, frag...)
+		it.buf, frag = buf, buf
+	}
+	line = trimEOL(frag)
+	if len(line) > it.cfg.MaxLineBytes {
+		return nil, true, err
+	}
+	return line, false, err
 }
 
 // discardLine consumes input up to and including the next newline.

@@ -74,3 +74,24 @@ func TestParseIntoEmptySentence(t *testing.T) {
 		t.Fatalf("empty parse: root=%d nodes=%d", tree.Root(), len(tree.Nodes))
 	}
 }
+
+// TestParseIntoDoesNotAllocate pins the parser's steady state: with a warm
+// Scratch, sentences with several noun phrases, stacked and conjoined
+// adjective groups, degree adverbs and negations parse without touching
+// the heap.
+func TestParseIntoDoesNotAllocate(t *testing.T) {
+	lex := lexicon.Default()
+	tg := pos.New(lex)
+	p := New(lex)
+	sc := new(Scratch)
+	for _, text := range []string{
+		"The very big old city near the quiet river is not a really cheap and safe place for young families.",
+		"In Rome the tired tourists never found the small hotel very clean, quiet or friendly.",
+		"San Francisco, a beautiful city, isn't cheap.",
+	} {
+		tagged := tg.Tag(token.SplitSentences(text)[0])
+		if allocs := testing.AllocsPerRun(100, func() { p.ParseInto(sc, tagged) }); allocs != 0 {
+			t.Errorf("%q: ParseInto allocates %v times per parse, want 0", text, allocs)
+		}
+	}
+}

@@ -195,7 +195,8 @@ func (b *builder) parseSimpleClause(lo, hi int) int {
 	}
 
 	// Subject: head of the last nominal chunk before the verb group.
-	subj, orphans := b.parseSubject(lo, gStart)
+	var orphanBuf [8]int // on the stack, like parseNP's
+	subj, orphans := b.parseSubject(lo, gStart, orphanBuf[:0])
 
 	copula := b.lex.IsCopula(b.text(vHead))
 	var root int
@@ -290,10 +291,9 @@ func headOr(v, fallback int) int {
 
 // parseSubject chunks [lo,hi) and returns the head of the last nominal
 // chunk (the subject, -1 if none) plus any earlier chunk heads that were
-// claimed but displaced and still need an attachment.
-func (b *builder) parseSubject(lo, hi int) (int, []int) {
+// claimed but displaced and still need an attachment, appended to orphans.
+func (b *builder) parseSubject(lo, hi int, orphans []int) (int, []int) {
 	subj := -1
-	var orphans []int
 	lastComma := -1 // index of a comma directly after the current subject
 	claim := func(head int) {
 		if subj >= 0 {
@@ -386,11 +386,10 @@ func (b *builder) parseCopularPredicate(lo, hi, copIdx int) int {
 	// known ("is not big", "is never a big city"). Adverbs are NOT
 	// collected here — a degree adverb belongs to the following adjective
 	// and the AdjP parser claims it ("is very big").
-	var pendingNeg []int
 	for i < hi && b.tag(i) == lexicon.Neg {
-		pendingNeg = append(pendingNeg, i)
 		i++
 	}
+	negEnd := i
 
 	root, end := -1, 0
 	switch {
@@ -409,7 +408,7 @@ func (b *builder) parseCopularPredicate(lo, hi, copIdx int) int {
 	if root < 0 {
 		return -1
 	}
-	for _, n := range pendingNeg {
+	for n := lo; n < negEnd; n++ {
 		b.attach(n, root, Neg)
 	}
 	// Post-predicate material: PPs restrict the predicate ("bad for
@@ -533,11 +532,10 @@ func (b *builder) parseNP(lo, hi int) (int, int) {
 		det = i
 		i++
 	}
-	type adjGroup struct {
-		first int
-	}
-	var groups []adjGroup
-	var nouns []int
+	// Adjective-group heads and nouns, on the stack for any phrase of
+	// ordinary length (append moves a longer one to the heap).
+	var groupBuf, nounBuf [8]int
+	groups, nouns := groupBuf[:0], nounBuf[:0]
 
 scan:
 	for i < hi {
@@ -547,7 +545,7 @@ scan:
 			if i+1 < hi && (b.tag(i+1) == lexicon.Adj || b.tag(i+1) == lexicon.Adv) {
 				adjHead, end := b.parseAdjP(i, hi)
 				if adjHead >= 0 {
-					groups = append(groups, adjGroup{first: adjHead})
+					groups = append(groups, adjHead)
 					i = end
 					continue
 				}
@@ -563,7 +561,7 @@ scan:
 			if adjHead < 0 {
 				break scan
 			}
-			groups = append(groups, adjGroup{first: adjHead})
+			groups = append(groups, adjHead)
 			i = end
 		case lexicon.Noun, lexicon.Propn, lexicon.Num:
 			nouns = append(nouns, i)
@@ -576,7 +574,7 @@ scan:
 		// No noun materialised: release the adjective heads parseAdjP
 		// claimed on our behalf, or they would stay headless forever.
 		for _, g := range groups {
-			b.placed[g.first] = false
+			b.placed[g] = false
 		}
 		return -1, lo
 	}
@@ -586,7 +584,7 @@ scan:
 		b.attach(det, head, DetLabel)
 	}
 	for _, g := range groups {
-		b.attach(g.first, head, Amod)
+		b.attach(g, head, Amod)
 	}
 	for _, n := range nouns[:len(nouns)-1] {
 		b.attach(n, head, Compound)
@@ -599,9 +597,7 @@ scan:
 // attaches conjuncts to the first conjunct); (-1, lo) if no adjective.
 func (b *builder) parseAdjP(lo, hi int) (int, int) {
 	i := lo
-	var advs []int
 	for i < hi && b.tag(i) == lexicon.Adv {
-		advs = append(advs, i)
 		i++
 	}
 	if i >= hi || b.tag(i) != lexicon.Adj {
@@ -609,7 +605,8 @@ func (b *builder) parseAdjP(lo, hi int) (int, int) {
 	}
 	head := i
 	b.placed[head] = true // caller attaches the head
-	for _, a := range advs {
+	// The leading adverbs.
+	for a := lo; a < head; a++ {
 		b.attach(a, head, Advmod)
 	}
 	i++
@@ -627,9 +624,8 @@ func (b *builder) parseAdjP(lo, hi int) (int, int) {
 		if cc < 0 && j == i {
 			break
 		}
-		var advs2 []int
+		advLo := j
 		for j < hi && b.tag(j) == lexicon.Adv {
-			advs2 = append(advs2, j)
 			j++
 		}
 		if j >= hi || b.tag(j) != lexicon.Adj {
@@ -646,7 +642,7 @@ func (b *builder) parseAdjP(lo, hi int) (int, int) {
 		if i < hi && b.toks[i].Text == "," && (cc >= 0 || j > i+1) {
 			b.attach(i, head, Punct)
 		}
-		for _, a := range advs2 {
+		for a := advLo; a < conjAdj; a++ {
 			b.attach(a, conjAdj, Advmod)
 		}
 		i = j + 1

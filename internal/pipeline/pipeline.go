@@ -65,7 +65,9 @@ type Config struct {
 	// schedule); it must not mutate the document. Ignored by the
 	// pre-annotated entry points.
 	Fault func(index int, doc *corpus.Document)
-	// StreamBuffer bounds the RunStream feed channel (0 means 4×Workers).
+	// StreamBuffer bounds the documents queued between RunStream's reader
+	// and its workers. They travel in batches of 64; 0 means 4×Workers
+	// batches, and a bound below one batch shrinks the batch.
 	StreamBuffer int
 }
 

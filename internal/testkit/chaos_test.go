@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -355,5 +356,139 @@ func TestStreamCancelNoLeak(t *testing.T) {
 	if diffs := DiffResults(res, clean); len(diffs) > 0 {
 		t.Errorf("cancelled stream result diverges from clean run over consumed prefix:\n  %s",
 			strings.Join(diffs, "\n  "))
+	}
+}
+
+// cancelAtReader passes R through a few hundred bytes at a time and cancels
+// the run once N bytes are out — a signal arriving while the feeder is
+// part-way through filling a batch.
+type cancelAtReader struct {
+	R      io.Reader
+	N      int64
+	Cancel context.CancelFunc
+}
+
+func (c *cancelAtReader) Read(p []byte) (int, error) {
+	if len(p) > 256 {
+		p = p[:256]
+	}
+	n, err := c.R.Read(p)
+	if c.N -= int64(n); c.N <= 0 {
+		c.Cancel()
+	}
+	return n, err
+}
+
+// TestStreamStopsInsideBatch ends the stream at a document that is neither
+// the first nor the last of a hand-off batch — by a strict malformed line,
+// by a dying reader, by a cancellation — on a corpus that is not a whole
+// number of batches either. Each must return a *PartialError whose result
+// is the clean run over docs[:Consumed], with nothing left running.
+func TestStreamStopsInsideBatch(t *testing.T) {
+	w := NewWorld(1, diffScale)
+	docs := w.Docs()
+	const batch = 64       // pipeline's hand-off batch
+	const k = 5*batch + 21 // documents ahead of the stop
+	if len(docs)%batch == 0 || len(docs) < k+2*batch {
+		t.Fatalf("%d documents: the fixture must end inside a batch, well past document %d", len(docs), k)
+	}
+	head, tail := corpusJSONL(t, docs[:k]), corpusJSONL(t, docs[k:])
+	whole := append(append([]byte(nil), head...), tail...)
+	malformed := append(append(append([]byte(nil), head...), "{not json}\n"...), tail...)
+
+	cases := []struct {
+		name   string
+		reader func(context.CancelFunc) io.Reader
+		cause  func(error) bool
+		exact  bool // Consumed must be k, not merely inside the corpus
+	}{
+		{"malformed line", func(context.CancelFunc) io.Reader { return bytes.NewReader(malformed) },
+			func(err error) bool {
+				var le *corpus.LineError
+				return errors.As(err, &le) && le.Line == k+1
+			}, true},
+		{"reader failure", func(context.CancelFunc) io.Reader {
+			return &FailingReader{R: bytes.NewReader(whole), N: int64(len(head) + 10)}
+		}, func(err error) bool { return errors.Is(err, ErrInjected) }, true},
+		{"cancellation", func(cancel context.CancelFunc) io.Reader {
+			return &cancelAtReader{R: bytes.NewReader(whole), N: int64(len(head)), Cancel: cancel}
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }, false},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, tc := range cases {
+			baseline := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			it := corpus.NewIterator(tc.reader(cancel), corpus.IteratorConfig{})
+			// One batch of buffer: the feeder is soon refilling batches the
+			// workers have handed back, whatever the worker count.
+			res, err := pipeline.RunStream(ctx, it, w.KB, w.Lex,
+				pipeline.Config{Rho: 10, Workers: workers, StreamBuffer: batch})
+			cancel()
+			waitForGoroutines(t, baseline)
+			var pe *pipeline.PartialError
+			if !errors.As(err, &pe) {
+				t.Fatalf("workers %d, %s: want *PartialError, got %v", workers, tc.name, err)
+			}
+			if !tc.cause(err) {
+				t.Errorf("workers %d, %s: unexpected cause %v", workers, tc.name, pe.Err)
+			}
+			if tc.exact && pe.Consumed != k {
+				t.Errorf("workers %d, %s: consumed %d documents, %d precede the stop", workers, tc.name, pe.Consumed, k)
+			}
+			if pe.Consumed == 0 || pe.Consumed >= len(docs) || pe.Processed != pe.Consumed {
+				t.Fatalf("workers %d, %s: consumed %d, processed %d of %d", workers, tc.name, pe.Consumed, pe.Processed, len(docs))
+			}
+			clean := pipeline.Run(docs[:pe.Consumed], w.KB, w.Lex, pipeline.Config{Rho: 10, Workers: 4})
+			if diffs := DiffResults(res, clean); len(diffs) > 0 {
+				t.Errorf("workers %d, %s: partial result diverges from clean run over consumed prefix:\n  %s",
+					workers, tc.name, strings.Join(diffs, "\n  "))
+			}
+		}
+	}
+}
+
+// TestLenientStreamQuarantineSequence mixes skipped lines and panicking
+// documents into every batch: a skipped line takes no sequence number, so
+// the quarantine log must name exactly the selector's indices into the
+// valid documents, and the rest must match the clean run over survivors.
+func TestLenientStreamQuarantineSequence(t *testing.T) {
+	w := NewWorld(1, diffScale)
+	docs := w.Docs()
+	kept, faulted := Partition(docs, chaosSeed, chaosRate)
+	clean := pipeline.Run(kept, w.KB, w.Lex, pipeline.Config{Rho: 10, Workers: 4})
+
+	var buf bytes.Buffer
+	garbage := 0
+	for i := range docs {
+		if i%5 == 0 {
+			buf.WriteString("{\"URL\":\"cut off\n")
+			garbage++
+		}
+		if err := corpus.WriteJSONL(&buf, docs[i:i+1]); err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		it := corpus.NewIterator(bytes.NewReader(buf.Bytes()), corpus.IteratorConfig{Lenient: true})
+		res, err := pipeline.RunStream(context.Background(), it, w.KB, w.Lex,
+			pipeline.Config{Rho: 10, Workers: workers, Fault: PanicFault(chaosSeed, chaosRate)})
+		if err != nil {
+			t.Fatalf("workers %d: lenient faulted stream failed: %v", workers, err)
+		}
+		if res.SkippedLines != int64(garbage) {
+			t.Errorf("workers %d: skipped %d lines, injected %d", workers, res.SkippedLines, garbage)
+		}
+		if len(res.Quarantined) != len(faulted) {
+			t.Fatalf("workers %d: quarantined %d documents, selector picked %d", workers, len(res.Quarantined), len(faulted))
+		}
+		for i, q := range res.Quarantined {
+			if q.Doc != faulted[i] {
+				t.Errorf("workers %d: quarantine %d is sequence number %d, want %d", workers, i, q.Doc, faulted[i])
+			}
+		}
+		if diffs := DiffResults(stripQuarantine(res), clean); len(diffs) > 0 {
+			t.Errorf("workers %d: faulted lenient stream diverges from clean run over survivors:\n  %s",
+				workers, strings.Join(diffs, "\n  "))
+		}
 	}
 }

@@ -233,7 +233,7 @@ type StreamOptions struct {
 	// MaxLineBytes caps one corpus line (0 = 4 MiB).
 	MaxLineBytes int
 	// Buffer bounds the number of in-flight documents between the reader
-	// and the workers (0 = 4× workers).
+	// and the workers (0 = 4× workers batches of 64 documents).
 	Buffer int
 }
 
