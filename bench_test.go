@@ -252,7 +252,7 @@ func BenchmarkIncrementalRefit(b *testing.B) {
 		store := m.Snapshot().Store
 		var tuples int64
 		for i := 0; i < b.N; i++ {
-			res := pipeline.RunFromStore(store, base, cfg)
+			res := pipeline.ReduceStore(store, base, cfg, pipeline.ReduceStats{})
 			if len(res.Groups) < modelled {
 				b.Fatal("batch remodel lost groups")
 			}

@@ -315,8 +315,7 @@ func run() int {
 			if len(docs) == sizingSample {
 				docs = slices.Grow(docs, remainingDocs(f, len(docs)))
 			}
-			d := it.Doc()
-			docs = append(docs, surveyor.Document{URL: d.URL, Domain: d.Domain, Text: d.Text})
+			docs = append(docs, it.Doc())
 		}
 		f.Close()
 		if err := it.Err(); err != nil {
@@ -325,16 +324,14 @@ func run() int {
 		}
 		if loadSkipped = it.Stats().Skipped(); loadSkipped > 0 {
 			fmt.Fprintf(os.Stderr, "skipped %d malformed or oversized corpus lines\n", loadSkipped)
+			// The lines were dropped here, ahead of the pipeline: count them
+			// where -stream counts its own, so /metrics and /healthz agree.
+			o.PipelineMetrics().SkippedLines.Add(loadSkipped)
 		}
 		res, mineErr = mine(ctx, sys, docs, cfg, *epochs, distOpts)
 	default:
-		var docs []surveyor.Document
-		base := kb.Default(*seed)
-		snap := corpus.NewGenerator(base, corpus.Table2Specs(),
-			corpus.Config{Seed: *seed, Scale: 1}).Generate()
-		for _, d := range snap.Documents {
-			docs = append(docs, surveyor.Document{URL: d.URL, Domain: d.Domain, Text: d.Text})
-		}
+		docs := corpus.NewGenerator(kb.Default(*seed), corpus.Table2Specs(),
+			corpus.Config{Seed: *seed, Scale: 1}).Generate().Documents
 		fmt.Fprintf(os.Stderr, "generated demo snapshot: %d documents\n", len(docs))
 		res, mineErr = mine(ctx, sys, docs, cfg, *epochs, distOpts)
 	}

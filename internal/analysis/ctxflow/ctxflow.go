@@ -10,11 +10,11 @@
 //     facade) own context creation; a compatibility wrapper that
 //     genuinely needs one documents it with //lint:allow;
 //   - in the worker packages (internal/pipeline, internal/dist), a loop
-//     that claims work with an atomic counter must not consult the
-//     context afterwards inside the same iteration: PR 5's rule is that
-//     cancellation is observed *before* claiming a document, so a
-//     claimed document always finishes and the quarantine/commit
-//     bookkeeping never sees a half-processed item.
+//     or claim function that claims work with an atomic counter must not
+//     consult the context afterwards inside the same iteration or call:
+//     PR 5's rule is that cancellation is observed *before* claiming a
+//     document, so a claimed document always finishes and the
+//     quarantine/commit bookkeeping never sees a half-processed item.
 //
 // Test files are exempt: harnesses legitimately create their own
 // contexts.
@@ -136,22 +136,26 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl, claimCommit bool) {
 	}
 }
 
-// checkClaimCommit flags any use of a context inside a loop body after
-// an atomic claim (a .Add call on a sync/atomic counter) in the same
-// body — between claim and commit, cancellation must be invisible.
+// checkClaimCommit flags any use of a context after an atomic claim (a
+// .Add call on a sync/atomic counter) in the same claim scope — between
+// claim and commit, cancellation must be invisible. A claim scope is a loop
+// body, or the body of a function that claims outside any loop: the claim
+// function a worker loop calls once per document.
 func checkClaimCommit(pass *framework.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(fd, func(n ast.Node) bool {
 		var body *ast.BlockStmt
-		switch loop := n.(type) {
+		switch scope := n.(type) {
+		case *ast.FuncDecl:
+			body = scope.Body
 		case *ast.ForStmt:
-			body = loop.Body
+			body = scope.Body
 		case *ast.RangeStmt:
-			body = loop.Body
+			body = scope.Body
 		default:
 			return true
 		}
-		claimEnd := claimPos(info, body)
+		claimEnd := claimPos(info, body, n != fd)
 		if !claimEnd.IsValid() {
 			return true
 		}
@@ -165,7 +169,7 @@ func checkClaimCommit(pass *framework.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			pass.Reportf(id.Pos(),
-				"ctx consulted after the atomic work claim in this loop; claimed documents must finish — "+
+				"ctx consulted after the atomic work claim in this loop or claim function; claimed documents must finish — "+
 					"check ctx before claiming (PR 5 cancellation rule)")
 			return false
 		})
@@ -174,11 +178,16 @@ func checkClaimCommit(pass *framework.Pass, fd *ast.FuncDecl) {
 }
 
 // claimPos returns the end position of the first atomic claim (an
-// .Add(...) call on a sync/atomic type) in the block, or NoPos.
-func claimPos(info *types.Info, body *ast.BlockStmt) (pos token.Pos) {
+// .Add(...) call on a sync/atomic type) in the block, or NoPos. With loops
+// false it stays out of nested loops, which are claim scopes of their own.
+func claimPos(info *types.Info, body *ast.BlockStmt, loops bool) (pos token.Pos) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if pos.IsValid() {
 			return false
+		}
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			return loops
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

@@ -66,3 +66,44 @@ func BadWorkers(ctx context.Context, docs []int) {
 		work(docs[i])
 	}
 }
+
+// source is the shape of the pipeline's slice source: the worker loop
+// lives elsewhere and calls claim once per document.
+type source struct {
+	ctx  context.Context
+	docs []int
+	next atomic.Int64
+}
+
+// claim observes cancellation before the atomic claim: clean.
+func (s *source) claim() (int, bool) {
+	if s.ctx.Err() != nil {
+		return 0, false
+	}
+	i := int(s.next.Add(1)) - 1
+	return i, i < len(s.docs)
+}
+
+// badClaim consults ctx after claiming, with no loop in sight: the index
+// it took is lost to every other worker.
+func (s *source) badClaim() (int, bool) {
+	i := int(s.next.Add(1)) - 1
+	if s.ctx.Err() != nil { // want `ctx consulted after the atomic work claim`
+		return 0, false
+	}
+	return i, i < len(s.docs)
+}
+
+// afterLoop reads ctx once its claim loop is over: the loop is the claim
+// scope, the function is not. Clean.
+func afterLoop(ctx context.Context, docs []int) error {
+	var next atomic.Int64
+	for ctx.Err() == nil {
+		i := int(next.Add(1)) - 1
+		if i >= len(docs) {
+			break
+		}
+		work(docs[i])
+	}
+	return ctx.Err()
+}

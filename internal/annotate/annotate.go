@@ -67,13 +67,3 @@ func (a *Annotator) Annotate(doc corpus.Document) Document {
 	}
 	return out
 }
-
-// AnnotateAll processes a corpus slice sequentially (the pipeline package
-// provides the parallel variant).
-func (a *Annotator) AnnotateAll(docs []corpus.Document) []Document {
-	out := make([]Document, len(docs))
-	for i, d := range docs {
-		out[i] = a.Annotate(d)
-	}
-	return out
-}

@@ -68,9 +68,17 @@ func TestAnnotatedExtractionMatchesDirect(t *testing.T) {
 	}
 }
 
+func annotateAll(a *Annotator, docs []corpus.Document) []Document {
+	out := make([]Document, len(docs))
+	for i, d := range docs {
+		out[i] = a.Annotate(d)
+	}
+	return out
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	_, _, a := fixture()
-	docs := a.AnnotateAll([]corpus.Document{
+	docs := annotateAll(a, []corpus.Document{
 		{URL: "http://a.example.com", Domain: "com", Author: 1,
 			Text: "San Francisco is not a big city. I love it."},
 		{URL: "http://b.example.cn", Domain: "cn", Author: 2,
@@ -146,7 +154,7 @@ func TestCodecExtractionEquivalence(t *testing.T) {
 	snap := gen.Generate()
 	a := New(snapKB, lex2)
 
-	docs := a.AnnotateAll(snap.Documents)
+	docs := annotateAll(a, snap.Documents)
 	var buf bytes.Buffer
 	if err := Write(&buf, docs); err != nil {
 		t.Fatal(err)
@@ -194,7 +202,7 @@ func TestReadRejectsBadHeader(t *testing.T) {
 
 func TestReadRejectsTruncated(t *testing.T) {
 	_, _, a := fixture()
-	docs := a.AnnotateAll([]corpus.Document{{Text: "Kittens are cute."}})
+	docs := annotateAll(a, []corpus.Document{{Text: "Kittens are cute."}})
 	var buf bytes.Buffer
 	if err := Write(&buf, docs); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@
 // evidence deltas through evidence.Store.Merge in deterministic shard
 // order, and runs grouping+EM once over the union. Because Merge is
 // commutative and associative (the PR 1 algebra suite) and the reduce
-// step reuses the batch pipeline's finishRun phases verbatim
+// step is the batch pipeline's own reduce, verbatim
 // (pipeline.ReduceStore), a distributed run is bit-identical to a
 // single-process run over the same corpus — the testkit differential
 // suite proves it for worker counts {1, 2, 4, 8}, with and without
@@ -170,7 +170,7 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 	}
 
 	// Reduce, part 2: grouping + EM + index, bit-identical to the batch
-	// finishRun over the same store.
+	// reduce over the same store.
 	res := pipeline.ReduceStore(store, base, cfg.Pipeline, pipeline.ReduceStats{
 		Sentences:   sentences,
 		Documents:   documents,

@@ -24,6 +24,7 @@ func testJob() *dist.Job {
 			{URL: "http://a.example/1", Domain: "a.example", Author: 12, Text: "the kitten is cute."},
 			{URL: "http://b.example/2", Domain: "b.example", Author: 0, Text: ""},
 			{URL: "", Domain: "", Author: 9000, Text: "spiders are not cute!"},
+			{URL: "http://c.example/3", Domain: "c.example", Author: -7, Text: "a loader-legal negative author."},
 		},
 	}
 }

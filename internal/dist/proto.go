@@ -136,10 +136,11 @@ func ReadJob(r io.Reader) (*Job, int64, error) {
 		if err := d.Err(); err != nil {
 			return nil, n, fmt.Errorf("dist: job document %d: %w", i, err)
 		}
-		if author > math.MaxInt32 {
+		// Any author the JSONL loader accepts must survive the trip, negative
+		// ones included; reject only what this platform's int cannot hold.
+		if doc.Author = int(author); uint64(doc.Author) != author {
 			return nil, n, fmt.Errorf("dist: job document %d: implausible author %d", i, author)
 		}
-		doc.Author = int(author)
 		job.Docs = append(job.Docs, doc)
 	}
 	if d.Remaining() != 0 {

@@ -82,7 +82,7 @@ func AntonymAblation(cfg WorldConfig, antonymFrac float64) []AntonymRow {
 	resolver := evidence.PrimaryByVolume(baseRun.Store, lex.Antonyms)
 	for _, mode := range []AntonymMode{AntonymStrict, AntonymNaive} {
 		folded := evidence.FoldAntonyms(baseRun.Store, resolver, mode == AntonymNaive)
-		res := pipeline.RunFromStore(folded, base, pipeline.Config{Rho: cfg.Rho})
+		res := pipeline.ReduceStore(folded, base, pipeline.Config{Rho: cfg.Rho}, pipeline.ReduceStats{})
 		r := score(res)
 		r.Mode = mode
 		rows = append(rows, r)

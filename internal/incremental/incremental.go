@@ -1,10 +1,10 @@
 // Package incremental is the always-on miner: it ingests corpus epochs
-// (in-memory document batches or a streaming corpus.Iterator), folds each
-// epoch's evidence delta into the cumulative store through the proven
-// Merge algebra, and re-runs grouping and EM only for the *dirty*
-// (type, property) groups — those whose counters the epoch changed. The
-// refreshed fits are spliced into an immutable, atomically published
-// snapshot shaped exactly like a batch *pipeline.Result*.
+// (in-memory document batches), folds each epoch's evidence delta into the
+// cumulative store through the proven Merge algebra, and re-runs grouping
+// and EM only for the *dirty* (type, property) groups — those whose
+// counters the epoch changed. The refreshed fits are spliced into an
+// immutable, atomically published snapshot shaped exactly like a batch
+// *pipeline.Result*.
 //
 // Correctness contract (proven by the differential epoch harness in
 // internal/testkit, bit for bit): for ANY partition of a corpus into
@@ -37,7 +37,6 @@ package incremental
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -94,7 +93,6 @@ type Miner struct {
 	sentences   int64
 	statements  int64
 	quarantined []pipeline.Quarantined
-	skipped     int64
 	epochs      int
 
 	published atomic.Pointer[pipeline.Result]
@@ -142,41 +140,6 @@ func (m *Miner) Ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.ingest(ctx, docs)
-}
-
-// IngestStream drains a corpus iterator in epochs of up to batch
-// documents (default 1024), publishing a snapshot after each. It returns
-// the stats of every completed epoch; on a read error the documents read
-// before the failure are still ingested, then the error is returned.
-func (m *Miner) IngestStream(ctx context.Context, it *corpus.Iterator, batch int) ([]EpochStats, error) {
-	if batch <= 0 {
-		batch = 1024
-	}
-	var all []EpochStats
-	for {
-		docs := make([]corpus.Document, 0, batch)
-		for len(docs) < batch && it.Next() {
-			docs = append(docs, it.Doc())
-		}
-		readErr := it.Err()
-		if readErr != nil {
-			readErr = fmt.Errorf("incremental: corpus read: %w", readErr)
-		}
-		if len(docs) == 0 {
-			return all, readErr
-		}
-		m.mu.Lock()
-		m.skipped = it.Stats().Skipped()
-		st, err := m.ingest(ctx, docs)
-		m.mu.Unlock()
-		if err != nil {
-			return all, err
-		}
-		all = append(all, st)
-		if readErr != nil {
-			return all, readErr
-		}
-	}
 }
 
 // ingest is the epoch state machine. Caller holds m.mu.
@@ -276,7 +239,6 @@ func (m *Miner) publish() *pipeline.Result {
 		Sentences:         m.sentences,
 		Documents:         m.seq - len(m.quarantined),
 		Quarantined:       append([]pipeline.Quarantined(nil), m.quarantined...),
-		SkippedLines:      m.skipped,
 	})
 	m.published.Store(res)
 	return res

@@ -1,7 +1,6 @@
 package incremental_test
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -31,75 +30,6 @@ func TestEmptyMiner(t *testing.T) {
 	}
 	if m.Epochs() != 0 {
 		t.Fatalf("fresh miner reports %d epochs", m.Epochs())
-	}
-}
-
-// TestIngestStreamMatchesBatch drains a JSONL corpus through IngestStream
-// in small batches and asserts the final snapshot is bit-identical to the
-// batch run, and that the per-epoch stats account for every document.
-func TestIngestStreamMatchesBatch(t *testing.T) {
-	w := testkit.NewTinyWorld(2, 0.4)
-	docs := w.Docs()
-	var buf bytes.Buffer
-	if err := corpus.WriteJSONL(&buf, docs); err != nil {
-		t.Fatal(err)
-	}
-	cfg := pipeline.Config{Rho: 5, Workers: 2}
-	batch := pipeline.Run(docs, w.KB, w.Lex, cfg)
-
-	m := incremental.New(w.KB, w.Lex, cfg)
-	it := corpus.NewIterator(&buf, corpus.IteratorConfig{})
-	stats, err := m.IngestStream(context.Background(), it, 7)
-	if err != nil {
-		t.Fatalf("clean stream failed: %v", err)
-	}
-	want := (len(docs) + 6) / 7
-	if len(stats) != want {
-		t.Fatalf("stream produced %d epochs over %d docs at batch 7, want %d", len(stats), len(docs), want)
-	}
-	var total int
-	for _, st := range stats {
-		total += st.Documents
-	}
-	if total != len(docs) {
-		t.Fatalf("epoch stats count %d documents, stream carried %d", total, len(docs))
-	}
-	if diffs := testkit.DiffResults(m.Snapshot(), batch); len(diffs) > 0 {
-		t.Errorf("streamed incremental run diverges from batch:\n  %s", strings.Join(diffs, "\n  "))
-	}
-}
-
-// TestIngestStreamReadError kills the reader mid-stream: the documents
-// read before the failure must still be ingested (the snapshot matches a
-// batch run over them), and the cause must surface.
-func TestIngestStreamReadError(t *testing.T) {
-	w := testkit.NewTinyWorld(3, 0.4)
-	docs := w.Docs()
-	var buf bytes.Buffer
-	if err := corpus.WriteJSONL(&buf, docs); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	cfg := pipeline.Config{Rho: 5, Workers: 2}
-
-	m := incremental.New(w.KB, w.Lex, cfg)
-	it := corpus.NewIterator(&testkit.FailingReader{R: bytes.NewReader(data), N: int64(len(data) / 2)},
-		corpus.IteratorConfig{})
-	stats, err := m.IngestStream(context.Background(), it, 4)
-	if err == nil {
-		t.Fatal("injected read failure was not reported")
-	}
-	var consumed int
-	for _, st := range stats {
-		consumed += st.Documents
-	}
-	if consumed == 0 || consumed >= len(docs) {
-		t.Fatalf("consumed %d of %d — fault fired at the wrong time", consumed, len(docs))
-	}
-	batch := pipeline.Run(docs[:consumed], w.KB, w.Lex, cfg)
-	if diffs := testkit.DiffResults(m.Snapshot(), batch); len(diffs) > 0 {
-		t.Errorf("partial stream snapshot diverges from batch over consumed prefix:\n  %s",
-			strings.Join(diffs, "\n  "))
 	}
 }
 

@@ -2,12 +2,12 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/annotate"
 	"repro/internal/corpus"
-	"repro/internal/evidence"
 	"repro/internal/extract"
 	"repro/internal/kb"
 	"repro/internal/nlp/lexicon"
@@ -19,13 +19,13 @@ import (
 // Table-4 pattern-version sweep, without re-parsing.
 func Annotate(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, workers int) []annotate.Document {
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	annotator := annotate.New(base, lex)
 	out := make([]annotate.Document, len(docs))
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	for w := 0; w < workerCount(workers, len(docs)); w++ {
+	for w := 0; w < min(workers, len(docs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -42,37 +42,25 @@ func Annotate(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, workers
 	return out
 }
 
-// annotatedProcessor is the pre-annotated counterpart of docProcessor:
-// extraction only, with the same commit-after-success buffering under the
-// quarantine boundary.
-type annotatedProcessor struct {
-	extractor *extract.Extractor
-	stmts     []extract.Statement
-
-	buf       []extract.Statement
-	sentences int64
-}
-
-// process extracts one annotated document inside the quarantine boundary.
-func (p *annotatedProcessor) process(doc *annotate.Document) (reason string, ok bool) {
-	p.buf = p.buf[:0]
-	p.sentences = 0
-	ok = true
-	defer func() {
-		if r := recover(); r != nil {
-			reason, ok = panicReason(r), false
+// extractOnlyProcessors returns the per-worker factory of processors over
+// pre-annotated documents: extraction only.
+func extractOnlyProcessors(lex *lexicon.Lexicon, cfg Config) func() processor[annotate.Document] {
+	extractor := extract.NewVersion(lex, cfg.Version)
+	return func() processor[annotate.Document] {
+		var stmts, buf []extract.Statement
+		return func(_ int, doc *annotate.Document) ([]extract.Statement, int64) {
+			buf = buf[:0]
+			for si := range doc.Sentence {
+				s := &doc.Sentence[si]
+				if s.Tree == nil || len(s.Mentions) == 0 {
+					continue
+				}
+				stmts = extractor.ExtractInto(stmts[:0], s.Tree, s.Mentions)
+				buf = append(buf, stmts...)
+			}
+			return buf, int64(len(doc.Sentence))
 		}
-	}()
-	for si := range doc.Sentence {
-		s := &doc.Sentence[si]
-		p.sentences++
-		if s.Tree == nil || len(s.Mentions) == 0 {
-			continue
-		}
-		p.stmts = p.extractor.ExtractInto(p.stmts[:0], s.Tree, s.Mentions)
-		p.buf = append(p.buf, p.stmts...)
 	}
-	return "", true
 }
 
 // RunAnnotated executes extraction, grouping, and per-group EM over an
@@ -93,132 +81,6 @@ func RunAnnotated(docs []annotate.Document, base *kb.KB, lex *lexicon.Lexicon, c
 // documents, which an annotated corpus no longer has.
 func RunAnnotatedContext(ctx context.Context, docs []annotate.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	res := &Result{}
-	o := cfg.Obs
-	workers := workerCount(cfg.Workers, len(docs))
-	o.StartRun(len(docs), workers)
-	total := o.Phase("run")
-
-	span := o.Phase("extract")
-	pm := o.PipelineMetrics()
-	store := evidence.NewStore()
-	extractor := extract.NewVersion(lex, cfg.Version)
-	var sentences atomic.Int64
-	var ql quarantineLog
-
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wo := o.Worker(w)
-			local := int64(0)
-			acc := evidence.NewLocal()
-			proc := &annotatedProcessor{extractor: extractor}
-			for {
-				if ctx.Err() != nil {
-					break
-				}
-				di := int(next.Add(1)) - 1
-				if di >= len(docs) {
-					break
-				}
-				wo.DocStart()
-				if reason, ok := proc.process(&docs[di]); !ok {
-					ql.add(di, reason)
-					pm.QuarantinedDocs.Inc()
-					wo.DocEnd(di, 0, 0)
-					continue
-				}
-				for _, st := range proc.buf {
-					acc.Add(st)
-				}
-				local += proc.sentences
-				wo.DocEnd(di, proc.sentences, int64(len(proc.buf)))
-				pm.DocSentences.Observe(float64(proc.sentences))
-			}
-			acc.FlushTo(store)
-			sentences.Add(local)
-			wo.Close("extract")
-		}(w)
-	}
-	wg.Wait()
-	consumed := int(next.Load())
-	if consumed > len(docs) {
-		consumed = len(docs)
-	}
-	res.Quarantined = ql.sorted()
-	res.Documents = consumed - len(res.Quarantined)
-	res.Store = store
-	res.Sentences = sentences.Load()
-	res.TotalStatements = store.TotalStatements()
-	res.DistinctPairs = store.Len()
-	res.Timings.Extraction = span.End()
-	pm.Documents.Add(int64(res.Documents))
-	pm.Sentences.Add(res.Sentences)
-	pm.Statements.Add(res.TotalStatements)
-
-	finishRun(res, base, cfg)
-	res.Timings.Total = total.End()
-	o.EndRun()
-	if consumed < len(docs) {
-		return res, &PartialError{Result: res, Processed: res.Documents, Consumed: consumed, Err: ctx.Err()}
-	}
-	return res, nil
-}
-
-// RunFromStore executes grouping and modelling over pre-aggregated
-// evidence counters — the counts-only entry point for callers with their
-// own extraction, and for evidence-level transformations such as antonym
-// folding.
-func RunFromStore(store *evidence.Store, base *kb.KB, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	res := &Result{
-		Store:           store,
-		TotalStatements: store.TotalStatements(),
-		DistinctPairs:   store.Len(),
-	}
-	total := cfg.Obs.Phase("run")
-	finishRun(res, base, cfg)
-	res.Timings.Total = total.End()
-	cfg.Obs.EndRun()
-	return res
-}
-
-// finishRun performs the grouping and EM phases shared by Run and
-// RunAnnotated, then builds the lookup index. It always runs to
-// completion, even for a cancelled run: the committed evidence is already
-// in memory and bounded, and modelling it is what makes a partial result
-// exactly the clean result over its committed documents.
-func finishRun(res *Result, base *kb.KB, cfg Config) {
-	o := cfg.Obs
-	pm := o.PipelineMetrics()
-
-	// Grouping: one parallel per-shard pass computes both the before-ρ pair
-	// count and the grouped aggregates.
-	span := o.Phase("group")
-	groups, before := evidence.ParallelGroupObserved(res.Store, base, cfg.Rho, cfg.Workers, o.Grouping())
-	res.PairsBeforeFilter = before
-	res.Timings.Grouping = span.End()
-	pm.DistinctPairs.Set(float64(res.DistinctPairs))
-	pm.PairsBefore.Set(float64(before))
-	pm.Groups.Set(float64(len(groups)))
-
-	// EM: the shared worker pool of fitGroups (see refit.go) — also the
-	// re-fit entry point the incremental miner drives with dirty groups
-	// only.
-	span = o.Phase("em")
-	res.Groups = fitGroups(groups, cfg)
-	res.Timings.EM = span.End()
-
-	// Index: the O(1) lookup structures over groups and opinions.
-	span = o.Phase("index")
-	res.buildIndex()
-	res.Timings.Index = span.End()
-	totalEntities := 0
-	for gi := range res.Groups {
-		totalEntities += len(res.Groups[gi].Entities)
-	}
-	pm.Opinions.Add(int64(totalEntities))
+	return run(cfg, base, len(docs), min(cfg.Workers, len(docs)),
+		&sliceSource[annotate.Document]{ctx: ctx, docs: docs}, extractOnlyProcessors(lex, cfg))
 }

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/extract"
 )
 
 // Quarantined records one document removed from a run by the panic
@@ -57,6 +59,19 @@ func (e *PartialError) Error() string {
 
 // Unwrap exposes the cause, so errors.Is(err, context.Canceled) works.
 func (e *PartialError) Unwrap() error { return e.Err }
+
+// quarantine is the per-document panic boundary: it runs process over one
+// document and, if that panics, reports the rendered reason in place of
+// the output. A healthy document has an empty reason.
+func quarantine[D any](process processor[D], seq int, doc *D) (stmts []extract.Statement, sentences int64, reason string) {
+	defer func() {
+		if r := recover(); r != nil {
+			reason = panicReason(r) // process never returned: the outputs are still zero
+		}
+	}()
+	stmts, sentences = process(seq, doc)
+	return stmts, sentences, ""
+}
 
 // panicReason renders a recovered panic value into the deterministic
 // reason string recorded on the quarantine log. Panic values raised by

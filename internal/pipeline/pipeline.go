@@ -6,6 +6,9 @@
 // no evidence at all. Per-phase timings are recorded for the Section-7.1
 // analysis.
 //
+// Every entry point is a document source (source.go) plus a per-worker
+// processor, handed to one extraction loop and one reduce (refit.go).
+//
 // Fault tolerance: every entry point has a context-aware variant
 // (RunContext, RunAnnotatedContext, RunStream) that honours cancellation
 // at document granularity and returns a typed *PartialError carrying the
@@ -27,6 +30,7 @@ package pipeline
 import (
 	"context"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -65,25 +69,11 @@ type Config struct {
 	// schedule); it must not mutate the document. Ignored by the
 	// pre-annotated entry points.
 	Fault func(index int, doc *corpus.Document)
-	// StreamBuffer bounds the documents queued between RunStream's reader
-	// and its workers. They travel in batches of 64; 0 means 4×Workers
-	// batches, and a bound below one batch shrinks the batch.
-	StreamBuffer int
-}
-
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// workerCount caps the goroutine count at the number of work items.
-func workerCount(workers, items int) int {
-	if workers > items {
-		return items
-	}
-	return workers
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = defaultWorkers()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Rho == 0 {
 		c.Rho = 100
@@ -178,72 +168,60 @@ func (r *Result) Group(typ, property string) (*GroupResult, bool) {
 	return g, ok
 }
 
-// nlpComponents is the read-only NLP front end shared by every extraction
-// worker: the components are safe for concurrent use, so they are built
-// once per run instead of once per worker.
-type nlpComponents struct {
+// processor is one extraction worker's pure document → (statements,
+// sentences) step; it owns that worker's scratch state. The statements stay
+// valid until the next call. extractFrom runs it inside the quarantine
+// boundary and commits its output to shared state only when it returns, so
+// a document whose processing panics leaves no trace.
+type processor[D any] func(seq int, doc *D) (stmts []extract.Statement, sentences int64)
+
+// docProcessor is the raw-text processor: the NLP front end plus one
+// worker's scratch buffers, reused across every sentence.
+type docProcessor struct {
 	posTagger *pos.Tagger
 	parser    *depparse.Parser
 	entTagger *tagger.Tagger
 	extractor *extract.Extractor
-}
-
-func newNLPComponents(lex *lexicon.Lexicon, base *kb.KB, v extract.Version) *nlpComponents {
-	return &nlpComponents{
-		posTagger: pos.New(lex),
-		parser:    depparse.New(lex),
-		entTagger: tagger.New(base, lex),
-		extractor: extract.NewVersion(lex, v),
-	}
-}
-
-// docProcessor owns one extraction worker's NLP scratch state and runs the
-// per-document fault boundary. All of a document's output lands in the
-// processor (statement buffer, sentence count) and is committed to shared
-// state by the caller only when process reports success, so a quarantined
-// document leaves no trace.
-type docProcessor struct {
-	*nlpComponents
+	fault     func(int, *corpus.Document)
 
 	sents    []token.Sentence
 	toks     []token.Token
 	tagged   []pos.Tagged
 	mentions []tagger.Mention
 	stmts    []extract.Statement
+	buf      []extract.Statement
 	psc      depparse.Scratch
 	tsc      tagger.Scratch
-
-	// buf and sentences hold the current document's output until commit.
-	buf       []extract.Statement
-	sentences int64
 }
 
-// process runs the NLP front end over one document inside the quarantine
-// boundary. ok=false reports a panic, with the rendered reason; the
-// partially filled buffer is discarded by the next call.
-func (p *docProcessor) process(index int, doc *corpus.Document, fault func(int, *corpus.Document)) (reason string, ok bool) {
-	p.buf = p.buf[:0]
-	p.sentences = 0
-	ok = true
-	defer func() {
-		if r := recover(); r != nil {
-			reason, ok = panicReason(r), false
-		}
-	}()
-	if fault != nil {
-		fault(index, doc)
+// nlpProcessors returns the per-worker factory of raw-text processors. The
+// NLP components are read-only and safe for concurrent use, so they are
+// built once per run instead of once per worker — by the first worker to
+// ask: inside the extraction phase, and not at all for an empty corpus.
+func nlpProcessors(base *kb.KB, lex *lexicon.Lexicon, cfg Config) func() processor[corpus.Document] {
+	shared := sync.OnceValue(func() docProcessor {
+		return docProcessor{posTagger: pos.New(lex), parser: depparse.New(lex), entTagger: tagger.New(base, lex),
+			extractor: extract.NewVersion(lex, cfg.Version), fault: cfg.Fault}
+	})
+	return func() processor[corpus.Document] {
+		p := shared() // this worker's copy: shared components, scratch of its own
+		return p.process
+	}
+}
+
+func (p *docProcessor) process(index int, doc *corpus.Document) ([]extract.Statement, int64) {
+	if p.fault != nil {
+		p.fault(index, doc)
 	}
 	// The sentence loop works on locals so slice headers live in registers
 	// and stack slots, as they did before the processor struct existed; the
 	// headers are written back only on success. A panic loses at most the
 	// capacity grown during the failed document — the next call re-slices
-	// from the stale headers — and the caller ignores p.buf/p.sentences for
-	// a quarantined document.
+	// from the stale headers — and the caller never sees the buffer of a
+	// quarantined document.
 	sents, toks := token.SplitSentencesInto(p.sents[:0], p.toks[:0], doc.Text)
-	tagged, mentions, stmts, buf := p.tagged, p.mentions, p.stmts, p.buf
-	sentences := int64(0)
+	tagged, mentions, stmts, buf := p.tagged, p.mentions, p.stmts, p.buf[:0]
 	for _, sent := range sents {
-		sentences++
 		tagged = p.posTagger.TagInto(tagged[:0], sent)
 		mentions = p.entTagger.TagInto(mentions[:0], &p.tsc, tagged)
 		if len(mentions) == 0 {
@@ -254,9 +232,8 @@ func (p *docProcessor) process(index int, doc *corpus.Document, fault func(int, 
 		buf = append(buf, stmts...)
 	}
 	p.sents, p.toks = sents, toks
-	p.tagged, p.mentions, p.stmts = tagged, mentions, stmts
-	p.buf, p.sentences = buf, sentences
-	return "", true
+	p.tagged, p.mentions, p.stmts, p.buf = tagged, mentions, stmts, buf
+	return buf, int64(len(sents))
 }
 
 // Run executes the full pipeline over the documents. It never stops early:
@@ -277,39 +254,53 @@ func Run(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) 
 // Result.Quarantined and the contract in fault.go.
 func RunContext(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	res := &Result{}
+	return run(cfg, base, len(docs), min(cfg.Workers, len(docs)),
+		&sliceSource[corpus.Document]{ctx: ctx, docs: docs}, nlpProcessors(base, lex, cfg))
+}
+
+// RunStream executes the full pipeline over documents drawn from a
+// corpus.Iterator, so corpora larger than RAM can run: at most
+// Workers × streamBatch documents are in memory at once, and nothing else
+// scales with corpus size.
+//
+// Semantics match RunContext with stream sequence numbers standing in for
+// document indices: panicking documents are quarantined (Result.Quarantined
+// records their sequence numbers), cancellation is seen before a batch is
+// claimed and never after, and a run cut short — by ctx or by a fatal
+// iterator error — still models its committed evidence and returns the
+// partial result inside a *PartialError. Lines a lenient iterator skipped
+// are surfaced on Result.SkippedLines.
+func RunStream(ctx context.Context, it *corpus.Iterator, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	return run(cfg, base, 0, cfg.Workers, // total unknown up front
+		&iterSource{ctx: ctx, it: it}, nlpProcessors(base, lex, cfg))
+}
+
+// run is the one run lifecycle behind every end-to-end entry point: the
+// extraction phase (map) over whatever source and processor the entry
+// point picked, then reduce. The reduce runs to completion even when the
+// source stopped early: the committed evidence is already in memory and
+// bounded, and modelling it is what makes the partial result — and the
+// -report a SIGINT-ed cmd/surveyor flushes on the way down — exactly the
+// clean result over the committed subset.
+func run[D any](cfg Config, base *kb.KB, total, workers int, src source[D], newProcessor func() processor[D]) (*Result, error) {
 	o := cfg.Obs
-	workers := workerCount(cfg.Workers, len(docs))
-	o.StartRun(len(docs), workers)
-	total := o.Phase("run")
-
-	// Phase 1: parallel extraction (map).
+	o.StartRun(total, workers)
+	whole := o.Phase("run")
 	span := o.Phase("extract")
-	pm := o.PipelineMetrics()
-	ext := extractDocs(ctx, docs, base, lex, cfg, 0)
-	res.Quarantined = ext.Quarantined
-	res.Documents = ext.Consumed - len(res.Quarantined)
-	res.Store = ext.Store
-	res.Sentences = ext.Sentences
-	res.TotalStatements = ext.Store.TotalStatements()
-	res.DistinctPairs = ext.Store.Len()
-	res.Timings.Extraction = span.End()
-	pm.Documents.Add(int64(res.Documents))
-	pm.Sentences.Add(res.Sentences)
-	pm.Statements.Add(res.TotalStatements)
-	consumed := ext.Consumed
-
-	// Phases 2-3 (grouping, EM) and the lookup index are shared with
-	// RunAnnotated. They run to completion even when ctx was cancelled:
-	// the committed evidence is already in memory and bounded, and
-	// modelling it is what makes the partial result — and the -report a
-	// SIGINT-ed cmd/surveyor flushes on the way down — exactly the clean
-	// result over the committed subset.
-	finishRun(res, base, cfg)
-	res.Timings.Total = total.End()
+	ext, skipped, stopErr := extractFrom(cfg, workers, src, newProcessor)
+	extraction := span.End()
+	res := reduce(ext.Store, base, cfg, ReduceStats{
+		Sentences:    ext.Sentences,
+		Documents:    ext.Consumed - len(ext.Quarantined),
+		Quarantined:  ext.Quarantined,
+		SkippedLines: skipped,
+	})
+	res.Timings.Extraction = extraction
+	res.Timings.Total = whole.End()
 	o.EndRun()
-	if consumed < len(docs) {
-		return res, &PartialError{Result: res, Processed: res.Documents, Consumed: consumed, Err: ctx.Err()}
+	if stopErr != nil {
+		return res, &PartialError{Result: res, Processed: res.Documents, Consumed: ext.Consumed, Err: stopErr}
 	}
 	return res, nil
 }

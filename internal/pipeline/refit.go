@@ -2,8 +2,9 @@
 // end — above all the incremental miner (internal/incremental), which
 // extracts per-epoch evidence deltas, re-fits only the dirty groups, and
 // splices the refreshed fits into a published snapshot. Everything here
-// is a refactoring of RunContext/finishRun internals into entry points,
-// with behaviour proven bit-identical by the testkit differential suites.
+// is the same code the end-to-end entry points run (see run in
+// pipeline.go), with behaviour proven bit-identical by the testkit
+// differential suites.
 package pipeline
 
 import (
@@ -47,39 +48,28 @@ type Extraction struct {
 // incremental miner) discard it.
 func ExtractEvidence(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config, docOffset int) (*Extraction, error) {
 	cfg = cfg.withDefaults()
-	ext := extractDocs(ctx, docs, base, lex, cfg, docOffset)
-	if ext.Consumed < len(docs) {
-		return ext, ctx.Err()
-	}
-	return ext, nil
+	ext, _, err := extractFrom(cfg, min(cfg.Workers, len(docs)),
+		&sliceSource[corpus.Document]{ctx: ctx, docs: docs, offset: docOffset}, nlpProcessors(base, lex, cfg))
+	return ext, err
 }
 
-// extractDocs is the extraction loop shared by RunContext and
-// ExtractEvidence: an atomic work index feeds documents to workers, each
-// owning one docProcessor and one worker-local evidence accumulator.
-// Documents are fed through a shared atomic index rather than static
-// shards: document lengths are heavily skewed (the long-tail shapes of
-// Figure 9), and pre-cut shards leave workers idle behind the slowest
-// one. The evidence store is commutative, so the schedule cannot change
-// the result — the testkit differential suite proves it.
-//
-// Each worker owns one docProcessor (NLP scratch buffers reused across
-// every sentence, plus the per-document fault boundary) and a private
-// evidence accumulator folded into the shared store once at the end.
-// Telemetry goes through a worker-owned obs handle (per-worker progress
-// slot, locally buffered spans), so the hot loop never contends on a
-// shared observability structure.
-func extractDocs(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config, docOffset int) *Extraction {
+// extractFrom is the one extraction loop (the map step) behind every entry
+// point: workers claim documents from src until it stops — the returned
+// error says why if that was early — and run each through their own
+// processor inside the quarantine boundary. A document reaches the
+// worker's private evidence accumulator, folded into the shared store once
+// at the end, only after it has fully processed. Telemetry goes through a
+// worker-owned obs handle (per-worker progress slot, locally buffered
+// spans), so the hot loop never contends on a shared observability
+// structure.
+func extractFrom[D any](cfg Config, workers int, src source[D], newProcessor func() processor[D]) (ext *Extraction, skipped int64, err error) {
 	o := cfg.Obs
 	pm := o.PipelineMetrics()
-	store := evidence.NewStore()
-	nlp := newNLPComponents(lex, base, cfg.Version)
-	workers := workerCount(cfg.Workers, len(docs))
+	ext = &Extraction{Store: evidence.NewStore()}
 	var sentences atomic.Int64
 	var ql quarantineLog
 
 	var wg sync.WaitGroup
-	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -87,63 +77,50 @@ func extractDocs(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *
 			wo := o.Worker(w)
 			local := int64(0)
 			acc := evidence.NewLocal()
-			proc := &docProcessor{nlpComponents: nlp}
+			claim, process := src.worker(), newProcessor()
 			for {
-				if ctx.Err() != nil {
+				seq, doc, ok := claim()
+				if !ok {
 					break
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(docs) {
-					break
-				}
-				doc := docOffset + i
 				wo.DocStart()
-				if reason, ok := proc.process(doc, &docs[i], cfg.Fault); !ok {
-					ql.add(doc, reason)
+				stmts, n, reason := quarantine(process, seq, doc)
+				if reason != "" {
+					ql.add(seq, reason)
 					pm.QuarantinedDocs.Inc()
-					wo.DocEnd(doc, 0, 0)
+					wo.DocEnd(seq, 0, 0)
 					continue
 				}
-				for _, st := range proc.buf {
+				for _, st := range stmts {
 					acc.Add(st)
 				}
-				local += proc.sentences
-				wo.DocEnd(doc, proc.sentences, int64(len(proc.buf)))
-				pm.DocSentences.Observe(float64(proc.sentences))
+				local += n
+				wo.DocEnd(seq, n, int64(len(stmts)))
+				pm.DocSentences.Observe(float64(n))
 			}
-			acc.FlushTo(store)
+			acc.FlushTo(ext.Store)
 			sentences.Add(local)
 			wo.Close("extract")
 		}(w)
 	}
 	wg.Wait()
 
-	// Every index below consumed was claimed by a worker, and a claimed
-	// document is always finished, so the processed prefix is contiguous:
-	// committed documents are exactly [0, consumed) minus the quarantine.
-	consumed := int(next.Load())
-	if consumed > len(docs) {
-		consumed = len(docs)
-	}
-	return &Extraction{
-		Store:       store,
-		Sentences:   sentences.Load(),
-		Quarantined: ql.sorted(),
-		Consumed:    consumed,
-	}
+	ext.Sentences, ext.Quarantined = sentences.Load(), ql.sorted()
+	ext.Consumed, skipped, err = src.stopped()
+	return ext, skipped, err
 }
 
 // FitGroups runs the per-group EM phase over an explicit group list and
 // returns one GroupResult per group, in input order. It is the re-fit
 // entry point of the incremental miner: handed only the dirty groups, it
 // does work proportional to them, and each fit is bit-identical to the
-// one finishRun would produce for the same group — both run the same
-// worker pool over the same deterministic per-group computation.
+// one reduce would produce for the same group — both run the same worker
+// pool over the same deterministic per-group computation.
 func FitGroups(groups []evidence.Group, cfg Config) []GroupResult {
 	return fitGroups(groups, cfg.withDefaults())
 }
 
-// fitGroups is the EM worker pool shared by finishRun and FitGroups: a
+// fitGroups is the EM worker pool shared by reduce and FitGroups: a
 // fixed set of workers claims groups through an atomic counter, so each
 // worker reuses one tuple buffer and one classification buffer instead of
 // allocating per group. Convergence telemetry flows through a write-only
@@ -155,7 +132,7 @@ func fitGroups(groups []evidence.Group, cfg Config) []GroupResult {
 	out := make([]GroupResult, len(groups))
 	var wg sync.WaitGroup
 	var nextGroup atomic.Int64
-	for w := 0; w < workerCount(cfg.Workers, len(groups)); w++ {
+	for w := 0; w < min(cfg.Workers, len(groups)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -223,16 +200,21 @@ type ReduceStats struct {
 }
 
 // ReduceStore runs the reduce half of the pipeline — grouping, EM, and
-// the lookup index, exactly the finishRun phases of a batch run — over an
-// externally merged evidence store. It is the coordinator's entry point
-// in the distributed miner (internal/dist): workers ship evidence deltas,
-// the coordinator merges them through Store.Merge in deterministic shard
-// order and hands the result here, so the reduce output is bit-identical
-// to a single-process run whose extraction committed the same store. The
+// the lookup index, exactly the reduce of a batch run — over externally
+// aggregated evidence: counters merged from workers, folded, or built by a
+// caller with its own extraction. It is the coordinator's entry point in
+// the distributed miner (internal/dist): workers ship evidence deltas, the
+// coordinator merges them through Store.Merge in deterministic shard order
+// and hands the result here, so the reduce output is bit-identical to a
+// single-process run whose extraction committed the same store. The
 // caller owns run-lifecycle telemetry (obs StartRun/EndRun) and the
 // extraction/total timings.
 func ReduceStore(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *Result {
-	cfg = cfg.withDefaults()
+	return reduce(store, base, cfg.withDefaults(), stats)
+}
+
+// reduce is the one reduce behind every entry point: group, fit, index.
+func reduce(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *Result {
 	res := &Result{
 		Store:           store,
 		TotalStatements: store.TotalStatements(),
@@ -242,11 +224,34 @@ func ReduceStore(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceSta
 		Quarantined:     stats.Quarantined,
 		SkippedLines:    stats.SkippedLines,
 	}
-	pm := cfg.Obs.PipelineMetrics()
+	o := cfg.Obs
+	pm := o.PipelineMetrics()
 	pm.Documents.Add(int64(res.Documents))
 	pm.Sentences.Add(res.Sentences)
 	pm.Statements.Add(res.TotalStatements)
-	finishRun(res, base, cfg)
+	pm.SkippedLines.Add(res.SkippedLines)
+
+	// Grouping: one parallel per-shard pass computes both the before-ρ pair
+	// count and the grouped aggregates.
+	span := o.Phase("group")
+	groups, before := evidence.ParallelGroupObserved(store, base, cfg.Rho, cfg.Workers, o.Grouping())
+	res.PairsBeforeFilter = before
+	res.Timings.Grouping = span.End()
+	pm.DistinctPairs.Set(float64(res.DistinctPairs))
+	pm.PairsBefore.Set(float64(before))
+	pm.Groups.Set(float64(len(groups)))
+
+	// EM: the shared worker pool of fitGroups — also the re-fit entry point
+	// the incremental miner drives with dirty groups only.
+	span = o.Phase("em")
+	res.Groups = fitGroups(groups, cfg)
+	res.Timings.EM = span.End()
+
+	// Index: the O(1) lookup structures over groups and opinions.
+	span = o.Phase("index")
+	opinions := res.buildIndex()
+	res.Timings.Index = span.End()
+	pm.Opinions.Add(int64(opinions))
 	return res
 }
 
@@ -293,8 +298,8 @@ func AssembleResult(store *evidence.Store, groups []GroupResult, stats ResultSta
 }
 
 // buildIndex (re)builds the O(1) lookup structures over groups and
-// opinions.
-func (r *Result) buildIndex() {
+// opinions, and returns how many opinions it indexed.
+func (r *Result) buildIndex() int {
 	totalEntities := 0
 	for gi := range r.Groups {
 		totalEntities += len(r.Groups[gi].Entities)
@@ -308,4 +313,5 @@ func (r *Result) buildIndex() {
 			r.index[opinionKey{g.Entities[i].Entity, g.Key.Property}] = &g.Entities[i]
 		}
 	}
+	return totalEntities
 }

@@ -323,7 +323,7 @@ func TestStreamReadErrorPartial(t *testing.T) {
 }
 
 // TestStreamCancelNoLeak cancels a streaming run mid-flight and asserts
-// the feeder and workers all exit and the partial counts stay consistent.
+// the workers all exit and the partial counts stay consistent.
 func TestStreamCancelNoLeak(t *testing.T) {
 	w := NewWorld(1, diffScale)
 	docs := w.Docs()
@@ -332,7 +332,7 @@ func TestStreamCancelNoLeak(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var processed atomic.Int64
-	cfg := pipeline.Config{Rho: 10, Workers: 4, StreamBuffer: 2}
+	cfg := pipeline.Config{Rho: 10, Workers: 4}
 	cfg.Fault = func(int, *corpus.Document) {
 		if processed.Add(1) == int64(len(docs)/4) {
 			cancel()
@@ -359,9 +359,48 @@ func TestStreamCancelNoLeak(t *testing.T) {
 	}
 }
 
+// TestStreamReadAheadBounded pins the memory bound of a streaming run: with
+// every worker parked on its first document, each holds the one batch it
+// read for itself and nobody reads ahead, so the iterator has handed out
+// Workers × 64 documents and not one more.
+func TestStreamReadAheadBounded(t *testing.T) {
+	w := NewWorld(1, diffScale)
+	docs := w.Docs()
+	const batch, workers = 64, 4 // pipeline's read batch
+	if len(docs) < (workers+2)*batch {
+		t.Fatalf("%d documents: the fixture must outlast the first batches", len(docs))
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Int64
+	cfg := pipeline.Config{Rho: 10, Workers: workers}
+	cfg.Fault = func(int, *corpus.Document) {
+		if first.Add(1) <= workers { // first document of each worker's first batch
+			parked <- struct{}{}
+			<-release
+		}
+	}
+	it := corpus.NewIterator(bytes.NewReader(corpusJSONL(t, docs)), corpus.IteratorConfig{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := pipeline.RunStream(context.Background(), it, w.KB, w.Lex, cfg)
+		done <- err
+	}()
+	for i := 0; i < workers; i++ {
+		<-parked
+	}
+	// Every worker is parked inside Fault, so nobody is touching the iterator.
+	if got := it.Stats().Docs; got != workers*batch {
+		t.Errorf("iterator handed out %d documents with %d workers parked, want %d", got, workers, workers*batch)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("released run failed: %v", err)
+	}
+}
+
 // cancelAtReader passes R through a few hundred bytes at a time and cancels
-// the run once N bytes are out — a signal arriving while the feeder is
-// part-way through filling a batch.
+// the run once N bytes are out — a signal arriving while a worker is
+// part-way through filling its batch.
 type cancelAtReader struct {
 	R      io.Reader
 	N      int64
@@ -387,7 +426,7 @@ func (c *cancelAtReader) Read(p []byte) (int, error) {
 func TestStreamStopsInsideBatch(t *testing.T) {
 	w := NewWorld(1, diffScale)
 	docs := w.Docs()
-	const batch = 64       // pipeline's hand-off batch
+	const batch = 64       // pipeline's read batch
 	const k = 5*batch + 21 // documents ahead of the stop
 	if len(docs)%batch == 0 || len(docs) < k+2*batch {
 		t.Fatalf("%d documents: the fixture must end inside a batch, well past document %d", len(docs), k)
@@ -419,10 +458,8 @@ func TestStreamStopsInsideBatch(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			it := corpus.NewIterator(tc.reader(cancel), corpus.IteratorConfig{})
-			// One batch of buffer: the feeder is soon refilling batches the
-			// workers have handed back, whatever the worker count.
 			res, err := pipeline.RunStream(ctx, it, w.KB, w.Lex,
-				pipeline.Config{Rho: 10, Workers: workers, StreamBuffer: batch})
+				pipeline.Config{Rho: 10, Workers: workers})
 			cancel()
 			waitForGoroutines(t, baseline)
 			var pe *pipeline.PartialError

@@ -59,20 +59,22 @@ func TestDifferentialAnnotatedPath(t *testing.T) {
 	}
 }
 
-// TestDifferentialRunFromStore asserts the counts-only entry point agrees
-// with the full run when fed the full run's own store.
-func TestDifferentialRunFromStore(t *testing.T) {
+// TestDifferentialReduceStore asserts the reduce-only entry point agrees
+// with the full run when fed the full run's own store and input statistics.
+func TestDifferentialReduceStore(t *testing.T) {
 	w := NewWorld(2, diffScale)
 	cfg := pipeline.Config{Rho: 10, Workers: 4}
 	full := pipeline.Run(w.Docs(), w.KB, w.Lex, cfg)
-	replay := pipeline.RunFromStore(full.Store, w.KB, cfg)
-	if diffs := diffGroupsOnly(full, replay); len(diffs) > 0 {
-		t.Errorf("RunFromStore diverges from Run:\n  %s", strings.Join(diffs, "\n  "))
+	replay := pipeline.ReduceStore(full.Store, w.KB, cfg,
+		pipeline.ReduceStats{Sentences: full.Sentences, Documents: full.Documents})
+	if diffs := DiffResults(full, replay); len(diffs) > 0 {
+		t.Errorf("ReduceStore diverges from Run:\n  %s", strings.Join(diffs, "\n  "))
 	}
 }
 
 // diffGroupsOnly compares the modelled groups of two results, skipping the
-// input-side statistics RunFromStore cannot know (Documents, Sentences).
+// input-side statistics a reduce over a bare store cannot know (Documents,
+// Sentences).
 func diffGroupsOnly(a, b *pipeline.Result) []string {
 	d := &differ{}
 	d.check(a.TotalStatements == b.TotalStatements,

@@ -73,7 +73,7 @@ func TestPolarityFlipSymmetry(t *testing.T) {
 	w := NewWorld(1, diffScale)
 	cfg := pipeline.Config{Rho: 10, Workers: 4}
 	orig := pipeline.Run(w.Docs(), w.KB, w.Lex, cfg)
-	flipped := pipeline.RunFromStore(flipStore(orig.Store), w.KB, cfg)
+	flipped := pipeline.ReduceStore(flipStore(orig.Store), w.KB, cfg, pipeline.ReduceStats{})
 
 	if len(flipped.Groups) != len(orig.Groups) {
 		t.Fatalf("flip changed the group set: %d vs %d", len(flipped.Groups), len(orig.Groups))
@@ -283,7 +283,7 @@ func TestShardedExtractionMerge(t *testing.T) {
 		part := pipeline.Run(docs[lo:hi], w.KB, w.Lex, cfg)
 		merged.Merge(part.Store)
 	}
-	mergedRes := pipeline.RunFromStore(merged, w.KB, cfg)
+	mergedRes := pipeline.ReduceStore(merged, w.KB, cfg, pipeline.ReduceStats{})
 	if diffs := diffGroupsOnly(whole, mergedRes); len(diffs) > 0 {
 		t.Errorf("sharded extraction + merge diverges from single run:\n  %s",
 			strings.Join(diffs, "\n  "))

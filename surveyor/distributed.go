@@ -12,7 +12,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
@@ -87,10 +86,6 @@ type ShardFailure struct {
 // or when every shard failed.
 func (s *System) MineDistributed(ctx context.Context, docs []Document, opts DistributedOptions, cfg Config) (*Result, []ShardFailure, error) {
 	s.registerPending()
-	internalDocs := make([]corpus.Document, len(docs))
-	for i, d := range docs {
-		internalDocs[i] = corpus.Document{URL: d.URL, Domain: d.Domain, Text: d.Text}
-	}
 	pcfg := s.pipelineConfig(cfg)
 	var transport dist.Transport
 	switch {
@@ -117,7 +112,7 @@ func (s *System) MineDistributed(ctx context.Context, docs []Document, opts Dist
 		}
 		transport = lt
 	}
-	pres, shardErrs, err := dist.Mine(ctx, internalDocs, s.kb, dist.Config{
+	pres, shardErrs, err := dist.Mine(ctx, docs, s.kb, dist.Config{
 		Shards:    opts.Workers,
 		Transport: transport,
 		Pipeline:  pcfg,

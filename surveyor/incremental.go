@@ -2,9 +2,7 @@ package surveyor
 
 import (
 	"context"
-	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/incremental"
 )
 
@@ -20,43 +18,13 @@ type IncrementalMiner struct {
 	miner *incremental.Miner
 }
 
-// EpochStats reports one ingested epoch.
-type EpochStats struct {
-	// Epoch is the zero-based epoch index.
-	Epoch int
-	// Documents counts documents committed this epoch; Quarantined counts
-	// documents removed by the panic boundary.
-	Documents   int
-	Quarantined int
-	// Statements counts evidence statements the epoch added.
-	Statements int64
-	// DirtyGroups counts (type, property) groups the epoch's evidence
-	// touched; RefitGroups of them were modelled (at or above ρ) and
-	// re-fitted, over RefitTuples entity tuples. ModelledGroups is the
-	// total after the splice — RefitGroups/ModelledGroups is the fraction
-	// of modelling work the epoch actually redid.
-	DirtyGroups    int
-	RefitGroups    int
-	RefitTuples    int64
-	ModelledGroups int
-	// Duration is wall-clock epoch latency (outside the determinism
-	// contract, like Stats timings).
-	Duration time.Duration
-}
-
-func fromInternalEpoch(st incremental.EpochStats) EpochStats {
-	return EpochStats{
-		Epoch:          st.Epoch,
-		Documents:      st.Documents,
-		Quarantined:    st.Quarantined,
-		Statements:     st.Statements,
-		DirtyGroups:    st.DirtyGroups,
-		RefitGroups:    st.RefitGroups,
-		RefitTuples:    st.RefitTuples,
-		ModelledGroups: st.ModelledGroups,
-		Duration:       st.Duration,
-	}
-}
+// EpochStats reports one ingested epoch: the documents it committed and
+// quarantined, the statements it added, how many (type, property) groups
+// its evidence touched (DirtyGroups) and how many of those were re-fitted
+// over how many entity tuples — RefitGroups/ModelledGroups is the fraction
+// of modelling work the epoch actually redid. Duration is wall-clock and,
+// like Stats timings, outside the determinism contract.
+type EpochStats = incremental.EpochStats
 
 // MineIncremental starts an always-on incremental mining session over the
 // system's knowledge base. The returned miner is ready immediately; its
@@ -73,12 +41,7 @@ func (s *System) MineIncremental(cfg Config) *IncrementalMiner {
 // Epochs are atomic: on error (cancellation mid-epoch) nothing is
 // committed and the previously published snapshot stands.
 func (m *IncrementalMiner) Epoch(ctx context.Context, docs []Document) (EpochStats, error) {
-	internalDocs := make([]corpus.Document, len(docs))
-	for i, d := range docs {
-		internalDocs[i] = corpus.Document{URL: d.URL, Domain: d.Domain, Text: d.Text}
-	}
-	st, err := m.miner.Ingest(ctx, internalDocs)
-	return fromInternalEpoch(st), err
+	return m.miner.Ingest(ctx, docs)
 }
 
 // Snapshot returns the current published mining result — the complete,

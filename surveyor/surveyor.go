@@ -56,12 +56,10 @@ func (o Opinion) String() string { return core.Opinion(o).String() }
 
 func fromCore(o core.Opinion) Opinion { return Opinion(o) }
 
-// Document is one unit of web content, assumed to have a single author.
-type Document struct {
-	URL    string
-	Domain string
-	Text   string
-}
+// Document is one unit of web content, assumed to have a single author: the
+// corpus loader's own type (URL, Domain, Author, Text), so a loaded corpus
+// is mined in place, without a second copy.
+type Document = corpus.Document
 
 // System bundles a knowledge base and lexicon and runs the mining
 // pipeline. Create with NewSystem, then register entities (or load the
@@ -216,25 +214,20 @@ func (s *System) Mine(docs []Document, cfg Config) *Result {
 // Result.Quarantined) instead of failing the run.
 func (s *System) MineContext(ctx context.Context, docs []Document, cfg Config) (*Result, error) {
 	s.registerPending()
-	internalDocs := make([]corpus.Document, len(docs))
-	for i, d := range docs {
-		internalDocs[i] = corpus.Document{URL: d.URL, Domain: d.Domain, Text: d.Text}
-	}
-	pres, err := pipeline.RunContext(ctx, internalDocs, s.kb, s.lex, s.pipelineConfig(cfg))
+	pres, err := pipeline.RunContext(ctx, docs, s.kb, s.lex, s.pipelineConfig(cfg))
 	res := &Result{sys: s, res: pres}
 	return res, wrapPartial(res, err)
 }
 
-// StreamOptions controls MineJSONL's corpus ingestion.
+// StreamOptions controls MineJSONL's corpus ingestion. How much is read
+// ahead is not an option: each worker holds its own batch of 64 documents,
+// so at most Config.Workers × 64 are in memory.
 type StreamOptions struct {
 	// Lenient skips and counts malformed or oversized corpus lines instead
 	// of failing the run (see Stats.SkippedLines).
 	Lenient bool
 	// MaxLineBytes caps one corpus line (0 = 4 MiB).
 	MaxLineBytes int
-	// Buffer bounds the number of in-flight documents between the reader
-	// and the workers (0 = 4× workers batches of 64 documents).
-	Buffer int
 }
 
 // MineJSONL mines a JSONL corpus directly from a reader in bounded memory —
@@ -248,9 +241,7 @@ func (s *System) MineJSONL(ctx context.Context, r io.Reader, opts StreamOptions,
 		Lenient:      opts.Lenient,
 		MaxLineBytes: opts.MaxLineBytes,
 	})
-	pcfg := s.pipelineConfig(cfg)
-	pcfg.StreamBuffer = opts.Buffer
-	pres, err := pipeline.RunStream(ctx, it, s.kb, s.lex, pcfg)
+	pres, err := pipeline.RunStream(ctx, it, s.kb, s.lex, s.pipelineConfig(cfg))
 	res := &Result{sys: s, res: pres}
 	return res, wrapPartial(res, err)
 }
