@@ -292,32 +292,47 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkExtractionThroughput isolates the NLP front end: sentences per
-// second through tokenize/tag/parse/link/extract.
+// BenchmarkExtractionThroughput isolates the NLP front end as a pipeline
+// worker runs it: split/tag/link/parse/extract through the *Into calls with
+// one set of reused scratch buffers, parsing only sentences that link an
+// entity. One op is one sentence (tokenizing its document included).
 func BenchmarkExtractionThroughput(b *testing.B) {
 	base := kb.Default(1)
 	lex := lexicon.Default()
 	base.RegisterLexicon(lex)
-	snap := corpus.NewGenerator(base, corpus.Table2Specs(),
-		corpus.Config{Seed: 3, Scale: 0.2}).Generate()
+	docs := corpus.NewGenerator(base, corpus.Table2Specs(),
+		corpus.Config{Seed: 3, Scale: 0.2}).Generate().Documents
 	pt := pos.New(lex)
 	dp := depparse.New(lex)
 	et := tagger.New(base, lex)
 	ex := extract.NewVersion(lex, extract.V4)
 
-	var sents []token.Sentence
-	for _, d := range snap.Documents {
-		sents = append(sents, token.SplitSentences(d.Text)...)
-	}
+	var (
+		sents    []token.Sentence
+		toks     []token.Token
+		tagged   []pos.Tagged
+		mentions []tagger.Mention
+		stmts    []extract.Statement
+		psc      depparse.Scratch
+		tsc      tagger.Scratch
+	)
+	b.ReportAllocs()
 	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		s := sents[i%len(sents)]
-		tagged := pt.Tag(s)
-		mentions := et.Tag(tagged)
-		tree := dp.Parse(tagged)
-		n += len(ex.Extract(tree, mentions))
+	n, done := 0, 0
+	for d := 0; done < b.N; d++ {
+		sents, toks = token.SplitSentencesInto(sents[:0], toks[:0], docs[d%len(docs)].Text)
+		for _, sent := range sents {
+			done++
+			tagged = pt.TagInto(tagged[:0], sent)
+			mentions = et.TagInto(mentions[:0], &tsc, tagged)
+			if len(mentions) == 0 {
+				continue
+			}
+			stmts = ex.ExtractInto(stmts[:0], dp.ParseInto(&psc, tagged), mentions)
+			n += len(stmts)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done), "ns/sentence")
 	if b.N > 1000 && n == 0 {
 		b.Fatal("no extractions at all")
 	}
@@ -568,9 +583,10 @@ func BenchmarkAblationZeroEvidence(b *testing.B) {
 
 func BenchmarkTokenize(b *testing.B) {
 	text := "I don't think that San Francisco is a big city, but everyone agrees that it is beautiful."
+	var toks []token.Token
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		token.Tokenize(text)
+		toks = token.TokenizeInto(toks[:0], text)
 	}
 }
 

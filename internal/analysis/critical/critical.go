@@ -30,13 +30,17 @@ var hotPath = []string{
 
 // determinismLintExtra extends the detmap/detrand lint scope beyond the
 // bit-identical core: the incremental miner must produce the same epochs
-// for the same inputs, and the observability layer's exported snapshots
-// must be stably ordered. These packages are *not* under the write-only
+// for the same inputs, the observability layer's exported snapshots
+// must be stably ordered, and the lexicon's dense word ids must follow
+// call order — in the lexicon itself and in the knowledge base, which
+// feeds it words. These packages are *not* under the write-only
 // telemetry contract (obs legitimately reads its own state back), so
 // they extend DeterminismLint but not Observability.
 var determinismLintExtra = []string{
 	"internal/incremental",
 	"internal/obs",
+	"internal/nlp/lexicon",
+	"internal/kb",
 }
 
 // allocBound lists the packages where every allocation sized from

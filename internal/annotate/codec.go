@@ -198,8 +198,9 @@ func (d *decoder) sentence() Sentence {
 		tag := lexicon.Tag(d.uvarint())
 		start := int(d.uvarint())
 		end := int(d.uvarint())
-		// token.New fills the lowercase cache, so decoded documents are
-		// byte-identical to freshly annotated ones.
+		// token.New fills the lowercase cache, so decoded tokens read like
+		// freshly annotated ones. The lexicon record (pos.Tagged.Word) is
+		// not restored: decoded sentences reach only the extractor.
 		s.Tokens = append(s.Tokens, pos.Tagged{
 			Token: token.New(text, start, end),
 			Tag:   tag,

@@ -46,14 +46,59 @@ func (e *Entity) Attr(name string, def float64) float64 {
 	return def
 }
 
-// KB is an in-memory knowledge base. It is immutable after building and
-// safe for concurrent reads.
+// KB is an in-memory knowledge base. It is immutable after building —
+// Add, Load and RegisterLexicon — and safe for concurrent reads.
 type KB struct {
 	entities  []Entity
 	byType    map[string][]EntityID
 	byAlias   map[string][]EntityID // lower-cased alias -> candidate IDs
 	firstSpan map[string]int        // first alias word -> max token count of aliases starting with it
+	// maxSpan is the largest value in firstSpan and indexed counts the
+	// index calls, the version an AliasTable was built at.
+	maxSpan, indexed int
+	// registered is the alias table of the lexicon last passed to
+	// RegisterLexicon.
+	registered *AliasTable
 }
+
+// AliasTable is what a KB knows about words, keyed by the word ids of one
+// lexicon, so that the entity tagger's per-token questions — can an alias
+// start here, which entities does this word alone name, is this a type's
+// noun — are a slice index or an integer compare on the record the token
+// already carries and not a string hash.
+type AliasTable struct {
+	lex     *lexicon.Lexicon
+	indexed int // the KB's version when built
+	// span[id] is the largest token count of the aliases whose first word
+	// has that id. span[0] bounds the aliases whose first word the lexicon
+	// does not know; once the KB is registered there are none.
+	span []int32
+	// single[id] lists the entities that word names on its own.
+	single    [][]EntityID
+	typeNouns map[string]TypeNoun // by entity type
+}
+
+// TypeNoun is an entity type's noun, singular and plural: the lexicon's
+// word ids, and the lower-cased text for the form the lexicon does not
+// know (id 0, KB never registered) — which can only equal a token the
+// lexicon does not know either.
+type TypeNoun struct {
+	Singular, Plural           int32
+	SingularLower, PluralLower string
+}
+
+// Span returns the largest token count of any alias that starts with the
+// word, 0 if none does. For the unknown word it is an upper bound over
+// every alias the lexicon cannot see the start of, so probing up to it
+// finds what the exact count would.
+func (t *AliasTable) Span(w lexicon.Word) int { return int(t.span[w.ID]) }
+
+// Single returns the entities with a one-token alias equal to the known
+// word w. The returned slice must not be modified.
+func (t *AliasTable) Single(w lexicon.Word) []EntityID { return t.single[w.ID] }
+
+// TypeNoun returns the noun of an entity type of the KB.
+func (t *AliasTable) TypeNoun(typ string) TypeNoun { return t.typeNouns[typ] }
 
 // New returns an empty knowledge base.
 func New() *KB {
@@ -96,7 +141,9 @@ func (kb *KB) index(alias string, id EntityID) {
 	}
 	if n > kb.firstSpan[first] {
 		kb.firstSpan[first] = n
+		kb.maxSpan = max(kb.maxSpan, n)
 	}
+	kb.indexed++
 	for _, existing := range kb.byAlias[key] {
 		if existing == id {
 			return
@@ -143,42 +190,49 @@ func (kb *KB) Candidates(surface string) []EntityID {
 	return kb.byAlias[strings.ToLower(surface)]
 }
 
-// CandidatesLower is Candidates for a surface form the caller has already
-// lower-cased — the hot-loop variant that skips strings.ToLower.
-func (kb *KB) CandidatesLower(lower string) []EntityID {
-	return kb.byAlias[lower]
-}
-
-// CandidatesLowerBytes is CandidatesLower over a byte buffer; the map index
-// conversion does not allocate, so callers can probe with a reusable
-// scratch buffer.
+// CandidatesLowerBytes is Candidates for a surface form the caller has
+// already lower-cased into a byte buffer; the map index conversion does not
+// allocate, so callers can probe with a reusable scratch buffer.
 func (kb *KB) CandidatesLowerBytes(lower []byte) []EntityID {
 	return kb.byAlias[string(lower)]
 }
 
-// MaxAliasTokensFor returns the maximum token count of any indexed alias
-// whose first word is firstLower (already lower-cased), or 0 when no alias
-// starts with that word — letting the entity tagger skip n-gram probes that
-// cannot match.
-func (kb *KB) MaxAliasTokensFor(firstLower string) int {
-	return kb.firstSpan[firstLower]
-}
-
 // MaxAliasTokens returns the maximum number of whitespace-separated tokens
-// in any indexed alias — the window size the entity tagger needs.
-func (kb *KB) MaxAliasTokens() int {
-	max := 1
-	for a := range kb.byAlias {
-		if n := strings.Count(a, " ") + 1; n > max {
-			max = n
+// in any indexed alias.
+func (kb *KB) MaxAliasTokens() int { return max(1, kb.maxSpan) }
+
+// AliasTable returns the alias index keyed by lex's word ids: the one
+// RegisterLexicon built if it is for this lexicon and neither the lexicon
+// nor the KB has grown since, a fresh one otherwise — which costs a pass
+// over the entity types and the distinct first words of all aliases, so
+// register before building taggers in a loop.
+func (kb *KB) AliasTable(lex *lexicon.Lexicon) *AliasTable {
+	if t := kb.registered; t != nil && t.lex == lex && len(t.span) == lex.Len() && t.indexed == kb.indexed {
+		return t
+	}
+	t := &AliasTable{lex: lex, indexed: kb.indexed, span: make([]int32, lex.Len()),
+		single: make([][]EntityID, lex.Len()), typeNouns: make(map[string]TypeNoun, len(kb.byType))}
+	for _, typ := range kb.Types() {
+		s, p := strings.ToLower(typ), strings.ToLower(Pluralize(typ))
+		t.typeNouns[typ] = TypeNoun{lex.Word(s).ID, lex.Word(p).ID, s, p}
+	}
+	//lint:allow detmap a max per id and one slice per distinct id: the table is the same in any order
+	for first, n := range kb.firstSpan {
+		w := lex.Word(first)
+		t.span[w.ID] = max(t.span[w.ID], int32(n))
+		if w.Known() {
+			t.single[w.ID] = kb.byAlias[first]
 		}
 	}
-	return max
+	return t
 }
 
 // RegisterLexicon adds every entity name and alias to the lexicon so the
-// POS tagger recognises them as nouns, and registers every type name as a
-// type noun (for the coreference heuristic).
+// POS tagger recognises them as nouns, registers every type name as a type
+// noun (for the coreference heuristic), and builds the alias table for the
+// lexicon's word ids — here, once, so that building a tagger does not walk
+// the aliases. It is the last step of building the KB (call it again after
+// adding entities, or words to the lexicon) and not safe beside readers.
 func (kb *KB) RegisterLexicon(lex *lexicon.Lexicon) {
 	for i := range kb.entities {
 		e := &kb.entities[i]
@@ -188,10 +242,12 @@ func (kb *KB) RegisterLexicon(lex *lexicon.Lexicon) {
 			}
 		}
 	}
-	for t := range kb.byType {
+	// Sorted, not in map order: new words take their ids in call order.
+	for _, t := range kb.Types() {
 		lex.AddTypeNoun(t)
 		lex.AddTypeNoun(Pluralize(t))
 	}
+	kb.registered = kb.AliasTable(lex)
 }
 
 // Pluralize derives a regular English plural: city->cities, fox->foxes,

@@ -68,6 +68,7 @@ func TestPluralize(t *testing.T) {
 		"grizzly bear": "grizzly bears",
 		"profession":   "professions",
 	}
+	//lint:allow detmap a table of independent assertions; no ordered output is produced
 	for in, want := range cases {
 		if got := Pluralize(in); got != want {
 			t.Errorf("Pluralize(%q) = %q, want %q", in, got, want)
@@ -275,6 +276,7 @@ func TestBuildersDomainsNonEmptyAndTyped(t *testing.T) {
 		"country": "gdp_per_capita", "lake": "area_km2",
 		"mountain": "height_m", "profession": "risk", "sport": "speed",
 	}
+	//lint:allow detmap a table of independent assertions; no ordered output is produced
 	for typ, attr := range cases {
 		ids := base.OfType(typ)
 		if len(ids) < 10 {
@@ -309,5 +311,109 @@ func TestEntityAttrNilMap(t *testing.T) {
 	e := Entity{Name: "x"}
 	if e.Attr("anything", 3.5) != 3.5 {
 		t.Fatal("Attr on nil map should return default")
+	}
+}
+
+// TestMaxAliasTokensSurvivesLoad checks the maintained maximum against
+// aliases that only Load's own index pass sees (persisted aliases are
+// re-indexed after Add).
+func TestMaxAliasTokensSurvivesLoad(t *testing.T) {
+	k := New()
+	k.Add(Entity{Name: "LA", Type: "city", Proper: true, Aliases: []string{"City of Los Angeles"}})
+	var buf bytes.Buffer
+	if err := k.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.MaxAliasTokens() != 4 || loaded.MaxAliasTokens() != 4 {
+		t.Fatalf("MaxAliasTokens = %d built, %d loaded, want 4", k.MaxAliasTokens(), loaded.MaxAliasTokens())
+	}
+}
+
+// TestAliasTable checks the id-keyed alias index against the string-keyed
+// one it is derived from, and its life cycle: built by RegisterLexicon,
+// reused while nothing changes, rebuilt — never stale — once the lexicon or
+// the KB has grown, and for a lexicon the KB was never registered with.
+func TestAliasTable(t *testing.T) {
+	k := New()
+	k.Add(Entity{Name: "San Francisco", Type: "city", Proper: true})
+	k.Add(Entity{Name: "San Luis Obispo", Type: "city", Proper: true})
+	kitten := k.Add(Entity{Name: "kitten", Type: "animal"})
+	lex := lexicon.Default()
+
+	bare := k.AliasTable(lex) // "san" and "kitten" are not in the lexicon
+	if got := bare.Span(lex.Word("san")); got != 3 {
+		t.Fatalf("unregistered: Span(unknown word) = %d, want the bound 3", got)
+	}
+	if got := bare.Span(lex.Word("the")); got != 0 {
+		t.Fatalf("unregistered: Span(the) = %d, want 0", got)
+	}
+
+	k.RegisterLexicon(lex)
+	table := k.AliasTable(lex)
+	if table == bare || table != k.AliasTable(lex) {
+		t.Fatal("RegisterLexicon must build the table once and AliasTable return that one")
+	}
+	for _, c := range []struct {
+		word string
+		want int
+	}{{"san", 3}, {"kitten", 1}, {"kittens", 1}, {"francisco", 0}, {"the", 0}, {"zzz", 0}} {
+		if got := table.Span(lex.Word(c.word)); got != c.want {
+			t.Errorf("Span(%s) = %d, want %d", c.word, got, c.want)
+		}
+	}
+	if got := table.Single(lex.Word("kittens")); len(got) != 1 || got[0] != kitten {
+		t.Errorf("Single(kittens) = %v, want [%d]", got, kitten)
+	}
+	if got := table.Single(lex.Word("san")); len(got) != 0 {
+		t.Errorf("Single(san) = %v, want none", got)
+	}
+	if got, want := table.TypeNoun("city"), (TypeNoun{lex.Word("city").ID, lex.Word("cities").ID, "city", "cities"}); got != want || got.Plural == 0 {
+		t.Errorf("TypeNoun(city) = %+v, want %+v", got, want)
+	}
+	if got := table.TypeNoun("gadget"); got != (TypeNoun{}) {
+		t.Errorf("TypeNoun of a type the KB does not have = %+v", got)
+	}
+
+	lex.AddAdjective("spiffy", true) // a new word id the table has no slot for
+	grown := k.AliasTable(lex)
+	if grown == table || grown.Span(lex.Word("spiffy")) != 0 || grown.Span(lex.Word("san")) != 3 {
+		t.Fatal("a lexicon grown after registration must get a rebuilt table")
+	}
+	k.RegisterLexicon(lex)
+	k.Add(Entity{Name: "the Presidio", Type: "park"})
+	if got := k.AliasTable(lex).Span(lex.Word("the")); got != 2 {
+		t.Fatalf("a KB grown after registration must get a rebuilt table: Span(the) = %d, want 2", got)
+	}
+	if got := k.AliasTable(lexicon.Default()).Span(lexicon.Word{}); got != 3 {
+		t.Fatalf("another lexicon must get its own table: Span(unknown) = %d, want 3", got)
+	}
+}
+
+// TestRegisterLexiconAssignsIDsInCallOrder registers the same KB with two
+// fresh lexicons: every word must get the same id in both — ids follow the
+// order of the Add calls, never a map's.
+func TestRegisterLexiconAssignsIDsInCallOrder(t *testing.T) {
+	k := Default(1)
+	a, b := lexicon.Default(), lexicon.Default()
+	k.RegisterLexicon(a)
+	k.RegisterLexicon(b)
+	if a.Len() != b.Len() {
+		t.Fatalf("lexicons differ in size: %d vs %d", a.Len(), b.Len())
+	}
+	for i := range k.entities {
+		for _, w := range strings.Fields(strings.ToLower(k.entities[i].Name)) {
+			if a.Word(w) != b.Word(w) || !a.Word(w).Known() {
+				t.Fatalf("%q: record %+v vs %+v", w, a.Word(w), b.Word(w))
+			}
+		}
+	}
+	for _, typ := range k.Types() {
+		if w := strings.ToLower(Pluralize(typ)); a.Word(w) != b.Word(w) || !a.Word(w).Known() {
+			t.Fatalf("%q: record %+v vs %+v", w, a.Word(w), b.Word(w))
+		}
 	}
 }

@@ -6,19 +6,23 @@ package lexicon
 // load time via AddNoun.
 func Default() *Lexicon {
 	l := &Lexicon{
-		entries:     map[string][]Tag{},
-		copulas:     map[string]string{},
-		strictToBe:  map[string]bool{},
-		negations:   map[string]bool{},
-		subjective:  map[string]bool{},
-		antonyms:    map[string][]string{},
-		typeNouns:   map[string]bool{},
-		opinionVerb: map[string]bool{},
+		words:      map[string]Word{},
+		forms:      make([]form, 1), // id 0: the unknown word
+		subjective: map[string]bool{},
+		antonyms:   map[string][]string{},
 	}
 
 	add := func(tag Tag, words ...string) {
 		for _, w := range words {
-			l.entries[w] = append(l.entries[w], tag)
+			l.add(w, tag, false)
+		}
+	}
+	// class adds the words under tag and marks them as members of the
+	// closed classes in bits.
+	class := func(tag Tag, bits uint8, words ...string) {
+		add(tag, words...)
+		for _, w := range words {
+			l.mark(w, bits)
 		}
 	}
 
@@ -42,34 +46,27 @@ func Default() *Lexicon {
 
 	// Negations. "n't" is produced by the tokenizer when splitting
 	// contractions (don't -> do + n't).
-	for _, w := range []string{"not", "n't", "never", "no", "hardly",
-		"barely", "scarcely", "neither", "nor", "cannot"} {
-		l.negations[w] = true
-		add(Neg, w)
-	}
+	class(Neg, classNegation, "not", "n't", "never", "no", "hardly",
+		"barely", "scarcely", "neither", "nor", "cannot")
 
 	// Copulas: forms of "to be" plus the broad copula class used by
 	// extraction pattern versions 1-2 (Appendix B).
-	be := []string{"is", "are", "was", "were", "be", "been", "being", "'s", "'re"}
-	for _, w := range be {
-		l.copulas[w] = "be"
-		l.strictToBe[w] = true
-		add(Verb, w)
+	copula := func(lemma string, bits uint8, forms ...string) {
+		class(Verb, bits, forms...)
+		for _, w := range forms {
+			l.forms[l.words[w].ID].lemma = lemma
+		}
 	}
-	broad := map[string]string{
-		"seems": "seem", "seem": "seem", "seemed": "seem",
-		"looks": "look", "look": "look", "looked": "look",
-		"appears": "appear", "appear": "appear", "appeared": "appear",
-		"becomes": "become", "become": "become", "became": "become",
-		"remains": "remain", "remain": "remain", "remained": "remain",
-		"stays": "stay", "stay": "stay", "stayed": "stay",
-		"feels": "feel", "feel": "feel", "felt": "feel",
-		"sounds": "sound", "sound": "sound", "sounded": "sound",
-		"gets": "get", "get": "get", "got": "get",
-	}
-	for form, lemma := range broad {
-		l.copulas[form] = lemma
-		add(Verb, form)
+	copula("be", classCopula|classToBe, "is", "are", "was", "were", "be", "been", "being", "'s", "'re")
+	// A slice, not a map: word ids follow the order of these calls.
+	for _, v := range [][3]string{
+		{"seem", "seems", "seemed"}, {"look", "looks", "looked"},
+		{"appear", "appears", "appeared"}, {"become", "becomes", "became"},
+		{"remain", "remains", "remained"}, {"stay", "stays", "stayed"},
+		{"feel", "feels", "felt"}, {"sound", "sounds", "sounded"},
+		{"get", "gets", "got"},
+	} {
+		copula(v[0], classCopula, v[:]...)
 	}
 
 	// Auxiliaries.
@@ -77,15 +74,12 @@ func Default() *Lexicon {
 		"can", "could", "may", "might", "must", "should", "shall")
 
 	// Opinion verbs introducing complement clauses.
-	for _, w := range []string{"think", "thinks", "thought", "believe",
+	class(Verb, classOpinionVerb, "think", "thinks", "thought", "believe",
 		"believes", "believed", "consider", "considers", "considered",
 		"find", "finds", "found", "say", "says", "said", "feel", "feels",
 		"felt", "agree", "agrees", "agreed", "doubt", "doubts", "doubted",
 		"claim", "claims", "claimed", "know", "knows", "knew", "guess",
-		"suppose", "reckon", "insist", "argue", "argues", "argued"} {
-		l.opinionVerb[w] = true
-		add(Verb, w)
-	}
+		"suppose", "reckon", "insist", "argue", "argues", "argued")
 
 	// Common verbs (for noise sentences in the corpus).
 	add(Verb, "visit", "visited", "visits", "live", "lives", "lived",
@@ -325,7 +319,7 @@ func Default() *Lexicon {
 
 	// --- Common and type nouns --------------------------------------------
 
-	for _, w := range []string{"city", "cities", "town", "towns", "animal",
+	class(Noun, classTypeNoun, "city", "cities", "town", "towns", "animal",
 		"animals", "celebrity", "celebrities", "profession", "professions",
 		"sport", "sports", "country", "countries", "lake", "lakes",
 		"mountain", "mountains", "place", "places", "creature", "creatures",
@@ -340,12 +334,9 @@ func Default() *Lexicon {
 		"movie", "movies", "film", "films", "dish", "dishes", "food",
 		"foods", "instrument", "instruments", "language", "languages",
 		"building", "buildings", "river", "rivers", "island", "islands",
-		"university", "universities", "company", "companies"} {
-		l.typeNouns[w] = true
-		add(Noun, w)
-	}
+		"university", "universities", "company", "companies")
 
-	for _, w := range []string{"parking", "weather", "traffic", "nightlife",
+	add(Noun, "parking", "weather", "traffic", "nightlife",
 		"food", "beach", "beaches", "summer", "winter", "tourists",
 		"tourist", "families", "family", "kids", "children", "beginners",
 		"beginner", "standards", "standard", "opinion", "opinions", "time",
@@ -362,9 +353,7 @@ func Default() *Lexicon {
 		"teeth", "claws", "bite", "bites", "zoo", "wild", "nature",
 		"hiking", "swimming", "climbing", "view", "views", "snow", "ice",
 		"surface", "depth", "height", "area", "shore", "shores", "trail",
-		"trails", "summit", "slope", "slopes"} {
-		add(Noun, w)
-	}
+		"trails", "summit", "slope", "slopes")
 
 	add(Punct, ".", ",", "!", "?", ";", ":", "(", ")", "\"", "'", "-")
 

@@ -48,70 +48,151 @@ func (t Tag) String() string {
 	return "OTHER"
 }
 
+// Word is the lexicon's record of one word form: what the POS tagger, the
+// entity tagger and the knowledge base's alias tables ask about a token,
+// resolved by the one hash of its lower-cased text in Lexicon.Word and
+// carried with the token from there on. The zero Word is the record of a
+// form the lexicon does not know.
+type Word struct {
+	// ID is dense — 1, 2, 3, ... in the order the forms were first added,
+	// which is call order and never map order, so lexicons built by the
+	// same calls agree on every id — and indexes tables built per lexicon
+	// (kb.AliasTable). 0 is the unknown word.
+	ID      int32
+	mask    uint16 // bit t is set when the form can take Tag t
+	primary uint8  // the preferred tag: the first of Lookup's list
+	class   uint8  // closed word classes, a bit each
+}
+
+// The closed word classes a record carries.
+const (
+	classCopula uint8 = 1 << iota
+	classToBe
+	classNegation
+	classTypeNoun
+	classOpinionVerb
+)
+
+// Known reports whether the lexicon has the form at all.
+func (w Word) Known() bool { return w.ID != 0 }
+
+// HasTag reports whether the form can take the given tag.
+func (w Word) HasTag(tag Tag) bool { return w.mask&(1<<tag) != 0 }
+
+// Primary returns the form's preferred tag, Other if it is unknown.
+func (w Word) Primary() Tag { return Tag(w.primary) }
+
+// IsCopula reports whether the form is in the broad copula class.
+func (w Word) IsCopula() bool { return w.in(classCopula) }
+
+// IsNegation reports whether the form is a negation token.
+func (w Word) IsNegation() bool { return w.in(classNegation) }
+
+func (w Word) in(class uint8) bool { return w.class&class != 0 }
+
+// form is the part of a word's record too big to travel with each token,
+// kept in one slab indexed by Word.ID.
+type form struct {
+	tags  []Tag  // possible tags, most preferred first
+	lemma string // of a copular verb form
+}
+
 // Lexicon maps word forms to their possible parts of speech (in preference
 // order) and exposes the closed word classes the parser and extractor need.
+//
+// A lexicon has two lives. It is built by one goroutine: Default, then the
+// Add* calls (the knowledge base's RegisterLexicon among them). From the
+// first pos.New or tagger.New on it is only read, by any number of
+// goroutines. Every mutation is an add or a mark, which store a record with
+// one map assignment after its slab entry is complete, so a reader on the
+// right side of that line cannot see one half-built. Ids are never
+// reassigned; tables indexed by them remember Len() and are rebuilt when
+// the lexicon has grown since (kb.AliasTable).
 type Lexicon struct {
-	entries map[string][]Tag
+	words map[string]Word // lower-cased form -> record
+	forms []form          // indexed by Word.ID; forms[0] is the unknown word
 
-	copulas     map[string]string // surface form -> lemma ("is" -> "be")
-	strictToBe  map[string]bool   // forms of "to be" only (pattern versions 3-4)
-	negations   map[string]bool
-	subjective  map[string]bool
-	antonyms    map[string][]string
-	typeNouns   map[string]bool // nouns naming entity types: city, animal...
-	opinionVerb map[string]bool // think, believe, find, consider...
+	subjective map[string]bool
+	antonyms   map[string][]string
+}
+
+// Word returns the record of an already lower-cased form — the one lexicon
+// probe a token needs; the zero Word if the form is unknown.
+func (l *Lexicon) Word(lower string) Word { return l.words[lower] }
+
+// fold is Word for a form in any case: the probe behind the string API.
+func (l *Lexicon) fold(word string) Word { return l.words[strings.ToLower(word)] }
+
+// Len returns the number of word ids in use, the unknown word's 0 included:
+// the length of a table indexed by Word.ID.
+func (l *Lexicon) Len() int { return len(l.forms) }
+
+// add gives the form one more possible tag — preferred over those it has
+// when front is set — creating its record (and id) on first sight.
+func (l *Lexicon) add(key string, tag Tag, front bool) {
+	w, ok := l.words[key]
+	if !ok {
+		w.ID = int32(len(l.forms))
+		l.forms = append(l.forms, form{})
+	}
+	f := &l.forms[w.ID]
+	if front {
+		f.tags = append([]Tag{tag}, f.tags...)
+	} else {
+		f.tags = append(f.tags, tag)
+	}
+	w.mask |= 1 << tag
+	w.primary = uint8(f.tags[0])
+	l.words[key] = w
+}
+
+// mark puts a form the lexicon already has into closed word classes.
+func (l *Lexicon) mark(key string, class uint8) {
+	w := l.words[key]
+	w.class |= class
+	l.words[key] = w
 }
 
 // Lookup returns the possible tags for a word form (case-insensitive),
 // most preferred first.
 func (l *Lexicon) Lookup(word string) ([]Tag, bool) {
-	tags, ok := l.entries[strings.ToLower(word)]
-	return tags, ok
+	w := l.fold(word)
+	return l.forms[w.ID].tags, w.Known()
 }
 
 // PrimaryTag returns the preferred tag for a word, or Other if unknown.
 func (l *Lexicon) PrimaryTag(word string) Tag {
-	if tags, ok := l.Lookup(word); ok && len(tags) > 0 {
-		return tags[0]
-	}
-	return Other
+	return l.fold(word).Primary()
 }
 
 // HasTag reports whether word can take the given tag.
 func (l *Lexicon) HasTag(word string, tag Tag) bool {
-	tags, _ := l.Lookup(word)
-	for _, t := range tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
+	return l.fold(word).HasTag(tag)
 }
 
 // IsCopula reports whether word is in the broad copula class (be, seem,
 // look, appear, become, remain, stay, feel, sound) used by extraction
 // pattern versions 1-2.
 func (l *Lexicon) IsCopula(word string) bool {
-	_, ok := l.copulas[strings.ToLower(word)]
-	return ok
+	return l.fold(word).IsCopula()
 }
 
 // CopulaLemma returns the lemma of a copular verb form ("are" -> "be").
 func (l *Lexicon) CopulaLemma(word string) (string, bool) {
-	lemma, ok := l.copulas[strings.ToLower(word)]
-	return lemma, ok
+	w := l.fold(word)
+	return l.forms[w.ID].lemma, w.IsCopula()
 }
 
 // IsToBe reports whether word is a form of "to be" — the restricted verb
 // set of extraction pattern versions 3-4 (Appendix B).
 func (l *Lexicon) IsToBe(word string) bool {
-	return l.strictToBe[strings.ToLower(word)]
+	return l.fold(word).in(classToBe)
 }
 
 // IsNegation reports whether word is a negation token (not, n't, never,
 // no, hardly, ...).
 func (l *Lexicon) IsNegation(word string) bool {
-	return l.negations[strings.ToLower(word)]
+	return l.fold(word).IsNegation()
 }
 
 // IsSubjectiveAdjective reports whether the adjective is in the subjective
@@ -133,13 +214,13 @@ func (l *Lexicon) Antonyms(adj string) []string {
 // sport, ...) — used by the coreference heuristic for the adjectival
 // modifier pattern ("Snakes are dangerous animals").
 func (l *Lexicon) IsTypeNoun(noun string) bool {
-	return l.typeNouns[strings.ToLower(noun)]
+	return l.fold(noun).in(classTypeNoun)
 }
 
 // IsOpinionVerb reports whether the verb introduces an opinion clause
 // (think, believe, consider, find, ...).
 func (l *Lexicon) IsOpinionVerb(word string) bool {
-	return l.opinionVerb[strings.ToLower(word)]
+	return l.fold(word).in(classOpinionVerb)
 }
 
 // AddNoun registers additional noun forms (the knowledge base feeds its
@@ -150,26 +231,23 @@ func (l *Lexicon) AddNoun(word string, proper bool) {
 	if proper {
 		tag = Propn
 	}
-	for _, t := range l.entries[key] {
-		if t == tag {
-			return
-		}
+	if !l.Word(key).HasTag(tag) {
+		l.add(key, tag, true)
 	}
-	l.entries[key] = append([]Tag{tag}, l.entries[key]...)
 }
 
 // AddTypeNoun registers a noun as naming an entity type.
 func (l *Lexicon) AddTypeNoun(word string) {
 	l.AddNoun(word, false)
-	l.typeNouns[strings.ToLower(word)] = true
+	l.mark(strings.ToLower(word), classTypeNoun)
 }
 
 // AddAdjective registers an extra adjective, optionally marking it
 // subjective and wiring antonym pairs symmetrically.
 func (l *Lexicon) AddAdjective(word string, subjective bool, antonyms ...string) {
 	key := strings.ToLower(word)
-	if !l.HasTag(key, Adj) {
-		l.entries[key] = append(l.entries[key], Adj)
+	if !l.Word(key).HasTag(Adj) {
+		l.add(key, Adj, false)
 	}
 	if subjective {
 		l.subjective[key] = true
@@ -188,14 +266,4 @@ func appendUnique(xs []string, x string) []string {
 		}
 	}
 	return append(xs, x)
-}
-
-// SubjectiveAdjectives returns the sorted-order-independent list of all
-// registered subjective adjectives.
-func (l *Lexicon) SubjectiveAdjectives() []string {
-	out := make([]string, 0, len(l.subjective))
-	for a := range l.subjective {
-		out = append(out, a)
-	}
-	return out
 }

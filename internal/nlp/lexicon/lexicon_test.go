@@ -191,3 +191,79 @@ func contains(xs []string, x string) bool {
 	}
 	return false
 }
+
+// TestWordRecordAgreesWithLookup walks every form of the built-in lexicon,
+// plus forms the Add* calls touched, and checks the compact record against
+// the tag list it summarises: one mask bit per listed tag and no other, the
+// first tag as primary, the class bits behind the string predicates.
+func TestWordRecordAgreesWithLookup(t *testing.T) {
+	l := Default()
+	l.AddNoun("Visit", true)       // known form, new preferred tag
+	l.AddNoun("zurich", true)      // new form
+	l.AddTypeNoun("gadget")        // new form with a class
+	l.AddTypeNoun("star")          // known noun joins a class
+	l.AddAdjective("spiffy", true) // new form
+	l.AddAdjective("play", false)  // known form, new last tag
+	if got := l.Word("visit").Primary(); got != Propn {
+		t.Errorf("AddNoun must make the new tag primary, got %v", got)
+	}
+	if got := l.Word("play").Primary(); got != Verb || !l.Word("play").HasTag(Adj) {
+		t.Errorf("AddAdjective must keep the primary tag and add Adj, got %v", got)
+	}
+	if !l.IsTypeNoun("gadget") || !l.IsTypeNoun("star") {
+		t.Error("AddTypeNoun must set the class on new and known forms alike")
+	}
+	seen := make([]bool, l.Len())
+	//lint:allow detmap every form is checked on its own; no ordered output is produced
+	for form, w := range l.words {
+		if w.ID <= 0 || int(w.ID) >= l.Len() || seen[w.ID] {
+			t.Fatalf("%q: id %d out of range or given twice", form, w.ID)
+		}
+		seen[w.ID] = true
+		tags, ok := l.Lookup(form)
+		if !ok || len(tags) == 0 || w.Primary() != tags[0] {
+			t.Fatalf("%q: tags %v, primary %v", form, tags, w.Primary())
+		}
+		var mask uint16
+		for _, tag := range tags {
+			mask |= 1 << tag
+		}
+		if w.mask != mask {
+			t.Errorf("%q: mask %b, tags %v", form, w.mask, tags)
+		}
+		if w.IsCopula() != l.IsCopula(form) || w.IsNegation() != l.IsNegation(form) {
+			t.Errorf("%q: class bits disagree with the string predicates", form)
+		}
+		if _, isCopula := l.CopulaLemma(form); isCopula != w.IsCopula() {
+			t.Errorf("%q: CopulaLemma disagrees with the copula bit", form)
+		}
+	}
+	if unknown := l.Word("xyzzyqwerty"); unknown != (Word{}) || unknown.Known() || unknown.Primary() != Other {
+		t.Errorf("unknown word record = %+v", unknown)
+	}
+}
+
+// TestWordIDsFollowCallOrder pins the id contract: dense from 1 in the
+// order forms were first added, the same in every lexicon built by the same
+// calls, and stable once given.
+func TestWordIDsFollowCallOrder(t *testing.T) {
+	a, b := Default(), Default()
+	if a.Len() != b.Len() || a.Len() != len(a.words)+1 {
+		t.Fatalf("Len %d vs %d, %d forms", a.Len(), b.Len(), len(a.words))
+	}
+	//lint:allow detmap every form is checked on its own; no ordered output is produced
+	for form, w := range a.words {
+		if b.words[form] != w {
+			t.Fatalf("%q: %+v in one lexicon, %+v in the other", form, w, b.words[form])
+		}
+	}
+	if a.Word("a").ID != 1 || a.Word("an").ID != 2 {
+		t.Errorf("first forms added got ids %d, %d", a.Word("a").ID, a.Word("an").ID)
+	}
+	the, n := a.Word("the").ID, a.Len()
+	a.AddNoun("zurich", true)
+	a.AddNoun("the", false)
+	if a.Word("zurich").ID != int32(n) || a.Word("the").ID != the || a.Len() != n+1 {
+		t.Errorf("new form id %d (want %d), known form id %d (want %d)", a.Word("zurich").ID, n, a.Word("the").ID, the)
+	}
+}

@@ -15,6 +15,12 @@ import (
 type Tagged struct {
 	token.Token
 	Tag lexicon.Tag
+	// Word is the lexicon's record of the token's lower-cased form. TagInto
+	// resolves it — the one lexicon probe a token gets — and the tagging
+	// rules and the entity tagger read it from here. Tokens materialised
+	// elsewhere (the annotation codec) leave it zero: they only ever reach
+	// the extractor, which does not read it.
+	Word lexicon.Word
 }
 
 // Tagger assigns parts of speech using a lexicon plus heuristics.
@@ -34,95 +40,80 @@ func (tg *Tagger) Tag(sent token.Sentence) []Tagged {
 }
 
 // TagInto appends the tagged tokens of sent to dst and returns the
-// extended slice — the scratch-reuse variant of Tag.
+// extended slice — the scratch-reuse variant of Tag. A first pass resolves
+// every token's lexicon record; the second picks tags reading only records,
+// the neighbours' included.
 func (tg *Tagger) TagInto(dst []Tagged, sent token.Sentence) []Tagged {
 	base := len(dst)
-	for i, tok := range sent.Tokens {
-		dst = append(dst, Tagged{Token: tok, Tag: tg.tagOne(sent.Tokens, i)})
+	for _, tok := range sent.Tokens {
+		dst = append(dst, Tagged{Token: tok, Word: tg.lex.Word(tok.Lower())})
 	}
-	tg.contextPass(dst[base:])
+	toks := dst[base:]
+	for i := range toks {
+		if toks[i].Word.Known() {
+			toks[i].Tag = disambiguate(toks, i)
+		} else {
+			toks[i].Tag = guess(toks, i)
+		}
+	}
 	return dst
-}
-
-func (tg *Tagger) tagOne(toks []token.Token, i int) lexicon.Tag {
-	word := toks[i].Text
-	lower := toks[i].Lower()
-
-	if tags, ok := tg.lex.Lookup(lower); ok && len(tags) > 0 {
-		return tg.disambiguate(toks, i, tags)
-	}
-	return tg.guess(toks, i, word, lower)
 }
 
 // disambiguate picks among a word's possible lexicon tags using local
 // context. The preference order of the lexicon is the fallback.
-func (tg *Tagger) disambiguate(toks []token.Token, i int, tags []lexicon.Tag) lexicon.Tag {
-	has := func(want lexicon.Tag) bool {
-		for _, t := range tags {
-			if t == want {
-				return true
-			}
-		}
-		return false
+func disambiguate(toks []Tagged, i int) lexicon.Tag {
+	w := toks[i].Word
+	// At a sentence edge the neighbour is the unknown word, which has no
+	// tag and is in no class.
+	var prev, next lexicon.Word
+	if i > 0 {
+		prev = toks[i-1].Word
 	}
-	next := func() string {
-		if i+1 < len(toks) {
-			return toks[i+1].Lower()
-		}
-		return ""
-	}
-	prev := func() string {
-		if i > 0 {
-			return toks[i-1].Lower()
-		}
-		return ""
+	if i+1 < len(toks) {
+		next = toks[i+1].Word
 	}
 
 	// "that": complementizer after a verb ("think that ..."), determiner
 	// directly before a common noun ("that city"), otherwise Mark.
-	if has(lexicon.Det) && has(lexicon.Mark) {
-		p := prev()
-		if tg.lex.HasTag(p, lexicon.Verb) {
+	if w.HasTag(lexicon.Det) && w.HasTag(lexicon.Mark) {
+		if prev.HasTag(lexicon.Verb) {
 			return lexicon.Mark
 		}
-		n := next()
-		if tg.lex.HasTag(n, lexicon.Noun) && !tg.lex.HasTag(n, lexicon.Propn) {
+		if next.HasTag(lexicon.Noun) && !next.HasTag(lexicon.Propn) {
 			return lexicon.Det
 		}
 		return lexicon.Mark
 	}
 	// Adjective/adverb ambiguity ("pretty", "fast"): adverb when directly
 	// preceding an adjective or adverb, adjective otherwise.
-	if has(lexicon.Adj) && has(lexicon.Adv) {
-		n := next()
-		if tg.lex.HasTag(n, lexicon.Adj) || tg.lex.HasTag(n, lexicon.Adv) {
+	if w.HasTag(lexicon.Adj) && w.HasTag(lexicon.Adv) {
+		if next.HasTag(lexicon.Adj) || next.HasTag(lexicon.Adv) {
 			return lexicon.Adv
 		}
 		return lexicon.Adj
 	}
 	// Verb/noun ambiguity ("visit", "play"): noun after a determiner or
 	// adjective, verb otherwise.
-	if has(lexicon.Verb) && has(lexicon.Noun) {
-		p := prev()
-		if tg.lex.HasTag(p, lexicon.Det) || tg.lex.HasTag(p, lexicon.Adj) {
+	if w.HasTag(lexicon.Verb) && w.HasTag(lexicon.Noun) {
+		if prev.HasTag(lexicon.Det) || prev.HasTag(lexicon.Adj) {
 			return lexicon.Noun
 		}
 		return lexicon.Verb
 	}
 	// Aux/verb: "do"/"have" are auxiliaries when followed by a negation or
 	// another verb, main verbs otherwise.
-	if has(lexicon.Aux) {
-		n := next()
-		if tg.lex.IsNegation(n) || tg.lex.HasTag(n, lexicon.Verb) || tg.lex.HasTag(n, lexicon.Pron) {
+	if w.HasTag(lexicon.Aux) {
+		if next.IsNegation() || next.HasTag(lexicon.Verb) || next.HasTag(lexicon.Pron) {
 			return lexicon.Aux
 		}
 	}
-	return tags[0]
+	return w.Primary()
 }
 
 // guess handles out-of-vocabulary words with shape and suffix heuristics.
-func (tg *Tagger) guess(toks []token.Token, i int, word, lower string) lexicon.Tag {
-	r := rune(word[0])
+func guess(toks []Tagged, i int) lexicon.Tag {
+	lower := toks[i].Lower()
+	r := rune(toks[i].Text[0])
 	if r >= '0' && r <= '9' {
 		return lexicon.Num
 	}
@@ -149,26 +140,16 @@ func (tg *Tagger) guess(toks []token.Token, i int, word, lower string) lexicon.T
 		// before a noun as well ("a crowded city"). Treat as verb only in
 		// clear verbal position (after an auxiliary or pronoun subject).
 		if i > 0 {
-			p := toks[i-1].Lower()
-			if tg.lex.HasTag(p, lexicon.Aux) || tg.lex.HasTag(p, lexicon.Pron) {
+			p := toks[i-1].Word
+			if p.HasTag(lexicon.Aux) || p.HasTag(lexicon.Pron) {
 				return lexicon.Verb
 			}
-			if tg.lex.IsCopula(p) || tg.lex.HasTag(p, lexicon.Adv) || tg.lex.HasTag(p, lexicon.Det) {
+			if p.IsCopula() || p.HasTag(lexicon.Adv) || p.HasTag(lexicon.Det) {
 				return lexicon.Adj
 			}
 		}
 		return lexicon.Verb
 	default:
 		return lexicon.Noun
-	}
-}
-
-// contextPass applies whole-sentence corrections after first-pass tagging.
-func (tg *Tagger) contextPass(out []Tagged) {
-	for i := range out {
-		// A noun between a copula/adverb and another adjective is likely a
-		// mis-tagged adjective; we leave this conservative for now — the
-		// parser tolerates noun-tagged adjectives in predicate position.
-		_ = i
 	}
 }

@@ -51,3 +51,28 @@ func FuzzSplitSentences(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTokenizeMatchesReference holds the single-scan tokenizer to the
+// tokenizer it replaced (reference_test.go): identical tokens — text,
+// offsets and lower-cased form — on arbitrary bytes.
+func FuzzTokenizeMatchesReference(f *testing.F) {
+	f.Add("can't won't shan't o'clock 'tis U.S. e.g. Mr. J. Smith well-known it's they're I'd")
+	f.Add("CAN'T WON'T DON'T N'T X'S I'M WE'VE She'Ll NASA")
+	f.Add("a\x00b\xffc \x80abc d\xc3 na\xc3\xafve \xe5\x8c\x97\xe4\xba\xac")
+	f.Add("' - . '' -- 'a a' -a a- .a a. rock-'n'-roll a--b a''b a.-b n't 's")
+	f.Add("In 1999 there were 42 kittens, 3.14 sharks and 1,000 dogs.")
+	f.Fuzz(func(t *testing.T, text string) {
+		got, want := TokenizeInto(nil, text), referenceTokenizeInto(nil, text)
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d tokens, reference has %d", text, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Text != want[i].Text || got[i].Start != want[i].Start || got[i].End != want[i].End ||
+				got[i].Lower() != want[i].Lower() {
+				t.Fatalf("%q token %d: {%q %d %d %q}, reference {%q %d %d %q}", text, i,
+					got[i].Text, got[i].Start, got[i].End, got[i].Lower(),
+					want[i].Text, want[i].Start, want[i].End, want[i].Lower())
+			}
+		}
+	})
+}

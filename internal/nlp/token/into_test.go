@@ -80,3 +80,30 @@ func TestLowerCachedAtTokenizeTime(t *testing.T) {
 		t.Fatalf("New did not fill the cache: %+v", got)
 	}
 }
+
+// TestSplitSentencesIntoAllocations pins the single-scan discipline: with
+// warm buffers, lower-case text (digits, hyphens, inner periods and
+// punctuation included) is split without allocating — every token's text
+// and lower-cased form alias the source — and each word with an upper-case
+// letter costs exactly its one strings.ToLower.
+func TestSplitSentencesIntoAllocations(t *testing.T) {
+	var sents []Sentence
+	var toks []Token
+	for _, c := range []struct {
+		text string
+		want float64
+	}{
+		{"the well-known city is pretty big, e.g. in 2020; kittens are cute! really? yes.", 0},
+		{"it is cute (or so they say) - 3.5 of 10 agree: \"fine\".", 0},
+		{"San Francisco is a big city. Mr. J. Smith visited NASA.", 6},
+		{"it's they're kittens' i'd", 0},
+	} {
+		sents, toks = SplitSentencesInto(sents[:0], toks[:0], c.text) // grow the buffers
+		got := testing.AllocsPerRun(100, func() {
+			sents, toks = SplitSentencesInto(sents[:0], toks[:0], c.text)
+		})
+		if got != c.want {
+			t.Errorf("%q: %v allocations per run, want %v", c.text, got, c.want)
+		}
+	}
+}

@@ -73,21 +73,53 @@ func Tokenize(text string) []Token {
 // TokenizeInto appends the tokens of text to dst and returns the extended
 // slice — the scratch-reuse variant of Tokenize for hot loops that process
 // many texts with one buffer.
+//
+// The scan that finds a word's end also notes whether the word has an
+// upper-case letter or an apostrophe, so a word is looked at once: without
+// an upper-case letter it is its own lower-cased form (no strings.ToLower,
+// no allocation), and without an apostrophe it cannot be a contraction.
+// A byte ≥ 0x80 is one token whose Lower() is whatever strings.ToLower
+// makes of that lone byte (U+FFFD): multi-byte UTF-8 letters come out as
+// one token per byte. That is pinned by TestNLPLeavesGolden and
+// FuzzTokenizeMatchesReference, not fixed here.
 func TokenizeInto(dst []Token, text string) []Token {
 	i := 0
 	n := len(text)
 	for i < n {
-		r := rune(text[i])
+		c := text[i]
 		switch {
-		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
-		case isWordByte(text[i]):
+		case isWordByte(c):
+			upper, apostrophe := false, false
 			j := i
-			for j < n && (isWordByte(text[j]) || isInnerByte(text, j)) {
-				j++
+			for ; j < n; j++ {
+				b := text[j]
+				if b >= 'A' && b <= 'Z' {
+					upper = true
+				} else if !isWordByte(b) {
+					if !isInnerByte(text, j) {
+						break
+					}
+					apostrophe = apostrophe || b == '\''
+				}
 			}
-			dst = appendWordTokens(dst, text[i:j], i)
+			word := text[i:j]
+			lower := word
+			if upper {
+				lower = strings.ToLower(word)
+			}
+			if apostrophe {
+				dst = appendCliticTokens(dst, word, lower, i)
+			} else {
+				dst = append(dst, Token{Text: word, Start: i, End: j, lower: lower})
+			}
 			i = j
+		case c < 0x80:
+			// ASCII punctuation and control bytes are their own lower case.
+			p := text[i : i+1]
+			dst = append(dst, Token{Text: p, Start: i, End: i + 1, lower: p})
+			i++
 		default:
 			dst = append(dst, New(text[i:i+1], i, i+1))
 			i++
@@ -110,10 +142,10 @@ func isInnerByte(text string, j int) bool {
 	return j > 0 && isWordByte(text[j-1]) && j+1 < len(text) && isWordByte(text[j+1])
 }
 
-// appendWordTokens appends a word to dst, breaking apostrophe clitics off
-// while keeping byte offsets consistent with the source.
-func appendWordTokens(dst []Token, word string, start int) []Token {
-	lower := strings.ToLower(word)
+// appendCliticTokens appends a word that contains an apostrophe to dst,
+// breaking a negative contraction or an apostrophe clitic off while keeping
+// byte offsets consistent with the source. lower is the word lower-cased.
+func appendCliticTokens(dst []Token, word, lower string, start int) []Token {
 	// Trailing sentence-internal period stays ("U.S." keeps its inner dots
 	// by isInnerByte; a trailing one never reaches here).
 	if idx := strings.LastIndex(lower, "n't"); idx > 0 && idx == len(lower)-3 {

@@ -11,7 +11,6 @@
 package tagger
 
 import (
-	"strings"
 	"unicode"
 
 	"repro/internal/kb"
@@ -33,29 +32,15 @@ func (m Mention) Covers(i int) bool { return i >= m.Start && i < m.End }
 // Tagger links entity mentions. It is immutable after construction and
 // safe for concurrent use.
 type Tagger struct {
-	kb        *kb.KB
-	lex       *lexicon.Lexicon
-	window    int
-	typeNouns map[string]typePair // entity type -> lower-cased singular/plural
+	kb      *kb.KB
+	aliases *kb.AliasTable
 }
 
-type typePair struct{ singular, plural string }
-
-// New builds a tagger over the given knowledge base and lexicon.
+// New builds a tagger over the given knowledge base and lexicon. It costs
+// nothing to speak of when the knowledge base was registered with the
+// lexicon (kb.RegisterLexicon), which builds the alias table.
 func New(base *kb.KB, lex *lexicon.Lexicon) *Tagger {
-	t := &Tagger{
-		kb:        base,
-		lex:       lex,
-		window:    base.MaxAliasTokens(),
-		typeNouns: map[string]typePair{},
-	}
-	for _, typ := range base.Types() {
-		t.typeNouns[typ] = typePair{
-			singular: strings.ToLower(typ),
-			plural:   strings.ToLower(kb.Pluralize(typ)),
-		}
-	}
-	return t
+	return &Tagger{kb: base, aliases: base.AliasTable(lex)}
 }
 
 // Scratch holds one worker's reusable probe buffer. A Scratch must not be
@@ -89,7 +74,8 @@ func (t *Tagger) TagInto(dst []Mention, sc *Scratch, tagged []pos.Tagged) []Ment
 // matchAt tries to link a mention starting at token i, longest span first.
 func (t *Tagger) matchAt(sc *Scratch, tagged []pos.Tagged, i int) (Mention, bool) {
 	// No alias starts with this word: no span from i can match.
-	maxLen := t.kb.MaxAliasTokensFor(tagged[i].Lower())
+	w := tagged[i].Word
+	maxLen := t.aliases.Span(w)
 	if maxLen == 0 {
 		return Mention{}, false
 	}
@@ -101,8 +87,8 @@ func (t *Tagger) matchAt(sc *Scratch, tagged []pos.Tagged, i int) (Mention, bool
 			continue
 		}
 		var cands []kb.EntityID
-		if n == 1 {
-			cands = t.kb.CandidatesLower(tagged[i].Lower())
+		if n == 1 && w.Known() {
+			cands = t.aliases.Single(w)
 		} else {
 			sc.surface = appendLowerSurface(sc.surface[:0], tagged[i:i+n])
 			cands = t.kb.CandidatesLowerBytes(sc.surface)
@@ -190,13 +176,18 @@ func (t *Tagger) resolve(tagged []pos.Tagged, cands []kb.EntityID, span []pos.Ta
 // typeContext reports whether the sentence mentions the type noun
 // (singular or plural) of the given entity type.
 func (t *Tagger) typeContext(tagged []pos.Tagged, typ string) bool {
-	tp, ok := t.typeNouns[typ]
-	if !ok {
-		tp = typePair{singular: strings.ToLower(typ), plural: strings.ToLower(kb.Pluralize(typ))}
-	}
-	for _, tok := range tagged {
-		w := tok.Lower()
-		if w == tp.singular || w == tp.plural {
+	tn := t.aliases.TypeNoun(typ)
+	for i := range tagged {
+		w := tagged[i].Word
+		if w.ID != tn.Singular && w.ID != tn.Plural {
+			continue
+		}
+		if w.Known() {
+			return true
+		}
+		// The token and one form of the type noun are both unknown to the
+		// lexicon, which says nothing about their being the same word.
+		if lw := tagged[i].Lower(); lw == tn.SingularLower || lw == tn.PluralLower {
 			return true
 		}
 	}
