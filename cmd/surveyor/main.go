@@ -7,7 +7,7 @@
 //	surveyor [-rho N] [-version 1..4] [-workers N] [-top K] [-in FILE]
 //	         [-stream] [-lenient] [-epochs N] [-distribute N]
 //	         [-dist-retries N] [-dist-backoff DUR] [-dist-deadline DUR]
-//	         [-dist-connect ADDRS | -dist-listen ADDR [-dist-heartbeat DUR]]
+//	         [-dist-heartbeat DUR] [-dist-connect ADDRS | -dist-listen ADDR]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	         [-debug-addr ADDR] [-linger DUR] [-report FILE]
 //
@@ -35,19 +35,19 @@
 //
 // -dist-connect ADDR[,ADDR...] makes -distribute dial standalone socket
 // workers instead of forking children: each shard attempt is one TCP
-// connection to a worker server started elsewhere with -dist-listen ADDR.
-// Socket workers interleave heartbeat frames while mining (-dist-heartbeat
-// sets their cadence) so the coordinator can tell a slow shard from a
-// dead link, and dial failures reconnect with backoff across the listed
-// endpoints. Output remains bit-identical to the single-process run.
+// connection to a worker server started elsewhere with -dist-listen ADDR,
+// and dial failures reconnect with backoff across the listed endpoints.
+// Forked or dialled, a worker sends heartbeat frames while mining
+// (-dist-heartbeat sets the cadence) so the coordinator can tell a slow
+// shard from a dead link. Output remains bit-identical to the
+// single-process run.
 //
 // SIGINT/SIGTERM cancel the run at document granularity: the documents
 // processed so far are still grouped and modelled, worker children are
 // killed and reaped, the partial statistics and -report are flushed on
 // the way down, and the process exits 130. A second signal kills the
-// process immediately; orphaned workers notice the dead coordinator (a
-// parent watch in -dist-worker mode, a peer-close watch on socket
-// connections) and exit on their own.
+// process immediately; orphaned workers, forked or dialled, notice the
+// dead coordinator when their input stream ends and exit on their own.
 //
 // Observability: -debug-addr starts a live debug server (Prometheus
 // /metrics, /progress, /trace for Perfetto, /em, /cluster, expvar, pprof);
@@ -107,7 +107,7 @@ func run() int {
 	distDeadline := flag.Duration("dist-deadline", 0, "per-shard attempt deadline; a worker past it is presumed hung and the shard reassigned (with -distribute; 0 = none)")
 	distListen := flag.String("dist-listen", "", "serve as a standalone socket worker on this address (e.g. :7070) until interrupted")
 	distConnect := flag.String("dist-connect", "", "comma-separated socket worker addresses; -distribute dials these instead of forking children")
-	distHeartbeat := flag.Duration("dist-heartbeat", time.Second, "liveness heartbeat interval of a socket worker (with -dist-listen)")
+	distHeartbeat := flag.Duration("dist-heartbeat", time.Second, "liveness heartbeat interval of a worker while mining (with -distribute or -dist-listen)")
 	distAttempt := flag.Int("dist-attempt", 0, "which retry attempt this worker serves (internal; set by the coordinator)")
 	distFlakeUntil := flag.Int("dist-flake-until", 0, "crash worker attempts below this attempt number (internal; fault injection for the retry tests)")
 	seed := flag.Uint64("seed", 1, "seed for the demo snapshot")
@@ -153,8 +153,8 @@ func run() int {
 	// context — worker children are killed through it, socket connections
 	// close, and the partial result is still reported on the way down. A
 	// second signal kills the process immediately: children notice the
-	// dead coordinator on their own (parent watch, broken pipes,
-	// peer-close watch) instead of surviving as orphans. stopSignals
+	// dead coordinator on their own (their input ends) instead of
+	// surviving as orphans. stopSignals
 	// restores default signal handling after mining, so a signal during
 	// -linger also kills the process outright.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -182,9 +182,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "injected flake: attempt %d < %d\n", *distAttempt, *distFlakeUntil)
 			return 3
 		}
-		// A worker whose coordinator died a hard death (second SIGINT,
-		// kill -9) is reparented to init; stop mining for nobody.
-		go watchParent(cancel)
 		// -dist-telemetry gives the worker its own observability run; the
 		// frame it ships federates into the coordinator's /metrics, /trace,
 		// and /cluster. Without it the worker is silent (the frame is
@@ -195,7 +192,7 @@ func run() int {
 			wo.RegisterBuildInfo()
 		}
 		err := surveyor.NewSystemWithBuiltinKB(*seed).ServeWorker(ctx, os.Stdin, os.Stdout,
-			surveyor.Config{Workers: *workers, PatternVersion: *version, Obs: wo})
+			surveyor.Config{Workers: *workers, PatternVersion: *version, Obs: wo}, *distHeartbeat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -275,7 +272,8 @@ func run() int {
 		workerCmd := []string{exe, "-dist-worker",
 			"-seed", strconv.FormatUint(*seed, 10),
 			"-version", strconv.Itoa(*version),
-			"-workers", strconv.Itoa(*workers)}
+			"-workers", strconv.Itoa(*workers),
+			"-dist-heartbeat", distHeartbeat.String()}
 		if o != nil {
 			workerCmd = append(workerCmd, "-dist-telemetry")
 		}
@@ -460,17 +458,6 @@ func mine(ctx context.Context, sys *surveyor.System, docs []surveyor.Document, c
 			st.Duration.Milliseconds())
 	}
 	return m.Snapshot(), nil
-}
-
-// watchParent cancels the worker's context once the process has been
-// reparented to init — its coordinator died a hard death (second SIGINT,
-// kill -9) without killing its children, and mining for a dead
-// coordinator would leak a full-CPU orphan.
-func watchParent(cancel context.CancelFunc) {
-	for os.Getppid() != 1 {
-		time.Sleep(500 * time.Millisecond)
-	}
-	cancel()
 }
 
 // writeReport fills an obs.Report from the run statistics and telemetry

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -11,7 +13,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/corpus"
+	"repro/internal/kb"
+	"repro/internal/obs"
 )
+
+// buildSurveyor builds this package's binary into dir.
+func buildSurveyor(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "surveyor")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building surveyor: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // scrapeSkipped runs the built binary over corpus with the debug server up,
 // waits for the run to finish, and returns the skipped-lines sample of
@@ -76,10 +92,7 @@ func TestSkippedLinesBatchMatchesStream(t *testing.T) {
 		t.Skip("builds and runs the surveyor binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "surveyor")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building surveyor: %v\n%s", err, out)
-	}
+	bin := buildSurveyor(t, dir)
 	corpus := filepath.Join(dir, "corpus.jsonl")
 	lines := `{"URL":"u1","Domain":"com","Author":1,"Text":"Kittens are cute."}` + "\n{not json}\n" +
 		`{"URL":"u2","Domain":"com","Author":2,"Text":"Spiders are not cute."}` + "\n"
@@ -94,5 +107,135 @@ func TestSkippedLinesBatchMatchesStream(t *testing.T) {
 	}
 	if !strings.HasPrefix(batchHealth, "degraded") || batchHealth != streamHealth {
 		t.Errorf("/healthz: batch %q, stream %q, want the same degraded line", batchHealth, streamHealth)
+	}
+}
+
+// TestDistributeForkedMatchesBatch forks real -dist-worker children (what
+// no in-process transport exercises): their merged output must be the batch
+// output byte for byte, also when every shard's first worker is an injected
+// flake the retry budget has to heal.
+func TestDistributeForkedMatchesBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the surveyor binary")
+	}
+	bin := buildSurveyor(t, t.TempDir())
+	run := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-rho", "5", "-top", "3"}, args...)...)
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("surveyor %v: %v\n%s", args, err, errb.String())
+		}
+		return out.String(), errb.String()
+	}
+	batch, _ := run()
+	if batch == "" {
+		t.Fatal("batch run printed nothing")
+	}
+	if dist, _ := run("-distribute", "2"); dist != batch {
+		t.Error("-distribute 2 stdout differs from the batch run")
+	}
+	healed, log := run("-distribute", "2", "-dist-flake-until", "1", "-dist-backoff", "1ms")
+	if healed != batch {
+		t.Error("-distribute 2 -dist-flake-until 1 stdout differs from the batch run")
+	}
+	if n := strings.Count(log, "injected flake"); n != 2 {
+		t.Errorf("%d injected flakes logged, want 2 (one per shard)\n%s", n, log)
+	}
+}
+
+// TestKilledCoordinatorReapsWorkers SIGKILLs a coordinator whose forked
+// workers are mid-shard. Nothing tells them: they must notice their input
+// end, abandon the shard (the cancellation each reports) and exit. The workers inherit the coordinator's
+// stderr, so that pipe reaching EOF is every one of them having exited.
+func TestKilledCoordinatorReapsWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the surveyor binary")
+	}
+	dir := t.TempDir()
+	bin := buildSurveyor(t, dir)
+	path := filepath.Join(dir, "corpus.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := corpus.NewGenerator(kb.Default(1), corpus.Table2Specs(), corpus.Config{Seed: 1, Scale: 40}).Generate().Documents
+	if err := corpus.WriteJSONL(f, docs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// No heartbeat may fall between the kill and a worker's exit: written to
+	// the dead coordinator's pipe it would SIGPIPE the worker before it
+	// reports why it stopped.
+	cmd := exec.Command(bin, "-in", path, "-distribute", "2", "-workers", "1",
+		"-dist-heartbeat", "1h", "-debug-addr", "127.0.0.1:0")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	addr := make(chan string, 1)
+	var log strings.Builder
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		announce := regexp.MustCompile(`debug server on (http://[^/]+)/`)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			log.WriteString(sc.Text() + "\n")
+			if m := announce.FindStringSubmatch(sc.Text()); m != nil {
+				addr <- m[1]
+			}
+		}
+	}()
+	defer func() {
+		cmd.Process.Kill()
+		<-drained
+		cmd.Wait()
+	}()
+
+	// Once a shard's job bytes are counted, its worker holds all of the job
+	// but the last pipe buffer, and has the whole shard still to mine.
+	var base string
+	select {
+	case base = <-addr:
+	case <-drained:
+		t.Fatalf("coordinator exited before announcing its debug server\n%s", log.String())
+	}
+	client := http.Client{Timeout: 10 * time.Second}
+	for mining := 0; mining < 2; time.Sleep(time.Millisecond) {
+		resp, err := client.Get(base + "/cluster")
+		if err != nil {
+			t.Fatalf("GET /cluster: %v", err)
+		}
+		var view obs.ClusterSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode /cluster: %v", err)
+		}
+		mining = 0
+		for _, sh := range view.Shards {
+			if sh.WireBytesOut > 0 {
+				mining++
+			}
+		}
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("-dist-worker children still running 5s after their coordinator was killed")
+	}
+	if n := strings.Count(log.String(), "context canceled"); n != 2 {
+		t.Errorf("%d workers reported a cancelled shard, want 2\n%s", n, log.String())
 	}
 }

@@ -1,10 +1,10 @@
 // Package allocbound defines an analyzer enforcing PR 5–7's fail-clean
 // decoding rule statically: in the codec and transport packages
-// (internal/wire, internal/annotate, internal/dist), every make and
+// (internal/wire, internal/dist, internal/obs), every make and
 // every loop-driven append whose size derives from decoded input must be
 // dominated by a bound check against a *named* limit before the
 // allocation happens. This is exactly the bug class the wire and
-// annotate fuzz targets catch dynamically — a length-prefixed frame
+// dist fuzz targets catch dynamically — a length-prefixed frame
 // claiming 2^60 elements must be rejected by comparing against
 // MaxFrameBytes-style constants, not discovered at OOM time.
 //

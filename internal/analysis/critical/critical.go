@@ -46,15 +46,13 @@ var determinismLintExtra = []string{
 // allocBound lists the packages where every allocation sized from
 // decoded input must be dominated by a bound check against a named
 // limit (the allocbound analyzer): the wire codec and its framing
-// primitives, the annotate codec, the dist protocol layer that consumes
-// wire's decoders cross-package (the job/result codecs and the socket
-// demultiplexer's heartbeat decoding alike — both read sizes straight
-// off the network), and the obs telemetry codec (the coordinator
-// decodes worker frames with the same discipline).
+// primitives, the dist protocol layer that consumes wire's decoders
+// cross-package (the job, result and heartbeat codecs all read sizes
+// straight off the network), and the obs telemetry codec (the
+// coordinator decodes worker frames with the same discipline).
 var allocBound = []string{
 	"internal/wire",
 	"internal/wire/framing",
-	"internal/annotate",
 	"internal/dist",
 	"internal/obs",
 }

@@ -30,8 +30,9 @@ type Config struct {
 	// Shards is the number of workers to launch; each receives one
 	// contiguous corpus shard. Zero or negative means 1.
 	Shards int
-	// Transport launches the workers (ProcTransport for real child
-	// processes, LocalTransport for in-process goroutine workers).
+	// Transport launches the workers: ProcTransport forks children,
+	// SocketTransport dials standalone worker servers, LocalTransport
+	// runs them in-process on goroutines.
 	Transport Transport
 	// Pipeline is the coordinator-side pipeline config: Rho and EM drive
 	// the reduce step, Obs receives the run's telemetry. Worker-side

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/evidence"
 	"repro/internal/kb"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/testkit"
 	"repro/internal/wire"
@@ -260,15 +265,21 @@ func TestMineCancelled(t *testing.T) {
 }
 
 func TestRunWorkerOverPipes(t *testing.T) {
-	// Drive RunWorker directly over byte buffers — the exact protocol
-	// cmd/surveyor's -dist-worker mode speaks on stdin/stdout.
+	// Drive Serve directly over a pipe and a buffer — the exact protocol
+	// cmd/surveyor's -dist-worker mode speaks on stdin/stdout. The input
+	// stays open until Serve returns: its end would mean "coordinator
+	// gone" and cancel the attempt.
 	w := testkit.NewTinyWorld(7, 0.1)
-	var in, out bytes.Buffer
-	if _, err := dist.WriteJob(&in, &dist.Job{Shard: 0, DocOffset: 0, Docs: w.Docs()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dist.RunWorker(context.Background(), &in, &out, w.KB, w.Lex, pipeline.Config{Workers: 2}); err != nil {
-		t.Fatalf("RunWorker: %v", err)
+	in, jobW := io.Pipe()
+	defer jobW.Close()
+	go dist.WriteJob(jobW, &dist.Job{Shard: 0, DocOffset: 0, Docs: w.Docs()})
+	var out bytes.Buffer
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{in, &out}
+	if err := dist.Serve(context.Background(), rw, w.KB, w.Lex, pipeline.Config{Workers: 2}, 0); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 	res, _, err := dist.ReadShardResult(&out)
 	if err != nil {
@@ -289,5 +300,152 @@ func TestRunWorkerOverPipes(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("entry %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestSilentSocketWorkerFailsInsideLivenessWindow dials a fake worker that
+// accepts, reads its job and then says nothing — no heartbeat, no result,
+// no close. Every attempt that lands on it must fail within the liveness
+// window instead of hanging, and the shard must commit on the live
+// endpoint with the run equal to batch.
+func TestSilentSocketWorkerFailsInsideLivenessWindow(t *testing.T) {
+	defer dist.ShortenLivenessWindow(100 * time.Millisecond)()
+	w := testkit.NewWorld(11, 0.05)
+	cfg := pipeline.Config{Workers: 2}
+	batch := pipeline.Run(w.Docs(), w.KB, w.Lex, cfg)
+
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		return ln
+	}
+	silent, live := listen(), listen()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, _, err := dist.ReadJob(conn); err != nil {
+				t.Errorf("silent worker read job: %v", err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		dist.ServeSocket(ctx, live, w.KB, w.Lex, cfg, dist.SocketServerConfig{})
+	}()
+	defer func() {
+		silent.Close()
+		cancel()
+		wg.Wait()
+	}()
+
+	o := obs.New()
+	reduceCfg := cfg
+	reduceCfg.Obs = o
+	start := time.Now()
+	res, failed, err := dist.Mine(context.Background(), w.Docs(), w.KB, dist.Config{
+		Shards:    2,
+		Transport: &dist.SocketTransport{Addrs: []string{silent.Addr().String(), live.Addr().String()}, Seed: 1},
+		Pipeline:  reduceCfg,
+		Retry:     dist.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+	})
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("err=%v failed=%v", err, failed)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("run took %v: the silent worker was waited on well past the liveness window", took)
+	}
+	if diffs := testkit.DiffResults(batch, res); len(diffs) != 0 {
+		t.Errorf("run differs from batch:\n%s", strings.Join(diffs, "\n"))
+	}
+	// Shard 0's first attempt dials the silent endpoint, shard 1's the live one.
+	if sv := o.Cluster.Snapshot().Shards[0]; sv.Attempts != 2 || len(sv.History) != 2 ||
+		sv.History[0].Outcome != obs.AttemptFailed || !strings.Contains(sv.History[0].Cause, "timeout") {
+		t.Errorf("shard 0 view %+v, want a timed-out first attempt and a committed second", sv)
+	}
+}
+
+// refusedRetry is a transport whose first retry of every shard reaches
+// no worker — Start itself fails, like a socket transport whose every
+// dial was refused.
+type refusedRetry struct{ dist.Transport }
+
+func (r refusedRetry) Start(ctx context.Context, shard, attempt int) (dist.Conn, error) {
+	if attempt == 1 {
+		return nil, errors.New("no worker reachable")
+	}
+	return r.Transport.Start(ctx, shard, attempt)
+}
+
+// TestRetryReassignmentNeedsAStartedAttempt: each shard's first worker
+// crashes, its first retry reaches nobody, its second retry commits. Two
+// retries per shard, but only one of them handed the shard to a worker.
+func TestRetryReassignmentNeedsAStartedAttempt(t *testing.T) {
+	w := testkit.NewTinyWorld(5, 0.05)
+	o := obs.New()
+	const shards = 2
+	_, failed, err := dist.Mine(context.Background(), w.Docs(), w.KB, dist.Config{
+		Shards: shards,
+		Transport: refusedRetry{&dist.LocalTransport{Base: w.KB, Lex: w.Lex,
+			FailAttempt: func(_, attempt int) bool { return attempt == 0 }}},
+		Pipeline: pipeline.Config{Obs: o},
+		Retry:    dist.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
+	})
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("err=%v failed=%v", err, failed)
+	}
+	for _, m := range o.Metrics.Snapshot() {
+		switch m.Name {
+		case "surveyor_dist_shard_retries_total":
+			if m.Value != 2*shards {
+				t.Errorf("retries = %v, want %d", m.Value, 2*shards)
+			}
+		case "surveyor_dist_shard_reassignments_total":
+			if m.Value != shards {
+				t.Errorf("reassignments = %v, want %d: a retry that started no worker is not one", m.Value, shards)
+			}
+		}
+	}
+}
+
+// TestHeartbeatForAnotherShardFailsAttempt: a worker that answers shard
+// 0's job with a heartbeat naming shard 5 has a desynced stream; what
+// follows it, however well-formed, must not commit.
+func TestHeartbeatForAnotherShardFailsAttempt(t *testing.T) {
+	w := testkit.NewTinyWorld(5, 0.05)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		job, _, err := dist.ReadJob(conn)
+		if err != nil {
+			t.Errorf("fake worker read job: %v", err)
+			return
+		}
+		dist.WriteHeartbeat(conn, job.Shard+5)
+		dist.WriteShardResult(conn, &dist.ShardResult{Shard: job.Shard, Store: evidence.NewStore()})
+	}()
+	_, failed, _ := dist.Mine(context.Background(), w.Docs(), w.KB, dist.Config{
+		Shards:    1,
+		Transport: &dist.SocketTransport{Addrs: []string{ln.Addr().String()}},
+	})
+	if len(failed) != 1 || !strings.Contains(failed[0].Err.Error(), "heartbeat for shard 5") {
+		t.Fatalf("failed=%v, want the shard lost to the foreign heartbeat", failed)
 	}
 }

@@ -17,8 +17,7 @@ import (
 // contract over arbitrary bytes: never panic, never allocate past the
 // declared bounds, and stay round-trip consistent (whatever decodes
 // successfully must re-encode and decode back to an identical value).
-// The scheduler feeds these decoders straight from worker pipes and
-// sockets, so a malicious or corrupted worker must be able to fail a
+// The scheduler feeds these decoders straight from worker links, so a malicious or corrupted worker must be able to fail a
 // shard attempt but never crash the coordinator.
 func FuzzDistProto(f *testing.F) {
 	var job bytes.Buffer
@@ -90,8 +89,8 @@ func FuzzDistProto(f *testing.F) {
 			}
 		}
 
-		// The socket demultiplexer's view: any frame, heartbeats decoded
-		// and round-tripped, everything else passed through untouched.
+		// The result loop's view of what precedes the result: any frame,
+		// heartbeats decoded and round-tripped.
 		if magic, body, _, err := wire.ReadFrameAny(bytes.NewReader(data)); err == nil && magic == heartbeatMagic {
 			if shard, err := decodeHeartbeat(body); err == nil {
 				var re bytes.Buffer

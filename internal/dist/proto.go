@@ -1,10 +1,19 @@
-// Wire protocol of the distributed miner. Three message types flow over a
-// worker's pipe pair, all built from the internal/wire frame primitives
-// (magic + version + length + body + FNV-1a checksum, all integers
-// varints):
+// Wire protocol of the distributed miner. Four message types flow over a
+// worker link (see Transport), all built from the internal/wire frame
+// primitives (magic + version + length + body + FNV-1a checksum, all
+// integers varints):
 //
 //	coordinator → worker   job frame "SVJB": shard, docOffset, docCount,
-//	                       then ⟨url, domain, author, text⟩ per document
+//	                       then ⟨url, domain, author, text⟩ per document.
+//	                       Nothing follows it, and the stream is never
+//	                       half-closed: a worker whose input ends knows
+//	                       its coordinator is gone.
+//	worker → coordinator   heartbeat frame "SVHB" (uvarint shard), on
+//	                       every transport, on a ticker between the job
+//	                       and the result. readShardResult — the one
+//	                       loop that reads the result header — checks
+//	                       each against the attempt's shard, counts it as
+//	                       liveness and reads on.
 //	worker → coordinator   result header frame "SVSR": shard, consumed,
 //	                       sentences, quarantine count, ⟨doc, reason⟩
 //	                       per record — followed by one store frame
@@ -14,12 +23,6 @@
 //	                       the store frame. Obs-disabled workers omit it;
 //	                       the coordinator treats clean EOF as absent, so
 //	                       the frame is backward- and forward-optional.
-//	worker → coordinator   heartbeat frame "SVHB" (uvarint shard),
-//	                       interleaved while mining on the socket
-//	                       transport only. The coordinator's demultiplexer
-//	                       counts them as liveness and strips them from
-//	                       the protocol stream; pipe transports never send
-//	                       them (a child's death already breaks the pipe).
 //
 // Protocol state machine (one worker attempt):
 //
@@ -149,9 +152,9 @@ func ReadJob(r io.Reader) (*Job, int64, error) {
 	return job, n, nil
 }
 
-// WriteHeartbeat writes one liveness frame for shard. Socket workers
-// emit them on a ticker while mining; heartbeats never interleave with
-// protocol frames (the heartbeater stops before the result is written).
+// WriteHeartbeat writes one liveness frame for shard. Workers emit them
+// on a ticker while mining; heartbeats never interleave with result
+// frames (the heartbeater stops before the result is written).
 func WriteHeartbeat(w io.Writer, shard int) (int64, error) {
 	e := wire.NewEncoder(8)
 	e.Uvarint(uint64(shard))
@@ -211,11 +214,38 @@ func WriteShardResult(w io.Writer, res *ShardResult) (int64, error) {
 	return n + m, nil
 }
 
-// ReadShardResult reads one result header frame and its store frame.
+// ReadShardResult reads one result header frame and its store frame,
+// skipping any heartbeat frames ahead of them.
 func ReadShardResult(r io.Reader) (*ShardResult, int64, error) {
-	body, n, err := wire.ReadFrame(r, resultMagic)
-	if err != nil {
-		return nil, n, fmt.Errorf("dist: read result frame: %w", err)
+	return readShardResult(r, nil)
+}
+
+// readShardResult is ReadShardResult with a say over the heartbeats it
+// skips: each well-formed one is handed to beat (when non-nil), whose
+// error fails the read.
+func readShardResult(r io.Reader, beat func(shard int) error) (*ShardResult, int64, error) {
+	var n int64
+	var body []byte
+	for {
+		magic, b, m, err := wire.ReadFrameAny(r)
+		n += m
+		if err != nil {
+			return nil, n, fmt.Errorf("dist: read result frame: %w", err)
+		}
+		if magic == resultMagic {
+			body = b
+			break
+		}
+		if magic != heartbeatMagic {
+			return nil, n, fmt.Errorf("dist: read result frame: %w: got %q, want %q", wire.ErrBadMagic, magic, resultMagic)
+		}
+		shard, err := decodeHeartbeat(b)
+		if err == nil && beat != nil {
+			err = beat(shard)
+		}
+		if err != nil {
+			return nil, n, err
+		}
 	}
 	d := wire.NewDecoder(body)
 	res := &ShardResult{}

@@ -177,7 +177,6 @@ func (sc *scheduler) mineShard(ctx context.Context, shard, docOffset int, docs [
 	}
 	commit := &shardCommit{}
 	var lastErr error
-	lastEndpoint := ""
 	attempts := 0
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
@@ -198,13 +197,12 @@ func (sc *scheduler) mineShard(ctx context.Context, shard, docOffset int, docs [
 			break
 		}
 		attempts++
-		endpoint, err := sc.runAttempt(ctx, shard, attempt, docOffset, docs, commit)
-		if attempt > 0 && (endpoint == "" || endpoint != lastEndpoint) {
-			// A fresh process/goroutine, or a different socket endpoint,
-			// picked the shard up — a reassignment, not a reconnect.
+		started, err := sc.runAttempt(ctx, shard, attempt, docOffset, docs, commit)
+		if attempt > 0 && started {
+			// A fresh worker picked the shard up. A retry the transport
+			// could not start (every dial failed) reached no worker.
 			sc.do.ShardReassignments.Inc()
 		}
-		lastEndpoint = endpoint
 		if err == nil {
 			out, _, ok := commit.result()
 			if !ok {
@@ -236,9 +234,9 @@ func (sc *scheduler) mineShard(ctx context.Context, shard, docOffset int, docs [
 // protocol to finish or its deadline to expire. On deadline expiry the
 // attempt is abandoned, not killed: its goroutine keeps the connection
 // and may still deliver a late result into the commit cell, and drain()
-// reaps it at the end of the run. Returns the attempt's endpoint (empty
-// when the transport doesn't name one).
-func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffset int, docs []corpus.Document, commit *shardCommit) (string, error) {
+// reaps it at the end of the run. started reports whether the transport
+// got a worker going at all.
+func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffset int, docs []corpus.Document, commit *shardCommit) (started bool, err error) {
 	actx, cancel := parent, context.CancelFunc(func() {})
 	if sc.policy.ShardDeadline > 0 {
 		actx, cancel = context.WithTimeout(parent, sc.policy.ShardDeadline)
@@ -248,11 +246,7 @@ func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffse
 	conn, err := sc.transport.Start(actx, shard, attempt)
 	if err != nil {
 		cancel()
-		return "", fmt.Errorf("dist: shard %d attempt %d start: %w", shard, attempt, err)
-	}
-	endpoint := ""
-	if ep, ok := conn.(endpointer); ok {
-		endpoint = ep.Endpoint()
+		return false, fmt.Errorf("dist: shard %d attempt %d start: %w", shard, attempt, err)
 	}
 	h := &attemptHandle{conn: conn, cancel: cancel}
 	sc.track(h)
@@ -267,14 +261,14 @@ func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffse
 	select {
 	case err := <-done:
 		cancel()
-		return endpoint, err
+		return true, err
 	case <-actx.Done():
 		if parent.Err() != nil {
 			// The run itself was cancelled: kill the worker now and report
 			// the cancellation. The goroutine unblocks on the broken pipes
 			// and drain() waits for it.
 			conn.Kill()
-			return endpoint, fmt.Errorf("dist: shard %d attempt %d: %w", shard, attempt, parent.Err())
+			return true, fmt.Errorf("dist: shard %d attempt %d: %w", shard, attempt, parent.Err())
 		}
 		// Shard deadline: abandon the attempt. Its worker keeps running —
 		// for ProcTransport the expired context kills the child, but a
@@ -282,7 +276,7 @@ func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffse
 		// cell will either take the late result (if nothing else committed)
 		// or discard it as a duplicate.
 		sc.do.DeadlinesExpired.Inc()
-		return endpoint, fmt.Errorf("dist: shard %d attempt %d: %w after %v", shard, attempt, ErrShardDeadline, sc.policy.ShardDeadline)
+		return true, fmt.Errorf("dist: shard %d attempt %d: %w after %v", shard, attempt, ErrShardDeadline, sc.policy.ShardDeadline)
 	}
 }
 
@@ -296,16 +290,20 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 	// The send anchor precedes the job write so the worker's job-received
 	// anchor falls inside the coordinator's [jobSent, resultRecv] window.
 	cl.JobSent(shard, len(docs), 0)
-	wn, err := WriteJob(conn.In(), &Job{Shard: shard, DocOffset: docOffset, Docs: docs})
+	wn, err := WriteJob(conn, &Job{Shard: shard, DocOffset: docOffset, Docs: docs})
 	do.WireBytesEncoded.Add(wn)
 	cl.ShardWire(shard, wn, 0)
-	if cerr := conn.In().Close(); err == nil {
-		err = cerr
-	}
 	var res *ShardResult
 	if err == nil {
 		var rn int64
-		res, rn, err = ReadShardResult(conn.Out())
+		res, rn, err = readShardResult(conn, func(beat int) error {
+			if beat != shard {
+				return fmt.Errorf("dist: heartbeat for shard %d on this stream (desync)", beat)
+			}
+			do.Heartbeats.Inc()
+			cl.ShardHeartbeat(shard)
+			return nil
+		})
 		do.WireBytesDecoded.Add(rn)
 		cl.ResultReceived(shard, rn)
 	}
@@ -316,7 +314,7 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 		// an old or obs-disabled worker, any other failure is recorded but
 		// cannot un-commit the shard's evidence.
 		var tn int64
-		tele, tn, teleErr = obs.DecodeTelemetry(conn.Out())
+		tele, tn, teleErr = obs.DecodeTelemetry(conn)
 		do.WireBytesDecoded.Add(tn)
 		cl.ShardWire(shard, 0, tn)
 		if errors.Is(teleErr, io.EOF) {
@@ -349,10 +347,7 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 }
 
 // backoff returns the delay before launching attempt (1-based retry
-// index): exponential from BaseBackoff, capped at MaxBackoff, scaled by a
-// jitter factor in [0.5, 1.5) drawn from a generator seeded purely by
-// (Seed, shard, attempt) — deterministic across runs and goroutine
-// schedules, per the repo's seeded-randomness discipline.
+// index) of shard, per the policy's base, cap and seed.
 func (sc *scheduler) backoff(shard, attempt int) time.Duration {
 	base := sc.policy.BaseBackoff
 	if base <= 0 {
@@ -362,23 +357,25 @@ func (sc *scheduler) backoff(shard, attempt int) time.Duration {
 	if ceil <= 0 {
 		ceil = defaultMaxBackoff
 	}
+	seed := sc.policy.Seed ^
+		uint64(shard)*0x9e3779b97f4a7c15 ^
+		uint64(attempt)*0xbf58476d1ce4e5b9
+	return jitteredBackoff(base, ceil, attempt, seed)
+}
+
+// jitteredBackoff is the one retry delay of the package (shard retries and
+// socket redials): base doubled per retry n (1-based) up to ceil, scaled
+// by a jitter factor in [0.5, 1.5) drawn from a fresh generator seeded
+// purely by seed — deterministic across runs and goroutine schedules,
+// per the repo's seeded-randomness discipline.
+func jitteredBackoff(base, ceil time.Duration, n int, seed uint64) time.Duration {
 	d := base
-	for i := 1; i < attempt && d < ceil; i++ {
+	for i := 1; i < n && d < ceil; i++ {
 		d *= 2
 	}
 	if d > ceil {
 		d = ceil
 	}
-	seed := sc.policy.Seed ^
-		uint64(shard)*0x9e3779b97f4a7c15 ^
-		uint64(attempt)*0xbf58476d1ce4e5b9
-	return jitterDuration(d, seed)
-}
-
-// jitterDuration scales d by a factor in [0.5, 1.5) drawn from a fresh
-// generator seeded purely by seed — deterministic across runs and
-// goroutine schedules, per the repo's seeded-randomness discipline.
-func jitterDuration(d time.Duration, seed uint64) time.Duration {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }

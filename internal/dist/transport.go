@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"os"
 	"os/exec"
 	"time"
 
@@ -14,13 +16,15 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Transport launches one worker per shard attempt and exposes its pipe
-// pair. Three implementations ship: ProcTransport (real child processes
-// over stdin/stdout, what `surveyor -distribute` uses), SocketTransport
-// (TCP connections to standalone worker servers, what `-dist-connect`
-// uses), and LocalTransport (in-process workers over in-memory pipes,
-// what the race-enabled differential suites and the benchmarks use —
-// same protocol bytes, no fork/exec noise).
+// Transport starts one worker per shard attempt and hands back the link
+// to it. Every link is the same thing — checksummed frames over a duplex
+// byte stream whose far end runs Serve — and the three implementations
+// differ only in how the stream comes to exist: ProcTransport forks a
+// child and uses its stdin/stdout (`surveyor -distribute`),
+// SocketTransport dials a standalone worker server (`-dist-connect`), and
+// LocalTransport runs Serve on a goroutine over in-memory pipes (the
+// race-enabled differential suites and the benchmarks — same protocol
+// bytes, no fork/exec noise).
 //
 // attempt is zero-based and increments each time the self-healing
 // scheduler retries the shard on a fresh worker; transports may use it
@@ -30,25 +34,67 @@ type Transport interface {
 	Start(ctx context.Context, shard, attempt int) (Conn, error)
 }
 
-// Conn is one launched worker's endpoint from the coordinator's side.
+// Conn is the coordinator's end of one worker link. The coordinator
+// writes one job frame and then only reads; it never half-closes the
+// stream, because the worker takes any completed read after the job
+// frame to mean its coordinator is gone.
 type Conn interface {
-	// In is the coordinator→worker stream (the worker's stdin). The
-	// coordinator writes one job frame and closes it.
-	In() io.WriteCloser
-	// Out is the worker→coordinator stream (the worker's stdout).
-	Out() io.Reader
-	// Wait blocks until the worker exits and returns its terminal error
-	// (nil for a clean exit). Call after Out is drained.
+	io.ReadWriter
+	// Wait blocks until the worker is gone and returns its terminal error
+	// (nil for a clean exit). Call after the stream is drained.
 	Wait() error
 	// Kill tears the worker down without waiting for a clean exit.
 	Kill()
 }
 
-// endpointer is the optional Conn refinement that names the worker
-// endpoint serving the connection; the scheduler uses it to tell a
-// reconnect to the same worker from a reassignment to a different one.
-type endpointer interface {
-	Endpoint() string
+// writeTimeout bounds one Write of the job frame. Like livenessWindow it
+// is armed on every stream that can take deadlines: TCP connections and
+// the pipes to a child process. In-memory pipes cannot, and rely on the
+// shard deadline alone.
+const writeTimeout = 10 * time.Second
+
+// livenessWindow is the longest the coordinator waits on one Read —
+// heartbeats included — before declaring the worker dead. A variable
+// only so the package's tests can shorten it; nothing else assigns it.
+var livenessWindow = 30 * time.Second
+
+// link is the one Conn: a read side, a write side, and what Wait and
+// Kill mean for whatever is at the far end.
+type link struct {
+	r    io.Reader
+	w    io.Writer
+	wait func() error
+	kill func()
+}
+
+func (l *link) Read(p []byte) (int, error) {
+	if d, ok := l.r.(interface{ SetReadDeadline(time.Time) error }); ok {
+		if err := d.SetReadDeadline(deadlineIn(livenessWindow)); err != nil && !errors.Is(err, os.ErrNoDeadline) {
+			return 0, err
+		}
+	}
+	return l.r.Read(p)
+}
+
+func (l *link) Write(p []byte) (int, error) {
+	if d, ok := l.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
+		if err := d.SetWriteDeadline(deadlineIn(writeTimeout)); err != nil && !errors.Is(err, os.ErrNoDeadline) {
+			return 0, err
+		}
+	}
+	return l.w.Write(p)
+}
+
+func (l *link) Wait() error { return l.wait() }
+func (l *link) Kill()       { l.kill() }
+
+// deadlineIn converts a relative liveness bound into the absolute
+// deadline the kernel wants. The wall-clock read is confined to link
+// liveness — it can decide that a retry happens, never what any shard's
+// evidence contains, so mining output stays bit-reproducible.
+func deadlineIn(d time.Duration) time.Time {
+	//lint:allow obsflow liveness deadline for the kernel's poller, not a telemetry read
+	return time.Now().Add(d) //lint:allow detrand link liveness deadline; never reaches mining output
 }
 
 // --- child processes -------------------------------------------------------
@@ -59,9 +105,10 @@ type endpointer interface {
 const procWaitDelay = 10 * time.Second
 
 // ProcTransport launches each worker as a child process. The command must
-// speak the worker protocol on stdin/stdout (cmd/surveyor's hidden
-// -dist-worker mode does); stderr passes through to Stderr for
-// debuggability.
+// run Serve on its stdin/stdout (cmd/surveyor's hidden -dist-worker mode
+// does); stderr passes through to Stderr for debuggability. The child's
+// stdin stays open for the life of the attempt, so end-of-input is how a
+// child learns that its coordinator died without killing it.
 type ProcTransport struct {
 	// Path is the worker executable.
 	Path string
@@ -97,22 +144,69 @@ func (t *ProcTransport) Start(ctx context.Context, shard, attempt int) (Conn, er
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("dist: shard %d start: %w", shard, err)
 	}
-	return &procConn{cmd: cmd, in: stdin, out: stdout}, nil
+	// Kill's error is "already exited": Wait reports what matters.
+	return &link{r: stdout, w: stdin, wait: cmd.Wait, kill: func() { _ = cmd.Process.Kill() }}, nil
 }
 
-type procConn struct {
-	cmd *exec.Cmd
-	in  io.WriteCloser
-	out io.Reader
+// --- standalone socket workers ---------------------------------------------
+
+// Dial bounds of the socket transport.
+const (
+	connectTimeout  = 5 * time.Second // one dial
+	connectAttempts = 3               // dials one Start may burn, rotating through Addrs
+	connectBackoff  = 100 * time.Millisecond
+)
+
+// SocketTransport launches shard attempts over TCP connections to
+// standalone worker servers (ServeSocket / `surveyor -dist-listen`), one
+// connection per attempt. The endpoint for (shard, attempt) rotates
+// through Addrs, so a retry after a worker failure naturally moves the
+// shard to a different host when more than one is configured.
+type SocketTransport struct {
+	// Addrs are the worker endpoints ("host:port"). At least one is
+	// required.
+	Addrs []string
+	// ConnectBackoff is the base delay between dial attempts, doubled per
+	// attempt up to 8x and jittered from Seed. Zero means 100ms.
+	ConnectBackoff time.Duration
+	// Seed derives the dial-backoff jitter, like RetryPolicy.Seed.
+	Seed uint64
 }
 
-func (c *procConn) In() io.WriteCloser { return c.in }
-func (c *procConn) Out() io.Reader     { return c.out }
-func (c *procConn) Wait() error        { return c.cmd.Wait() }
-func (c *procConn) Kill() {
-	if c.cmd.Process != nil {
-		c.cmd.Process.Kill()
+// Start implements Transport: dial an endpoint for (shard, attempt),
+// reconnecting with backoff across Addrs.
+func (t *SocketTransport) Start(ctx context.Context, shard, attempt int) (Conn, error) {
+	if len(t.Addrs) == 0 {
+		return nil, errors.New("dist: socket transport: no worker addresses")
 	}
+	base := t.ConnectBackoff
+	if base <= 0 {
+		base = connectBackoff
+	}
+	var lastErr error
+	for try := 0; try < connectAttempts; try++ {
+		if try > 0 {
+			seed := t.Seed ^ uint64(shard)*0x9e3779b97f4a7c15 ^
+				uint64(attempt)*0xbf58476d1ce4e5b9 ^ uint64(try)*0x94d049bb133111eb
+			if err := sleepCtx(ctx, jitteredBackoff(base, 8*base, try, seed)); err != nil {
+				return nil, fmt.Errorf("dist: shard %d dial: %w", shard, err)
+			}
+		}
+		// Rotate through the endpoints: a retry (attempt+1) or a failed
+		// dial (try+1) moves to the next worker host.
+		addr := t.Addrs[(shard+attempt+try)%len(t.Addrs)]
+		d := net.Dialer{Timeout: connectTimeout}
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		// The server closes its end after the last frame and has no exit
+		// status to collect, so waiting and killing are both "hang up".
+		hangUp := func() error { _ = conn.Close(); return nil }
+		return &link{r: conn, w: conn, wait: hangUp, kill: func() { _ = hangUp() }}, nil
+	}
+	return nil, fmt.Errorf("dist: shard %d: all %d dials failed: %w", shard, connectAttempts, lastErr)
 }
 
 // --- in-process workers ----------------------------------------------------
@@ -128,9 +222,13 @@ var ErrInjectedCrash = errors.New("dist: injected worker crash")
 // the coordinator with a torn read.
 var ErrInjectedDrop = errors.New("dist: injected connection drop")
 
-// LocalTransport runs each worker as a goroutine speaking the real
-// protocol over in-memory pipes. Used by the differential suites (every
-// schedule runs under the race detector) and by BenchmarkDistributedMine
+// errKilled is what both pipe ends of a killed LocalTransport worker
+// report.
+var errKilled = errors.New("dist: worker killed")
+
+// LocalTransport runs each worker as a goroutine running Serve over
+// in-memory pipes. Used by the differential suites (every schedule runs
+// under the race detector) and by BenchmarkDistributedMine
 // (process-free, so the codec and coordination costs are measured without
 // fork/exec noise).
 //
@@ -180,20 +278,25 @@ type LocalTransport struct {
 func (t *LocalTransport) Start(ctx context.Context, shard, attempt int) (Conn, error) {
 	jobR, jobW := io.Pipe()
 	resR, resW := io.Pipe()
-	c := &localConn{in: jobW, out: resR, done: make(chan error, 1)}
+	done := make(chan error, 1)
 	go func() {
 		err := t.serve(ctx, shard, attempt, jobR, resW)
 		// Break both pipe ends with the terminal error so a blocked
 		// coordinator read fails like a closed stdout would.
 		resW.CloseWithError(err)
 		jobR.CloseWithError(err)
-		c.done <- err
+		done <- err
 	}()
-	return c, nil
+	return &link{r: resR, w: jobW,
+		wait: func() error { return <-done },
+		kill: func() {
+			jobW.CloseWithError(errKilled)
+			resR.CloseWithError(errKilled)
+		}}, nil
 }
 
-// serve runs one worker attempt: read job, mine, ship result — or fail
-// the way its chaos hooks dictate.
+// serve runs one worker attempt: Serve over the pipes — or fail the way
+// its chaos hooks dictate.
 func (t *LocalTransport) serve(ctx context.Context, shard, attempt int, r io.Reader, w io.Writer) error {
 	if t.OnServe != nil {
 		t.OnServe(shard, attempt)
@@ -221,7 +324,10 @@ func (t *LocalTransport) serve(ctx context.Context, shard, attempt int, r io.Rea
 	if t.WorkerObs != nil {
 		cfg.Obs = t.WorkerObs(shard)
 	}
-	return RunWorker(ctx, r, w, t.Base, t.Lex, cfg)
+	return Serve(ctx, struct {
+		io.Reader
+		io.Writer
+	}{r, w}, t.Base, t.Lex, cfg, 0)
 }
 
 // cutWriter passes budget bytes through, then fails every write — the
@@ -258,18 +364,4 @@ func (h *holdWriter) Write(p []byte) (int, error) {
 		h.held = true
 	}
 	return h.w.Write(p)
-}
-
-type localConn struct {
-	in   *io.PipeWriter
-	out  *io.PipeReader
-	done chan error
-}
-
-func (c *localConn) In() io.WriteCloser { return c.in }
-func (c *localConn) Out() io.Reader     { return c.out }
-func (c *localConn) Wait() error        { return <-c.done }
-func (c *localConn) Kill() {
-	c.in.CloseWithError(errors.New("dist: worker killed"))
-	c.out.CloseWithError(errors.New("dist: worker killed"))
 }

@@ -8,10 +8,6 @@
 package evidence
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -404,76 +400,4 @@ func ParallelGroupObserved(s *Store, base *kb.KB, rho int64, workers int, o *obs
 	o.GroupsKept.Add(int64(len(groups)))
 	o.GroupsFiltered.Add(int64(pairsBeforeFilter - len(groups)))
 	return groups, pairsBeforeFilter
-}
-
-// Save writes the store in a compact binary format: a magic header, then
-// one varint-encoded record per key.
-func (s *Store) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("SVEV1\n"); err != nil {
-		return fmt.Errorf("evidence: save header: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	for _, e := range s.Snapshot() {
-		if err := writeUvarint(uint64(e.Entity)); err != nil {
-			return fmt.Errorf("evidence: save: %w", err)
-		}
-		if err := writeUvarint(uint64(len(e.Property))); err != nil {
-			return fmt.Errorf("evidence: save: %w", err)
-		}
-		if _, err := bw.WriteString(e.Property); err != nil {
-			return fmt.Errorf("evidence: save: %w", err)
-		}
-		if err := writeUvarint(uint64(e.Pos)); err != nil {
-			return fmt.Errorf("evidence: save: %w", err)
-		}
-		if err := writeUvarint(uint64(e.Neg)); err != nil {
-			return fmt.Errorf("evidence: save: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// LoadStore reads a store written by Save.
-func LoadStore(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
-	if err != nil || header != "SVEV1\n" {
-		return nil, fmt.Errorf("evidence: bad header %q: %w", header, err)
-	}
-	s := NewStore()
-	for {
-		ent, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return s, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("evidence: load entity: %w", err)
-		}
-		plen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("evidence: load: %w", err)
-		}
-		if plen > 1<<20 {
-			return nil, fmt.Errorf("evidence: property length %d too large", plen)
-		}
-		pbuf := make([]byte, plen)
-		if _, err := io.ReadFull(br, pbuf); err != nil {
-			return nil, fmt.Errorf("evidence: load property: %w", err)
-		}
-		pcnt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("evidence: load pos: %w", err)
-		}
-		ncnt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("evidence: load neg: %w", err)
-		}
-		s.AddCounts(Key{Entity: kb.EntityID(ent), Property: string(pbuf)},
-			Counts{Pos: int64(pcnt), Neg: int64(ncnt)})
-	}
 }

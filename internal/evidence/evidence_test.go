@@ -1,8 +1,6 @@
 package evidence
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -228,48 +226,6 @@ func TestCountGroups(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore()
-	s.AddCounts(Key{0, "cute"}, Counts{Pos: 1234567, Neg: 89})
-	s.AddCounts(Key{42, "very big"}, Counts{Pos: 1})
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := loaded.Get(Key{0, "cute"}); c.Pos != 1234567 || c.Neg != 89 {
-		t.Fatalf("round trip: %+v", c)
-	}
-	if c := loaded.Get(Key{42, "very big"}); c.Pos != 1 {
-		t.Fatalf("round trip multiword property: %+v", c)
-	}
-	if loaded.Len() != 2 {
-		t.Fatalf("Len = %d", loaded.Len())
-	}
-}
-
-func TestLoadRejectsBadHeader(t *testing.T) {
-	if _, err := LoadStore(strings.NewReader("WRONG\n")); err == nil {
-		t.Fatal("LoadStore should reject a bad header")
-	}
-}
-
-func TestLoadRejectsTruncated(t *testing.T) {
-	s := NewStore()
-	s.AddCounts(Key{0, "cute"}, Counts{Pos: 5, Neg: 2})
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := LoadStore(bytes.NewReader(data[:len(data)-1])); err == nil {
-		t.Fatal("LoadStore should reject truncated input")
-	}
-}
-
 // Property: merging N single-statement stores is equivalent to adding all
 // statements to one store.
 func TestMergeEquivalenceProperty(t *testing.T) {
@@ -298,41 +254,6 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Save/Load round-trips arbitrary count tables.
-func TestSaveLoadProperty(t *testing.T) {
-	f := func(entities []uint16, pos, neg []uint16) bool {
-		s := NewStore()
-		n := len(entities)
-		if len(pos) < n {
-			n = len(pos)
-		}
-		if len(neg) < n {
-			n = len(neg)
-		}
-		for i := 0; i < n; i++ {
-			s.AddCounts(Key{kb.EntityID(entities[i]), "p"},
-				Counts{Pos: int64(pos[i]), Neg: int64(neg[i])})
-		}
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			return false
-		}
-		loaded, err := LoadStore(&buf)
-		if err != nil {
-			return false
-		}
-		for _, e := range s.Snapshot() {
-			if loaded.Get(e.Key) != e.Counts {
-				return false
-			}
-		}
-		return loaded.Len() == s.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

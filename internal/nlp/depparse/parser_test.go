@@ -255,37 +255,6 @@ func TestTreeStringContainsDeps(t *testing.T) {
 	}
 }
 
-func TestAssembleRoundTrip(t *testing.T) {
-	lex := lexicon.Default()
-	tagged := pos.New(lex).Tag(token.SplitSentences("Chicago is very big.")[0])
-	tree := New(lex).Parse(tagged)
-	heads := make([]int, len(tree.Nodes))
-	rels := make([]Label, len(tree.Nodes))
-	for i, n := range tree.Nodes {
-		heads[i] = n.Head
-		rels[i] = n.Rel
-	}
-	rebuilt := Assemble(tagged, heads, rels, tree.Root())
-	if rebuilt.Root() != tree.Root() {
-		t.Fatal("root mismatch after Assemble")
-	}
-	for i := range tree.Nodes {
-		if rebuilt.Nodes[i] != tree.Nodes[i] {
-			t.Fatalf("node %d mismatch", i)
-		}
-		if len(rebuilt.Children(i)) != len(tree.Children(i)) {
-			t.Fatalf("children of %d mismatch", i)
-		}
-	}
-}
-
-func TestAssembleEmpty(t *testing.T) {
-	tree := Assemble(nil, nil, nil, -1)
-	if tree.Root() != -1 || len(tree.Nodes) != 0 {
-		t.Fatal("empty Assemble wrong")
-	}
-}
-
 func TestParseTripleConjunction(t *testing.T) {
 	tree := parse(t, "Soccer is fast, exciting and cheap.")
 	wantRoot(t, tree, "fast")

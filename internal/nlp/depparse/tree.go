@@ -157,16 +157,6 @@ func (t *Tree) finalize() {
 	}
 }
 
-// Assemble reconstructs a tree from parallel head/relation arrays — used
-// by the annotation codec to deserialise trees without re-parsing. head[i]
-// is -1 exactly for the root.
-func Assemble(tagged []pos.Tagged, head []int, rel []Label, root int) *Tree {
-	if len(tagged) == 0 {
-		return &Tree{root: -1, children: [][]int{}}
-	}
-	return newTree(tagged, head, rel, root)
-}
-
 // newTree assembles a fresh tree from parallel head/rel arrays.
 func newTree(tagged []pos.Tagged, head []int, rel []Label, root int) *Tree {
 	t := &Tree{}

@@ -60,7 +60,7 @@ type clusterShard struct {
 	telemetry   string // "", "ok", "absent", or "rejected: <cause>"
 	failure     string
 	attempts    int                // job frames launched for this shard
-	heartbeats  int64              // liveness frames received (socket transport)
+	heartbeats  int64              // liveness frames received
 	history     []ShardAttemptView // per-attempt outcomes, oldest first
 
 	jobSent    time.Duration
@@ -151,7 +151,7 @@ func (c *Cluster) ShardRetrying(s int) {
 }
 
 // ShardHeartbeat records one liveness frame received from shard s's
-// worker over the socket transport.
+// worker.
 func (c *Cluster) ShardHeartbeat(s int) {
 	if c == nil {
 		return

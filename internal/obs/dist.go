@@ -31,9 +31,9 @@ type DistObs struct {
 	// first — the self-healing scheduler replacing a failed or expired
 	// worker.
 	ShardRetries *Counter // surveyor_dist_shard_retries_total
-	// ShardReassignments counts retries that handed the shard to a
-	// different worker (a fresh process/goroutine, or a different socket
-	// endpoint).
+	// ShardReassignments counts retries that handed the shard to a fresh
+	// worker — every retry except one the transport could not start
+	// (all dials refused), which reached nobody.
 	ShardReassignments *Counter // surveyor_dist_shard_reassignments_total
 	// DeadlinesExpired counts shard attempts reclaimed from hung workers
 	// by the per-shard deadline.
@@ -41,8 +41,7 @@ type DistObs struct {
 	// DuplicateResults counts late shard results discarded because an
 	// earlier attempt already committed — the exactly-once shard commit.
 	DuplicateResults *Counter // surveyor_dist_duplicate_results_total
-	// Heartbeats counts worker liveness frames received over the socket
-	// transport.
+	// Heartbeats counts worker liveness frames received.
 	Heartbeats *Counter // surveyor_dist_heartbeats_total
 	// WireBytesEncoded and WireBytesDecoded count wire-codec traffic:
 	// job frames written to workers, result and telemetry frames read
@@ -84,7 +83,7 @@ func (o *RunObs) Dist() *DistObs {
 		DuplicateResults: r.Counter("surveyor_dist_duplicate_results_total",
 			"late shard results discarded after an earlier attempt committed"),
 		Heartbeats: r.Counter("surveyor_dist_heartbeats_total",
-			"worker liveness frames received over the socket transport"),
+			"worker liveness frames received"),
 		WireBytesEncoded: r.Counter("surveyor_wire_bytes_encoded_total",
 			"wire-codec bytes encoded (job frames to workers)"),
 		WireBytesDecoded: r.Counter("surveyor_wire_bytes_decoded_total",

@@ -333,10 +333,13 @@ func TestRetryDuplicateLateResultDiscarded(t *testing.T) {
 		defer close(release1)
 		deadline := time.After(15 * time.Second)
 		for {
-			for _, h := range o.Cluster.Snapshot().Shards[sick].History {
-				if h.Outcome == obs.AttemptCommitted {
-					close(committed)
-					return
+			// The view has no shards until Mine starts the run.
+			if shards := o.Cluster.Snapshot().Shards; len(shards) > sick {
+				for _, h := range shards[sick].History {
+					if h.Outcome == obs.AttemptCommitted {
+						close(committed)
+						return
+					}
 				}
 			}
 			select {

@@ -86,7 +86,7 @@ func TestSocketHeartbeatsObserved(t *testing.T) {
 	reduceCfg.Obs = o
 	res, failed, err := dist.Mine(context.Background(), docs, w.KB, dist.Config{
 		Shards:    shards,
-		Transport: &dist.SocketTransport{Addrs: []string{addr}, Seed: 1, Obs: o},
+		Transport: &dist.SocketTransport{Addrs: []string{addr}, Seed: 1},
 		Pipeline:  reduceCfg,
 	})
 	if err != nil || len(failed) != 0 {

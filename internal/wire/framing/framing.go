@@ -26,8 +26,7 @@ const (
 	// compact — the paper's 40TB crawl reduced to counters — so a larger
 	// declared length is corruption, not data.
 	MaxFrameBytes = 1 << 30
-	// MaxStringLen caps one length-prefixed string inside a body, matching
-	// the annotate codec's property bound.
+	// MaxStringLen caps one length-prefixed string inside a body.
 	MaxStringLen = 1 << 20
 	// initialAlloc caps what a decoder allocates before the declared
 	// length has been backed by actual bytes.
@@ -204,7 +203,7 @@ func ReadFrame(r io.Reader, magic string) (body []byte, n int64, err error) {
 
 // ReadFrameAny reads one frame of any type and returns its magic
 // alongside the body — the demultiplexing primitive for streams that
-// interleave frame types (a socket worker's heartbeat frames between its
+// interleave frame types (a worker's heartbeat frames ahead of its
 // result frames). Validation is identical to ReadFrame except that any
 // 4-byte magic is accepted.
 func ReadFrameAny(r io.Reader) (magic string, body []byte, n int64, err error) {
@@ -237,7 +236,7 @@ func readFrame(r io.Reader, want string) (magic string, body []byte, n int64, er
 	length, m2, err := readUvarint(r)
 	n += int64(m2)
 	if err != nil {
-		return magic, nil, n, fmt.Errorf("wire: read frame length: %w", err)
+		return magic, nil, n, fmt.Errorf("wire: read frame length: %w", midFrame(err))
 	}
 	if length > MaxFrameBytes {
 		return magic, nil, n, fmt.Errorf("wire: frame length %d exceeds limit %d", length, MaxFrameBytes)
@@ -250,14 +249,14 @@ func readFrame(r io.Reader, want string) (magic string, body []byte, n int64, er
 		m, err := io.ReadFull(r, body[start:])
 		n += int64(m)
 		if err != nil {
-			return magic, nil, n, fmt.Errorf("wire: read frame body: %w", err)
+			return magic, nil, n, fmt.Errorf("wire: read frame body: %w", midFrame(err))
 		}
 	}
 	var sum [8]byte
 	m, err = io.ReadFull(r, sum[:])
 	n += int64(m)
 	if err != nil {
-		return magic, nil, n, fmt.Errorf("wire: read frame checksum: %w", err)
+		return magic, nil, n, fmt.Errorf("wire: read frame checksum: %w", midFrame(err))
 	}
 	h := fnv.New64a()
 	h.Write(body)
@@ -265,6 +264,16 @@ func readFrame(r io.Reader, want string) (magic string, body []byte, n int64, er
 		return magic, nil, n, ErrChecksum
 	}
 	return magic, body, n, nil
+}
+
+// midFrame turns the io.EOF of a read that got no bytes into
+// io.ErrUnexpectedEOF: past the header a frame that stops is torn, and
+// must not match io.EOF, the clean end of a frame stream.
+func midFrame(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // readUvarint reads one varint from r byte by byte, counting consumed

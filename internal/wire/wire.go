@@ -51,8 +51,7 @@ const (
 	// compact — the paper's 40TB crawl reduced to counters — so a larger
 	// declared length is corruption, not data.
 	MaxFrameBytes = framing.MaxFrameBytes
-	// MaxStringLen caps one length-prefixed string inside a body, matching
-	// the annotate codec's property bound.
+	// MaxStringLen caps one length-prefixed string inside a body.
 	MaxStringLen = framing.MaxStringLen
 )
 
@@ -96,8 +95,7 @@ func ReadFrame(r io.Reader, magic string) (body []byte, n int64, err error) {
 
 // ReadFrameAny reads one frame of any type and returns its magic
 // alongside the body — the demultiplexing primitive for streams that
-// interleave frame types (heartbeats between protocol frames on a socket
-// connection).
+// interleave frame types (a worker's heartbeats ahead of its result).
 func ReadFrameAny(r io.Reader) (magic string, body []byte, n int64, err error) {
 	return framing.ReadFrameAny(r)
 }

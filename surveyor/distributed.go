@@ -90,11 +90,7 @@ func (s *System) MineDistributed(ctx context.Context, docs []Document, opts Dist
 	var transport dist.Transport
 	switch {
 	case len(opts.Connect) > 0:
-		transport = &dist.SocketTransport{
-			Addrs: opts.Connect,
-			Seed:  opts.Seed,
-			Obs:   pcfg.Obs,
-		}
+		transport = &dist.SocketTransport{Addrs: opts.Connect, Seed: opts.Seed}
 	case len(opts.Command) > 0:
 		transport = &dist.ProcTransport{
 			Path:      opts.Command[0],
@@ -135,13 +131,19 @@ func (s *System) MineDistributed(ctx context.Context, docs []Document, opts Dist
 }
 
 // ServeWorker runs one distributed-mining worker over a pipe pair: read
-// the job from r, extract the shard's evidence, ship the delta on w, and
-// return. cmd/surveyor's hidden -dist-worker mode calls this on
-// stdin/stdout; the system must hold the same knowledge base and lexicon
-// the coordinator mined with.
-func (s *System) ServeWorker(ctx context.Context, r io.Reader, w io.Writer, cfg Config) error {
+// the job from r, extract the shard's evidence (emitting a liveness
+// frame on w every heartbeat; zero means 1s), ship the delta on w, and
+// return. The attempt is cancelled if r ends or delivers anything
+// further — the coordinator is gone. cmd/surveyor's hidden -dist-worker
+// mode calls this on stdin/stdout; the system must hold the same
+// knowledge base and lexicon the coordinator mined with.
+func (s *System) ServeWorker(ctx context.Context, r io.Reader, w io.Writer, cfg Config, heartbeat time.Duration) error {
 	s.registerPending()
-	return dist.RunWorker(ctx, r, w, s.kb, s.lex, s.pipelineConfig(cfg))
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{r, w}
+	return dist.Serve(ctx, rw, s.kb, s.lex, s.pipelineConfig(cfg), heartbeat)
 }
 
 // SocketWorkerOptions configures ServeSocketWorker.
@@ -154,9 +156,8 @@ type SocketWorkerOptions struct {
 }
 
 // ServeSocketWorker runs a standalone socket worker server on ln until
-// ctx is cancelled: each accepted connection carries one shard attempt
-// of the worker protocol, with heartbeat frames interleaved while mining
-// so the coordinator can tell a slow shard from a dead one. cmd/surveyor's
+// ctx is cancelled: each accepted connection carries one shard attempt,
+// served exactly as ServeWorker serves a pipe pair. cmd/surveyor's
 // -dist-listen mode calls this; coordinators reach it via
 // DistributedOptions.Connect.
 func (s *System) ServeSocketWorker(ctx context.Context, ln net.Listener, cfg Config, opts SocketWorkerOptions) error {

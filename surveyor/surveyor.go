@@ -38,6 +38,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/query"
 	"repro/internal/threshold"
+	"repro/internal/wire"
 )
 
 // Opinion is a mined dominant opinion.
@@ -391,8 +392,12 @@ func (r *Result) Stats() Stats {
 	}
 }
 
-// SaveEvidence serialises the raw evidence counters.
-func (r *Result) SaveEvidence(w io.Writer) error { return r.res.Store.Save(w) }
+// SaveEvidence serialises the raw evidence counters as one checksummed
+// store frame — the bytes a distributed worker ships for its shard.
+func (r *Result) SaveEvidence(w io.Writer) error {
+	_, err := wire.EncodeStore(w, r.res.Store)
+	return err
+}
 
 // String renders a short report.
 func (s Stats) String() string {

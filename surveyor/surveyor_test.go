@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func demoSystem() *System {
@@ -131,8 +134,12 @@ func TestSaveEvidenceAndKB(t *testing.T) {
 	if err := res.SaveEvidence(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("empty evidence dump")
+	loaded, _, err := wire.DecodeStore(&buf)
+	if err != nil {
+		t.Fatalf("reading the evidence dump back: %v", err)
+	}
+	if want, got := res.res.Store.Snapshot(), loaded.Snapshot(); len(want) == 0 || !reflect.DeepEqual(want, got) {
+		t.Fatalf("evidence dump read back as %d entries, mined %d", len(got), len(want))
 	}
 	buf.Reset()
 	if err := sys.SaveKB(&buf); err != nil {
