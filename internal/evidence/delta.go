@@ -11,7 +11,7 @@
 package evidence
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/kb"
 )
@@ -55,28 +55,13 @@ func (a *GroupAccumulator) AbsorbDelta(delta *Store) []GroupKey {
 	for gk := range dirty {
 		keys = append(keys, gk)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Type != keys[j].Type {
-			return keys[i].Type < keys[j].Type
-		}
-		return keys[i].Property < keys[j].Property
-	})
+	slices.SortFunc(keys, GroupKey.Compare)
 	return keys
 }
 
 // Pairs returns the number of distinct (type, property) pairs seen so far
 // — the before-ρ statistic a batch run reports as PairsBeforeFilter.
 func (a *GroupAccumulator) Pairs() int { return len(a.groups) }
-
-// Total returns the cumulative statement count of one group (zero if the
-// group was never touched).
-func (a *GroupAccumulator) Total(k GroupKey) int64 {
-	g := a.groups[k]
-	if g == nil {
-		return 0
-	}
-	return g.total
-}
 
 // Materialize expands one group to the full Group shape the EM phase
 // consumes — every KB entity of the type in KB order, zero-evidence
@@ -88,11 +73,5 @@ func (a *GroupAccumulator) Materialize(k GroupKey, rho int64) (Group, bool) {
 	if g == nil || g.total < rho {
 		return Group{}, false
 	}
-	ids := a.base.OfType(k.Type)
-	ents := make([]EntityCounts, len(ids))
-	for i, id := range ids {
-		c := g.counts[id]
-		ents[i] = EntityCounts{Entity: id, Pos: c.Pos, Neg: c.Neg}
-	}
-	return Group{Key: k, Entities: ents, Statements: g.total}, true
+	return g.expand(a.base, k), true
 }

@@ -9,6 +9,7 @@ package evidence
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -223,6 +224,15 @@ type GroupKey struct {
 	Property string
 }
 
+// Compare orders keys by type, then property: the one definition of the
+// order of every group list (kept groups, dirty sets, Result.Groups).
+func (k GroupKey) Compare(o GroupKey) int {
+	if c := strings.Compare(k.Type, o.Type); c != 0 {
+		return c
+	}
+	return strings.Compare(k.Property, o.Property)
+}
+
 // EntityCounts pairs an entity with its evidence tuple. Entities with no
 // extracted statements appear with zero counts — the model classifies
 // those too.
@@ -239,6 +249,8 @@ type Group struct {
 	Entities   []EntityCounts // one per KB entity of the type, in KB order
 	Statements int64          // total extracted statements for this group
 }
+
+func compareGroups(a, b Group) int { return a.Key.Compare(b.Key) }
 
 // GroupByTypeProperty groups the store by (most notable type, property),
 // keeps groups with at least rho statements (the paper used ρ = 100 and
@@ -275,12 +287,7 @@ func GroupByTypeProperty(s *Store, base *kb.KB, rho int64) []Group {
 		}
 		out = append(out, Group{Key: gk, Entities: ents, Statements: g.total})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Key.Type != out[b].Key.Type {
-			return out[a].Key.Type < out[b].Key.Type
-		}
-		return out[a].Key.Property < out[b].Key.Property
-	})
+	slices.SortFunc(out, compareGroups)
 	return out
 }
 
@@ -298,6 +305,19 @@ func CountGroups(s *Store, base *kb.KB) int {
 type groupAgg struct {
 	counts map[kb.EntityID]Counts
 	total  int64
+}
+
+// expand materialises the aggregate as the Group shape the EM phase
+// consumes: every KB entity of the type in KB order, zero-evidence
+// entities included.
+func (g *groupAgg) expand(base *kb.KB, k GroupKey) Group {
+	ids := base.OfType(k.Type)
+	ents := make([]EntityCounts, len(ids))
+	for i, id := range ids {
+		c := g.counts[id]
+		ents[i] = EntityCounts{Entity: id, Pos: c.Pos, Neg: c.Neg}
+	}
+	return Group{Key: k, Entities: ents, Statements: g.total}
 }
 
 // ParallelGroup computes GroupByTypeProperty and CountGroups in one
@@ -380,23 +400,11 @@ func ParallelGroupObserved(s *Store, base *kb.KB, rho int64, workers int, o *obs
 	pairsBeforeFilter = len(merged)
 
 	for gk, g := range merged {
-		if g.total < rho {
-			continue
+		if g.total >= rho {
+			groups = append(groups, g.expand(base, gk))
 		}
-		ids := base.OfType(gk.Type)
-		ents := make([]EntityCounts, len(ids))
-		for i, id := range ids {
-			c := g.counts[id]
-			ents[i] = EntityCounts{Entity: id, Pos: c.Pos, Neg: c.Neg}
-		}
-		groups = append(groups, Group{Key: gk, Entities: ents, Statements: g.total})
 	}
-	sort.Slice(groups, func(a, b int) bool {
-		if groups[a].Key.Type != groups[b].Key.Type {
-			return groups[a].Key.Type < groups[b].Key.Type
-		}
-		return groups[a].Key.Property < groups[b].Key.Property
-	})
+	slices.SortFunc(groups, compareGroups)
 	o.GroupsKept.Add(int64(len(groups)))
 	o.GroupsFiltered.Add(int64(pairsBeforeFilter - len(groups)))
 	return groups, pairsBeforeFilter

@@ -66,7 +66,7 @@ func TestCalibrationReport(t *testing.T) {
 				tl.mvC++
 			}
 		}
-		if op, ok := w.Result.Opinion(tc.Entity, tc.Property); ok && op.Opinion != 0 {
+		if op, ok := w.Result.Opinion(w.KB.Get(tc.Entity).Type, tc.Entity, tc.Property); ok && op.Opinion != 0 {
 			tl.svS++
 			if (op.Opinion > 0) == truth {
 				tl.svC++

@@ -112,7 +112,7 @@ func (w *World) EvalCasesFor(res *pipeline.Result) []eval.Case {
 			"Majority Vote":        baselines.MajorityVote{}.Decide(counts.Pos, counts.Neg),
 			"Scaled Majority Vote": smv.Decide(counts.Pos, counts.Neg),
 			"WebChild":             wc.DecideFor(tc.Entity, tc.Property),
-			"Surveyor":             surveyorOpinion(res, tc.Entity, tc.Property),
+			"Surveyor":             surveyorOpinion(res, w.KB, tc.Entity, tc.Property),
 		}
 		out = append(out, eval.Case{
 			Truth:       tc.Judgement.Dominant() == core.OpinionPositive,
@@ -123,8 +123,8 @@ func (w *World) EvalCasesFor(res *pipeline.Result) []eval.Case {
 	return out
 }
 
-func surveyorOpinion(res *pipeline.Result, e kb.EntityID, property string) core.Opinion {
-	op, ok := res.Opinion(e, property)
+func surveyorOpinion(res *pipeline.Result, base *kb.KB, e kb.EntityID, property string) core.Opinion {
+	op, ok := res.Opinion(base.Get(e).Type, e, property)
 	if !ok {
 		return core.OpinionUnsolved
 	}

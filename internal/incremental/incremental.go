@@ -28,17 +28,19 @@
 // Epochs are atomic: a cancelled or failed epoch leaves the published
 // snapshot, the cumulative store, and every statistic untouched.
 //
-// The published snapshot's Groups, opinions, and lookup indexes are
-// immutable. Its Store field references the live cumulative store —
-// safe for concurrent readers (the store locks internally) but its
-// counters advance as later epochs merge; readers needing a frozen view
-// use the snapshot's Groups.
+// The published snapshot's Groups and opinions are immutable: an epoch
+// publishes by merging its re-fits into a copy of the previous group list
+// and never writes through the old one, so a held snapshot stays frozen
+// while clean groups share their Entities with its successors. Its Store
+// field references the live cumulative store — safe for concurrent readers
+// (the store locks internally) but its counters advance as later epochs
+// merge; readers needing a frozen view use the snapshot's Groups.
 package incremental
 
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,14 +89,11 @@ type Miner struct {
 
 	store *evidence.Store
 	acc   *evidence.GroupAccumulator
-	fits  map[evidence.GroupKey]pipeline.GroupResult
 
-	seq         int // documents consumed across epochs (committed + quarantined)
-	sentences   int64
-	statements  int64
-	quarantined []pipeline.Quarantined
-	epochs      int
+	epochs int
 
+	// published is the current snapshot and the only copy of the cumulative
+	// input statistics: an epoch adds its own to the ones it reads there.
 	published atomic.Pointer[pipeline.Result]
 }
 
@@ -114,7 +113,6 @@ func New(base *kb.KB, lex *lexicon.Lexicon, cfg pipeline.Config) *Miner {
 		rho:   rho,
 		store: evidence.NewStore(),
 		acc:   evidence.NewGroupAccumulator(base),
-		fits:  map[evidence.GroupKey]pipeline.GroupResult{},
 	}
 	m.published.Store(pipeline.AssembleResult(m.store, nil, pipeline.ResultStats{}))
 	return m
@@ -122,7 +120,7 @@ func New(base *kb.KB, lex *lexicon.Lexicon, cfg pipeline.Config) *Miner {
 
 // Snapshot returns the currently published mining result: the complete
 // batch-identical result over every document ingested so far. Before the
-// first epoch it is an empty (but fully indexed) result.
+// first epoch it is an empty result, on which every lookup misses.
 func (m *Miner) Snapshot() *pipeline.Result { return m.published.Load() }
 
 // Epochs returns the number of epochs ingested.
@@ -152,7 +150,8 @@ func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 	// Extract the epoch's evidence delta, with document indices offset so
 	// quarantine records match a batch run over the concatenation. Atomic
 	// epochs: a cancelled extraction commits nothing.
-	ext, err := pipeline.ExtractEvidence(ctx, docs, m.base, m.lex, m.cfg, m.seq)
+	prev := m.published.Load()
+	ext, err := pipeline.ExtractEvidence(ctx, docs, m.base, m.lex, m.cfg, prev.Documents+len(prev.Quarantined))
 	if err != nil {
 		o.EndRun()
 		return EpochStats{}, err
@@ -177,16 +176,10 @@ func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 	refit := pipeline.FitGroups(groups, m.cfg)
 	var refitTuples int64
 	for i := range refit {
-		m.fits[refit[i].Key] = refit[i]
 		refitTuples += int64(len(refit[i].Entities))
 	}
 
-	// Commit the epoch's input-side statistics and publish.
-	m.seq += ext.Consumed
-	m.sentences += ext.Sentences
-	m.statements += newStatements
-	m.quarantined = append(m.quarantined, ext.Quarantined...)
-	snap := m.publish()
+	snap := m.publish(prev, refit, ext, newStatements)
 	m.epochs++
 
 	stats := EpochStats{
@@ -200,6 +193,7 @@ func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 		ModelledGroups: len(snap.Groups),
 		Duration:       span.End(),
 	}
+	snap.RecordSince(prev, o)
 	io.Epochs.Inc()
 	io.DirtyGroups.Add(int64(stats.DirtyGroups))
 	io.DirtyPerEpoch.Observe(float64(stats.DirtyGroups))
@@ -213,32 +207,31 @@ func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 	return stats, nil
 }
 
-// publish splices the current fits into a fresh immutable snapshot and
-// swaps it in. Clean groups keep their previous GroupResult values (their
-// counters, and therefore their batch fits, did not change); dirty groups
-// carry the re-fit. Caller holds m.mu.
-func (m *Miner) publish() *pipeline.Result {
-	keys := make([]evidence.GroupKey, 0, len(m.fits))
-	for k := range m.fits {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].Type != keys[b].Type {
-			return keys[a].Type < keys[b].Type
+// publish merges the epoch's re-fits — sorted by key, as FitGroups returns
+// them for the sorted dirty set — into a copy of prev's group list, adds the
+// epoch's input statistics to prev's and swaps the new snapshot in: replace
+// on equal key, insert on a first crossing of ρ. Clean groups keep their
+// previous GroupResult (their counters, and therefore their batch fits, did
+// not change) and share its Entities with prev, which is never written.
+// Caller holds m.mu.
+func (m *Miner) publish(prev *pipeline.Result, refit []pipeline.GroupResult, ext *pipeline.Extraction, statements int64) *pipeline.Result {
+	groups := make([]pipeline.GroupResult, 0, len(prev.Groups)+len(refit))
+	for _, g := range prev.Groups {
+		for len(refit) > 0 && refit[0].Key.Compare(g.Key) < 0 {
+			groups, refit = append(groups, refit[0]), refit[1:]
 		}
-		return keys[a].Property < keys[b].Property
-	})
-	groups := make([]pipeline.GroupResult, len(keys))
-	for i, k := range keys {
-		groups[i] = m.fits[k]
+		if len(refit) > 0 && refit[0].Key == g.Key {
+			g, refit = refit[0], refit[1:]
+		}
+		groups = append(groups, g)
 	}
-	res := pipeline.AssembleResult(m.store, groups, pipeline.ResultStats{
-		TotalStatements:   m.statements,
+	res := pipeline.AssembleResult(m.store, append(groups, refit...), pipeline.ResultStats{
+		TotalStatements:   prev.TotalStatements + statements,
 		DistinctPairs:     m.store.Len(),
 		PairsBeforeFilter: m.acc.Pairs(),
-		Sentences:         m.sentences,
-		Documents:         m.seq - len(m.quarantined),
-		Quarantined:       append([]pipeline.Quarantined(nil), m.quarantined...),
+		Sentences:         prev.Sentences + ext.Sentences,
+		Documents:         prev.Documents + ext.Consumed - len(ext.Quarantined),
+		Quarantined:       slices.Concat(prev.Quarantined, ext.Quarantined),
 	})
 	m.published.Store(res)
 	return res
@@ -251,8 +244,5 @@ func (m *Miner) extractWorkers(docs int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > docs {
-		w = docs
-	}
-	return w
+	return min(w, docs)
 }

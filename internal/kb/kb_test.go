@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -414,6 +415,43 @@ func TestRegisterLexiconAssignsIDsInCallOrder(t *testing.T) {
 	for _, typ := range k.Types() {
 		if w := strings.ToLower(Pluralize(typ)); a.Word(w) != b.Word(w) || !a.Word(w).Known() {
 			t.Fatalf("%q: record %+v vs %+v", w, a.Word(w), b.Word(w))
+		}
+	}
+}
+
+// TestOfTypeAscending pins "KB order is ascending entity id" for every
+// type, after Add (types interleaved) and after Save → Load: the pipeline
+// emits each group's entities in OfType order and binary-searches them by
+// id (pipeline.Result.Opinion).
+func TestOfTypeAscending(t *testing.T) {
+	k := Default(3)
+	for i, typ := range []string{"zebra", "city", "alpha", "city", "zebra", "animal"} {
+		k.Add(Entity{Name: fmt.Sprintf("interleaved%d", i), Type: typ})
+	}
+	var buf bytes.Buffer
+	if err := k.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, base := range []*KB{k, loaded} {
+		name, total := []string{"built", "loaded"}[i], 0
+		for _, typ := range base.Types() {
+			ids := base.OfType(typ)
+			total += len(ids)
+			for i, id := range ids {
+				if i > 0 && ids[i-1] >= id {
+					t.Fatalf("%s KB: OfType(%q)[%d] = %d after %d", name, typ, i, id, ids[i-1])
+				}
+				if base.Get(id).Type != typ || base.Get(id).ID != id {
+					t.Fatalf("%s KB: OfType(%q) lists entity %d = %+v", name, typ, id, base.Get(id))
+				}
+			}
+		}
+		if total != base.Len() {
+			t.Fatalf("%s KB: types cover %d of %d entities", name, total, base.Len())
 		}
 	}
 }

@@ -28,8 +28,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -99,9 +101,11 @@ type EntityOpinion struct {
 // GroupResult is the fitted model and per-entity classification of one
 // (type, property) combination.
 type GroupResult struct {
-	Key      evidence.GroupKey
-	Model    core.Model
-	Trace    core.Trace
+	Key   evidence.GroupKey
+	Model core.Model
+	Trace core.Trace
+	// Entities holds every KB entity of the type in KB order, which is
+	// ascending entity id — Result.Opinion binary-searches it.
 	Entities []EntityOpinion
 }
 
@@ -112,7 +116,8 @@ type Timings struct {
 	Extraction time.Duration
 	Grouping   time.Duration
 	EM         time.Duration
-	// Index is the time to build the opinion/group lookup indexes.
+	// Index is always 0 (lookups search the sorted Groups; there is no
+	// index to build); kept because the benchmark reads it.
 	Index time.Duration
 	// Total is the whole run, end to end.
 	Total time.Duration
@@ -121,7 +126,8 @@ type Timings struct {
 // Result is the output of a pipeline run.
 type Result struct {
 	Store *evidence.Store
-	// Groups holds one entry per modelled (type, property) pair.
+	// Groups holds one entry per modelled (type, property) pair, sorted by
+	// key (evidence.GroupKey.Compare): what Group and Opinion search.
 	Groups []GroupResult
 	// TotalStatements counts extracted evidence statements.
 	TotalStatements int64
@@ -142,30 +148,39 @@ type Result struct {
 	// (RunStream only; always zero for in-memory runs).
 	SkippedLines int64
 	Timings      Timings
-
-	index      map[opinionKey]*EntityOpinion
-	groupIndex map[evidence.GroupKey]*GroupResult
 }
 
-type opinionKey struct {
-	entity   kb.EntityID
-	property string
-}
-
-// Opinion looks up the classification of an entity-property pair. The
-// boolean is false when the pair's group was never modelled.
-func (r *Result) Opinion(e kb.EntityID, property string) (EntityOpinion, bool) {
-	op, ok := r.index[opinionKey{e, property}]
-	if !ok {
-		return EntityOpinion{}, false
-	}
-	return *op, true
-}
-
-// Group returns the result for a (type, property) pair, if modelled.
+// Group returns the result for a (type, property) pair, if modelled: a
+// binary search over Groups, which every producer keeps sorted by key.
 func (r *Result) Group(typ, property string) (*GroupResult, bool) {
-	g, ok := r.groupIndex[evidence.GroupKey{Type: typ, Property: property}]
-	return g, ok
+	i, ok := slices.BinarySearchFunc(r.Groups, evidence.GroupKey{Type: typ, Property: property},
+		func(g GroupResult, k evidence.GroupKey) int { return g.Key.Compare(k) })
+	if !ok {
+		return nil, false
+	}
+	return &r.Groups[i], true
+}
+
+// Opinion looks up the classification of entity e, whose KB type is typ,
+// under a property: the group, then a binary search over its Entities. The
+// boolean is false when the group was never modelled or e is not of typ.
+func (r *Result) Opinion(typ string, e kb.EntityID, property string) (EntityOpinion, bool) {
+	if g, ok := r.Group(typ, property); ok {
+		byID := func(eo EntityOpinion, id kb.EntityID) int { return cmp.Compare(eo.Entity, id) }
+		if i, ok := slices.BinarySearchFunc(g.Entities, e, byID); ok {
+			return g.Entities[i], true
+		}
+	}
+	return EntityOpinion{}, false
+}
+
+// Opinions counts the classified (entity, property) pairs over all groups.
+func (r *Result) Opinions() int {
+	n := 0
+	for i := range r.Groups {
+		n += len(r.Groups[i].Entities)
+	}
+	return n
 }
 
 // processor is one extraction worker's pure document → (statements,

@@ -78,14 +78,14 @@ func TestRunOpinionLookup(t *testing.T) {
 	base, lex, snap := world(t, 1)
 	res := Run(snap.Documents, base, lex, Config{Rho: 20})
 	kitten := base.Candidates("kitten")[0]
-	op, ok := res.Opinion(kitten, "cute")
+	op, ok := res.Opinion(base.Get(kitten).Type, kitten, "cute")
 	if !ok {
 		t.Fatal("kitten/cute not classified")
 	}
 	if op.Opinion != core.OpinionPositive {
 		t.Fatalf("kitten cute = %v (p=%v)", op.Opinion, op.Probability)
 	}
-	if _, ok := res.Opinion(kitten, "gigantic"); ok {
+	if _, ok := res.Opinion(base.Get(kitten).Type, kitten, "gigantic"); ok {
 		t.Fatal("unmodelled property should not resolve")
 	}
 }

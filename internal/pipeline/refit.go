@@ -9,7 +9,7 @@ package pipeline
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,6 +18,7 @@ import (
 	"repro/internal/evidence"
 	"repro/internal/kb"
 	"repro/internal/nlp/lexicon"
+	"repro/internal/obs"
 )
 
 // Extraction is the output of the parallel extraction phase alone: the
@@ -199,21 +200,22 @@ type ReduceStats struct {
 	SkippedLines int64
 }
 
-// ReduceStore runs the reduce half of the pipeline — grouping, EM, and
-// the lookup index, exactly the reduce of a batch run — over externally
-// aggregated evidence: counters merged from workers, folded, or built by a
-// caller with its own extraction. It is the coordinator's entry point in
-// the distributed miner (internal/dist): workers ship evidence deltas, the
-// coordinator merges them through Store.Merge in deterministic shard order
-// and hands the result here, so the reduce output is bit-identical to a
-// single-process run whose extraction committed the same store. The
-// caller owns run-lifecycle telemetry (obs StartRun/EndRun) and the
-// extraction/total timings.
+// ReduceStore runs the reduce half of the pipeline — grouping and EM,
+// exactly the reduce of a batch run — over externally aggregated evidence:
+// counters merged from workers, folded, or built by a caller with its own
+// extraction. It is the coordinator's entry point in the distributed miner
+// (internal/dist): workers ship evidence deltas, the coordinator merges
+// them through Store.Merge in deterministic shard order and hands the
+// result here, so the reduce output is bit-identical to a single-process
+// run whose extraction committed the same store. The caller owns
+// run-lifecycle telemetry (obs StartRun/EndRun) and the extraction/total
+// timings.
 func ReduceStore(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *Result {
 	return reduce(store, base, cfg.withDefaults(), stats)
 }
 
-// reduce is the one reduce behind every entry point: group, fit, index.
+// reduce is the one reduce behind every entry point: group, then fit. The
+// fitted list, sorted by key, is the lookup structure; nothing is indexed.
 func reduce(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *Result {
 	res := &Result{
 		Store:           store,
@@ -225,11 +227,6 @@ func reduce(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *
 		SkippedLines:    stats.SkippedLines,
 	}
 	o := cfg.Obs
-	pm := o.PipelineMetrics()
-	pm.Documents.Add(int64(res.Documents))
-	pm.Sentences.Add(res.Sentences)
-	pm.Statements.Add(res.TotalStatements)
-	pm.SkippedLines.Add(res.SkippedLines)
 
 	// Grouping: one parallel per-shard pass computes both the before-ρ pair
 	// count and the grouped aggregates.
@@ -237,9 +234,6 @@ func reduce(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *
 	groups, before := evidence.ParallelGroupObserved(store, base, cfg.Rho, cfg.Workers, o.Grouping())
 	res.PairsBeforeFilter = before
 	res.Timings.Grouping = span.End()
-	pm.DistinctPairs.Set(float64(res.DistinctPairs))
-	pm.PairsBefore.Set(float64(before))
-	pm.Groups.Set(float64(len(groups)))
 
 	// EM: the shared worker pool of fitGroups — also the re-fit entry point
 	// the incremental miner drives with dirty groups only.
@@ -247,12 +241,24 @@ func reduce(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *
 	res.Groups = fitGroups(groups, cfg)
 	res.Timings.EM = span.End()
 
-	// Index: the O(1) lookup structures over groups and opinions.
-	span = o.Phase("index")
-	opinions := res.buildIndex()
-	res.Timings.Index = span.End()
-	pm.Opinions.Add(int64(opinions))
+	res.RecordSince(&Result{}, o)
 	return res
+}
+
+// RecordSince moves o's run-level series from prev's values to r's, counters
+// by the difference and gauges outright. A batch reduce records against the
+// zero Result, the incremental miner against the snapshot it replaces, so
+// /metrics, /healthz and -report agree once both have seen the same documents.
+func (r *Result) RecordSince(prev *Result, o *obs.RunObs) {
+	pm := o.PipelineMetrics()
+	pm.Documents.Add(int64(r.Documents - prev.Documents))
+	pm.Sentences.Add(r.Sentences - prev.Sentences)
+	pm.Statements.Add(r.TotalStatements - prev.TotalStatements)
+	pm.SkippedLines.Add(r.SkippedLines - prev.SkippedLines)
+	pm.Opinions.Add(int64(r.Opinions() - prev.Opinions()))
+	pm.DistinctPairs.Set(float64(r.DistinctPairs))
+	pm.PairsBefore.Set(float64(r.PairsBeforeFilter))
+	pm.Groups.Set(float64(len(r.Groups)))
 }
 
 // ResultStats carries the corpus-level statistics of an assembled Result
@@ -267,22 +273,18 @@ type ResultStats struct {
 	SkippedLines      int64
 }
 
-// AssembleResult builds an indexed, query-ready Result from already
-// fitted groups. groups must be sorted by (type, property) — the order
-// every batch entry point produces — so an assembled snapshot is
-// field-for-field comparable with a batch Result. The groups slice and
-// everything it references are retained; callers treat them as immutable
-// after assembly.
+// AssembleResult wraps already fitted groups as a query-ready Result.
+// groups must be sorted by (type, property) — the order every batch entry
+// point produces and Result.Group searches — and each group's Entities must
+// be in KB order, ascending entity id, which Result.Opinion searches; an
+// assembled snapshot is then field-for-field comparable with a batch Result.
+// Nothing is copied or indexed: the groups slice and everything it references
+// are retained, and callers treat them as immutable after assembly.
 func AssembleResult(store *evidence.Store, groups []GroupResult, stats ResultStats) *Result {
-	if !sort.SliceIsSorted(groups, func(a, b int) bool {
-		if groups[a].Key.Type != groups[b].Key.Type {
-			return groups[a].Key.Type < groups[b].Key.Type
-		}
-		return groups[a].Key.Property < groups[b].Key.Property
-	}) {
+	if !slices.IsSortedFunc(groups, func(a, b GroupResult) int { return a.Key.Compare(b.Key) }) {
 		panic("pipeline: AssembleResult requires groups sorted by (type, property)")
 	}
-	res := &Result{
+	return &Result{
 		Store:             store,
 		Groups:            groups,
 		TotalStatements:   stats.TotalStatements,
@@ -293,25 +295,4 @@ func AssembleResult(store *evidence.Store, groups []GroupResult, stats ResultSta
 		Quarantined:       stats.Quarantined,
 		SkippedLines:      stats.SkippedLines,
 	}
-	res.buildIndex()
-	return res
-}
-
-// buildIndex (re)builds the O(1) lookup structures over groups and
-// opinions, and returns how many opinions it indexed.
-func (r *Result) buildIndex() int {
-	totalEntities := 0
-	for gi := range r.Groups {
-		totalEntities += len(r.Groups[gi].Entities)
-	}
-	r.index = make(map[opinionKey]*EntityOpinion, totalEntities)
-	r.groupIndex = make(map[evidence.GroupKey]*GroupResult, len(r.Groups))
-	for gi := range r.Groups {
-		g := &r.Groups[gi]
-		r.groupIndex[g.Key] = g
-		for i := range g.Entities {
-			r.index[opinionKey{g.Entities[i].Entity, g.Key.Property}] = &g.Entities[i]
-		}
-	}
-	return totalEntities
 }

@@ -9,10 +9,12 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/evidence"
 	"repro/internal/kb"
 	"repro/internal/nlp/lexicon"
 	"repro/internal/pipeline"
@@ -158,14 +160,15 @@ func (e *Engine) Execute(q Query) ([]Answer, error) {
 }
 
 // Properties lists the modelled properties for a type — what the engine
-// can answer about it.
+// can answer about it: the one contiguous, already sorted run of the
+// result's groups that starts at the type's first key.
 func (e *Engine) Properties(typ string) []string {
+	groups := e.res.Groups
+	i, _ := slices.BinarySearchFunc(groups, evidence.GroupKey{Type: typ},
+		func(g pipeline.GroupResult, k evidence.GroupKey) int { return g.Key.Compare(k) })
 	var out []string
-	for i := range e.res.Groups {
-		if e.res.Groups[i].Key.Type == typ {
-			out = append(out, e.res.Groups[i].Key.Property)
-		}
+	for ; i < len(groups) && groups[i].Key.Type == typ; i++ {
+		out = append(out, groups[i].Key.Property)
 	}
-	sort.Strings(out)
 	return out
 }

@@ -295,12 +295,13 @@ func (r *Result) OpinionByID(id int, property string) (EntityOpinion, bool) {
 	if id < 0 || id >= r.sys.kb.Len() {
 		return EntityOpinion{}, false
 	}
-	op, ok := r.res.Opinion(kb.EntityID(id), property)
+	ent := r.sys.kb.Get(kb.EntityID(id))
+	op, ok := r.res.Opinion(ent.Type, ent.ID, property)
 	if !ok {
 		return EntityOpinion{}, false
 	}
 	return EntityOpinion{
-		Entity:      r.sys.kb.Get(kb.EntityID(id)).Name,
+		Entity:      ent.Name,
 		EntityID:    id,
 		Property:    property,
 		Pos:         op.Pos,
@@ -364,16 +365,12 @@ type Stats struct {
 	ExtractionMillis  int64
 	GroupingMillis    int64
 	EMMillis          int64
-	IndexMillis       int64 // lookup-index construction
+	IndexMillis       int64 // always 0; kept because the benchmark reads it
 	TotalMillis       int64 // whole run, end to end
 }
 
 // Stats returns the run statistics.
 func (r *Result) Stats() Stats {
-	var opinions int64
-	for i := range r.res.Groups {
-		opinions += int64(len(r.res.Groups[i].Entities))
-	}
 	return Stats{
 		Documents:         r.res.Documents,
 		Sentences:         r.res.Sentences,
@@ -381,7 +378,7 @@ func (r *Result) Stats() Stats {
 		DistinctPairs:     r.res.DistinctPairs,
 		PairsBeforeFilter: r.res.PairsBeforeFilter,
 		ModelledGroups:    len(r.res.Groups),
-		OpinionsProduced:  opinions,
+		OpinionsProduced:  int64(r.res.Opinions()),
 		QuarantinedDocs:   len(r.res.Quarantined),
 		SkippedLines:      r.res.SkippedLines,
 		ExtractionMillis:  r.res.Timings.Extraction.Milliseconds(),
