@@ -539,9 +539,10 @@ func BenchmarkAblationChecksOnOff(b *testing.B) {
 	}
 	var prep []prepared
 	for _, d := range snap.Documents {
-		for _, s := range token.SplitSentences(d.Text) {
-			tagged := pt.Tag(s)
-			prep = append(prep, prepared{tagged, dp.Parse(tagged), et.Tag(tagged)})
+		sents, _ := token.SplitSentencesInto(nil, nil, d.Text)
+		for _, s := range sents {
+			tagged := pt.TagInto(nil, s)
+			prep = append(prep, prepared{tagged, dp.ParseInto(new(depparse.Scratch), tagged), et.TagInto(nil, new(tagger.Scratch), tagged)})
 		}
 	}
 	for name, cfg := range map[string]extract.Config{
@@ -553,7 +554,7 @@ func BenchmarkAblationChecksOnOff(b *testing.B) {
 			n := 0
 			for i := 0; i < b.N; i++ {
 				p := prep[i%len(prep)]
-				n += len(ex.Extract(p.tree, p.mentions))
+				n += len(ex.ExtractInto(nil, p.tree, p.mentions))
 			}
 			b.ReportMetric(float64(n)/float64(b.N), "stmts/sentence")
 		})
@@ -594,12 +595,13 @@ func BenchmarkParse(b *testing.B) {
 	lex := lexicon.Default()
 	pt := pos.New(lex)
 	dp := depparse.New(lex)
-	sent := token.SplitSentences("I don't think that snakes are never dangerous animals.")[0]
-	tagged := pt.Tag(sent)
+	sents, _ := token.SplitSentencesInto(nil, nil, "I don't think that snakes are never dangerous animals.")
+	tagged := pt.TagInto(nil, sents[0])
+	var sc depparse.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dp.Parse(tagged)
+		dp.ParseInto(&sc, tagged)
 	}
 }
 
@@ -793,27 +795,6 @@ func BenchmarkDistObsOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAnnotationLayer measures the annotate-once architecture: the
-// cost of annotation vs the cost of one extraction pass over annotations.
-func BenchmarkAnnotationLayer(b *testing.B) {
-	base := kb.Default(1)
-	lex := lexicon.Default()
-	base.RegisterLexicon(lex)
-	snap := corpus.NewGenerator(base, corpus.Table2Specs(),
-		corpus.Config{Seed: 4, Scale: 0.2}).Generate()
-	b.Run("annotate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pipeline.Annotate(snap.Documents, base, lex, 0)
-		}
-	})
-	annotated := pipeline.Annotate(snap.Documents, base, lex, 0)
-	b.Run("extract-from-annotations", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pipeline.RunAnnotated(annotated, base, lex, pipeline.Config{Rho: 10})
-		}
-	})
 }
 
 // BenchmarkAblationAntonymFolding regenerates the Section-4 antonym

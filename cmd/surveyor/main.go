@@ -119,6 +119,16 @@ func run() int {
 	reportPath := flag.String("report", "", "write a JSON run report to this file")
 	flag.Parse()
 
+	// Every mode below reads -version, the worker modes included.
+	if *version < 1 || *version > 4 {
+		fmt.Fprintf(os.Stderr, "-version must be 1, 2, 3 or 4 (got %d)\n", *version)
+		return 1
+	}
+	if *top < 0 {
+		fmt.Fprintf(os.Stderr, "-top must not be negative (got %d)\n", *top)
+		return 1
+	}
+
 	prof := obs.Profiling{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath}
 	if prof.Enabled() {
 		stop, err := prof.Start()

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -107,6 +109,46 @@ func TestSkippedLinesBatchMatchesStream(t *testing.T) {
 	}
 	if !strings.HasPrefix(batchHealth, "degraded") || batchHealth != streamHealth {
 		t.Errorf("/healthz: batch %q, stream %q, want the same degraded line", batchHealth, streamHealth)
+	}
+}
+
+// TestRejectsOutOfRangeFlags: a negative -top used to panic slicing the
+// entity list, and a -version outside 1-4 silently mined with V4 while the
+// report recorded the number given. Both are usage errors, in the worker
+// modes too, which read -version like the coordinator.
+func TestRejectsOutOfRangeFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the surveyor binary")
+	}
+	bin := buildSurveyor(t, t.TempDir())
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-top", []string{"-rho", "5", "-top", "-1"}},
+		{"-version", []string{"-rho", "5", "-version", "7"}},
+		{"-version", []string{"-rho", "5", "-version", "0"}},
+		{"-version", []string{"-rho", "5", "-version", "-3"}},
+		{"-version", []string{"-dist-worker", "-version", "7"}},
+		{"-version", []string{"-dist-listen", "127.0.0.1:0", "-version", "7"}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		var out, errb bytes.Buffer
+		cmd := exec.CommandContext(ctx, bin, c.args...)
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("surveyor %v: %v, want exit status 1\n%s", c.args, err, errb.String())
+			continue
+		}
+		if out.Len() != 0 {
+			t.Errorf("surveyor %v printed results:\n%s", c.args, out.String())
+		}
+		if msg := errb.String(); !strings.HasPrefix(msg, c.flag+" must ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("surveyor %v: stderr %q, want one line starting %q", c.args, msg, c.flag+" must ")
+		}
 	}
 }
 

@@ -1,8 +1,7 @@
 // Command surveyorlint runs the repository's custom determinism,
 // concurrency, and safety-contract analyzers (detmap, detrand, obsflow,
-// scratch, lockflow, allocbound, ctxflow, errflow) over package patterns,
-// mirroring a golang.org/x/tools multichecker on the standard library
-// only.
+// lockflow, allocbound, ctxflow, errflow) over package patterns, mirroring
+// a golang.org/x/tools multichecker on the standard library only.
 //
 // Standalone use:
 //
@@ -38,14 +37,12 @@ import (
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/lockflow"
 	"repro/internal/analysis/obsflow"
-	"repro/internal/analysis/scratch"
 )
 
 var analyzers = []*framework.Analyzer{
 	detmap.Analyzer,
 	detrand.Analyzer,
 	obsflow.Analyzer,
-	scratch.Analyzer,
 	lockflow.Analyzer,
 	allocbound.Analyzer,
 	ctxflow.Analyzer,

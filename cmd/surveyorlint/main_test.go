@@ -71,7 +71,7 @@ func TestStandaloneListsAnalyzers(t *testing.T) {
 		t.Fatalf("surveyorlint -list: %v\n%s", err, out)
 	}
 	for _, name := range []string{
-		"detmap", "detrand", "obsflow", "scratch", "lockflow",
+		"detmap", "detrand", "obsflow", "lockflow",
 		"allocbound", "ctxflow", "errflow",
 	} {
 		if !bytes.Contains(out, []byte(name)) {

@@ -15,16 +15,15 @@ var determinism = []string{
 	"internal/core",
 	"internal/evidence",
 	"internal/testkit",
-	"internal/annotate",
 	"internal/wire",
 	"internal/wire/framing",
 	"internal/dist",
 }
 
-// hotPath lists the packages on the ~90k docs/sec extraction path, where
-// the allocating NLP wrappers must not reappear (PR 2's scratch-reuse
-// APIs).
-var hotPath = []string{
+// extractionLoop is the one package outside the determinism set that is
+// bound by the write-only telemetry contract: its workers record
+// observability state on every document and must never read it back.
+var extractionLoop = []string{
 	"internal/pipeline",
 }
 
@@ -120,15 +119,12 @@ func Library(pkgPath string) bool {
 	return false
 }
 
-// HotPath reports whether the package is on the extraction hot path.
-func HotPath(pkgPath string) bool { return matches(pkgPath, hotPath) }
-
 // Observability reports whether the package is bound by the write-only
-// telemetry contract: everything determinism-critical or on the hot path
-// records observability state but must never read it back (the obsflow
-// analyzer enforces this).
+// telemetry contract: everything determinism-critical, and the extraction
+// loop, records observability state but must never read it back (the
+// obsflow analyzer enforces this).
 func Observability(pkgPath string) bool {
-	return Determinism(pkgPath) || HotPath(pkgPath)
+	return Determinism(pkgPath) || matches(pkgPath, extractionLoop)
 }
 
 func matches(pkgPath string, suffixes []string) bool {

@@ -1,5 +1,5 @@
 // Package detmap defines an analyzer that flags `for range` over a map in
-// the determinism-critical packages (core, evidence, testkit, annotate).
+// the determinism-critical packages (core, evidence, testkit, wire, dist).
 //
 // Map iteration order is randomized by the runtime, so any value that
 // depends on it breaks the bit-identical determinism contract the

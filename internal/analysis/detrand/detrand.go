@@ -1,7 +1,7 @@
 // Package detrand defines an analyzer that forbids ambient sources of
 // nondeterminism — the math/rand global functions, time.Now, and
 // crypto/rand — in the determinism-critical packages (core, evidence,
-// testkit, annotate).
+// testkit, wire, dist).
 //
 // The determinism contract requires every random draw and every timestamp
 // to flow from an explicitly seeded generator threaded as a parameter, the

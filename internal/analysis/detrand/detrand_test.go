@@ -9,5 +9,5 @@ import (
 
 func TestDetrand(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), detrand.Analyzer,
-		"internal/annotate", "internal/obs", "pkg/other")
+		"internal/evidence", "internal/obs", "pkg/other")
 }

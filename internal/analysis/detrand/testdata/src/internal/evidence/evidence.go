@@ -1,6 +1,6 @@
 // Fixture for the detrand analyzer. The package path ends in
-// "internal/annotate", so it counts as determinism-critical.
-package annotate
+// "internal/evidence", so it counts as determinism-critical.
+package evidence
 
 import (
 	crand "crypto/rand"

@@ -1,6 +1,6 @@
 // Package obsflow defines an analyzer that enforces the write-only
 // telemetry contract of internal/obs in the observability-critical
-// packages (the determinism-critical set plus the hot path).
+// packages (the determinism-critical set plus the extraction loop).
 //
 // Instrumented code may record telemetry — counters, spans, progress, EM
 // trajectories — but must never read it back, because a computation that

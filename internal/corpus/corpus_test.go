@@ -90,7 +90,7 @@ func TestDocumentsRespectSentenceBounds(t *testing.T) {
 	cfg := Config{Seed: 3, MinSentencesPerDoc: 1, MaxSentencesPerDoc: 4}
 	snap := NewGenerator(base, smallSpecs(), cfg).Generate()
 	for _, d := range snap.Documents {
-		n := len(token.SplitSentences(d.Text))
+		n := len(splitSentences(d.Text))
 		if n < 1 || n > 4 {
 			t.Fatalf("document with %d sentences: %q", n, d.Text)
 		}
@@ -192,13 +192,19 @@ func newFrontend(base *kb.KB, v extract.Version) *frontend {
 	}
 }
 
+// splitSentences splits text on fresh buffers.
+func splitSentences(text string) []token.Sentence {
+	s, _ := token.SplitSentencesInto(nil, nil, text)
+	return s
+}
+
 func (f *frontend) extractAll(text string) []extract.Statement {
 	var out []extract.Statement
-	for _, sent := range token.SplitSentences(text) {
-		tagged := f.pt.Tag(sent)
-		tree := f.dp.Parse(tagged)
-		mentions := f.et.Tag(tagged)
-		out = append(out, f.ex.Extract(tree, mentions)...)
+	for _, sent := range splitSentences(text) {
+		tagged := f.pt.TagInto(nil, sent)
+		tree := f.dp.ParseInto(new(depparse.Scratch), tagged)
+		mentions := f.et.TagInto(nil, new(tagger.Scratch), tagged)
+		out = append(out, f.ex.ExtractInto(nil, tree, mentions)...)
 	}
 	return out
 }

@@ -316,12 +316,15 @@ func Table1() []Table1Row {
 		"Soccer is a fast and exciting sport.",
 	}
 	var rows []Table1Row
+	var psc depparse.Scratch
+	var tsc tagger.Scratch
 	for _, text := range inputs {
-		for _, sent := range token.SplitSentences(text) {
-			tagged := pt.Tag(sent)
-			tree := dp.Parse(tagged)
-			mentions := et.Tag(tagged)
-			for _, st := range ex.Extract(tree, mentions) {
+		sents, _ := token.SplitSentencesInto(nil, nil, text)
+		for _, sent := range sents {
+			tagged := pt.TagInto(nil, sent)
+			tree := dp.ParseInto(&psc, tagged)
+			mentions := et.TagInto(nil, &tsc, tagged)
+			for _, st := range ex.ExtractInto(nil, tree, mentions) {
 				rows = append(rows, Table1Row{
 					Statement: text,
 					Pattern:   st.Pattern.String(),

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"repro/internal/annotate"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -32,8 +31,6 @@ type World struct {
 	Result   *pipeline.Result
 	Cases    []crowd.TestCase
 	Workers  int
-
-	annotated []annotate.Document // lazy cache for version sweeps
 }
 
 // WorldConfig controls world construction.
@@ -131,15 +128,10 @@ func surveyorOpinion(res *pipeline.Result, base *kb.KB, e kb.EntityID, property 
 	return op.Opinion
 }
 
-// RunVersion re-runs extraction and modelling under a different pattern
-// version (for the Table-4 ablation). The snapshot is annotated once and
-// cached; version sweeps only re-run extraction, as the paper's two-phase
-// architecture (annotate, then extract) allows.
+// RunVersion re-runs the pipeline over the snapshot under a different
+// pattern version (for the Table-4 ablation).
 func (w *World) RunVersion(v extract.Version, rho int64) *pipeline.Result {
-	if w.annotated == nil {
-		w.annotated = pipeline.Annotate(w.Snapshot.Documents, w.KB, w.Lex, 0)
-	}
-	return pipeline.RunAnnotated(w.annotated, w.KB, w.Lex, pipeline.Config{
+	return pipeline.Run(w.Snapshot.Documents, w.KB, w.Lex, pipeline.Config{
 		Rho: rho, Version: v,
 	})
 }

@@ -121,16 +121,10 @@ var degreeAdverbs = map[string]bool{
 	"genuinely": true,
 }
 
-// Extract returns all evidence statements found in one parsed sentence.
-// mentions must be the entity mentions of the same sentence.
-func (x *Extractor) Extract(tree *depparse.Tree, mentions []tagger.Mention) []Statement {
-	return x.ExtractInto(nil, tree, mentions)
-}
-
 // ExtractInto appends all evidence statements found in one parsed sentence
-// to dst and returns the extended slice — the scratch-reuse variant of
-// Extract. Deduplication is per sentence: only statements appended by this
-// call are considered.
+// to dst and returns the extended slice. mentions must be the entity
+// mentions of the same sentence. Deduplication is per sentence: only
+// statements appended by this call are considered.
 func (x *Extractor) ExtractInto(dst []Statement, tree *depparse.Tree, mentions []tagger.Mention) []Statement {
 	if tree.Root() < 0 || len(mentions) == 0 {
 		return dst

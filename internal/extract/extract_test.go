@@ -53,16 +53,22 @@ func (r *rig) entity(t *testing.T, name string) kb.EntityID {
 	return cands[0]
 }
 
+// splitSentences splits text on fresh buffers.
+func splitSentences(text string) []token.Sentence {
+	s, _ := token.SplitSentencesInto(nil, nil, text)
+	return s
+}
+
 func (r *rig) extract(t *testing.T, text string, v Version) []Statement {
 	t.Helper()
-	sents := token.SplitSentences(text)
+	sents := splitSentences(text)
 	if len(sents) != 1 {
 		t.Fatalf("want one sentence for %q", text)
 	}
-	tagged := r.pt.Tag(sents[0])
-	tree := r.dp.Parse(tagged)
-	mentions := r.et.Tag(tagged)
-	return NewVersion(r.lex, v).Extract(tree, mentions)
+	tagged := r.pt.TagInto(nil, sents[0])
+	tree := r.dp.ParseInto(new(depparse.Scratch), tagged)
+	mentions := r.et.TagInto(nil, new(tagger.Scratch), tagged)
+	return NewVersion(r.lex, v).ExtractInto(nil, tree, mentions)
 }
 
 func one(t *testing.T, stmts []Statement) Statement {
@@ -317,7 +323,7 @@ func TestPatternString(t *testing.T) {
 func TestEmptyInputs(t *testing.T) {
 	r := newRig()
 	x := NewVersion(r.lex, V4)
-	if got := x.Extract(&depparse.Tree{}, nil); got != nil {
+	if got := x.ExtractInto(nil, &depparse.Tree{}, nil); got != nil {
 		t.Fatalf("Extract on empty tree = %v", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/nlp/depparse"
 	"repro/internal/nlp/lexicon"
 	"repro/internal/nlp/pos"
-	"repro/internal/nlp/token"
 	"repro/internal/tagger"
 )
 
@@ -49,10 +48,10 @@ func FuzzExtract(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, text string) {
-		for _, sent := range token.SplitSentences(text) {
-			tagged := tg.Tag(sent)
-			mentions := mt.Tag(tagged)
-			tree := parser.Parse(tagged)
+		for _, sent := range splitSentences(text) {
+			tagged := tg.TagInto(nil, sent)
+			mentions := mt.TagInto(nil, new(tagger.Scratch), tagged)
+			tree := parser.ParseInto(new(depparse.Scratch), tagged)
 			adjs := map[string]bool{}
 			for _, n := range tree.Nodes {
 				if n.Tag == lexicon.Adj {
@@ -61,7 +60,7 @@ func FuzzExtract(f *testing.F) {
 			}
 			for _, x := range extractors {
 				seen := map[Statement]bool{}
-				for _, st := range x.Extract(tree, mentions) {
+				for _, st := range x.ExtractInto(nil, tree, mentions) {
 					if !known[st.Entity] {
 						t.Fatalf("statement about unknown entity %d (%q)", st.Entity, sent.Text())
 					}

@@ -4,12 +4,13 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/nlp/token"
+	"repro/internal/nlp/depparse"
+	"repro/internal/tagger"
 )
 
 // TestExtractIntoMatchesExtract reuses one statement buffer across a batch
-// of sentences and versions, checking the appended statements against the
-// allocating Extract each time.
+// of sentences and versions, checking the appended statements against a
+// fresh buffer each time.
 func TestExtractIntoMatchesExtract(t *testing.T) {
 	r := newRig()
 	texts := []string{
@@ -23,11 +24,11 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 		x := NewVersion(r.lex, v)
 		var buf []Statement
 		for _, text := range texts {
-			for _, sent := range token.SplitSentences(text) {
-				tagged := r.pt.Tag(sent)
-				mentions := r.et.Tag(tagged)
-				tree := r.dp.Parse(tagged)
-				want := x.Extract(tree, mentions)
+			for _, sent := range splitSentences(text) {
+				tagged := r.pt.TagInto(nil, sent)
+				mentions := r.et.TagInto(nil, new(tagger.Scratch), tagged)
+				tree := r.dp.ParseInto(new(depparse.Scratch), tagged)
+				want := x.ExtractInto(nil, tree, mentions)
 				buf = x.ExtractInto(buf[:0], tree, mentions)
 				if len(want) == 0 && len(buf) == 0 {
 					continue
@@ -46,10 +47,10 @@ func TestExtractIntoMatchesExtract(t *testing.T) {
 func TestExtractIntoDedupScope(t *testing.T) {
 	r := newRig()
 	x := NewVersion(r.lex, V4)
-	sent := token.SplitSentences("Snakes are dangerous.")[0]
-	tagged := r.pt.Tag(sent)
-	mentions := r.et.Tag(tagged)
-	tree := r.dp.Parse(tagged)
+	sent := splitSentences("Snakes are dangerous.")[0]
+	tagged := r.pt.TagInto(nil, sent)
+	mentions := r.et.TagInto(nil, new(tagger.Scratch), tagged)
+	tree := r.dp.ParseInto(new(depparse.Scratch), tagged)
 
 	first := x.ExtractInto(nil, tree, mentions)
 	if len(first) != 1 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/nlp/lexicon"
 	"repro/internal/nlp/pos"
-	"repro/internal/nlp/token"
 )
 
 // FuzzParse checks tree well-formedness on arbitrary text: one node per
@@ -23,9 +22,9 @@ func FuzzParse(f *testing.F) {
 	tg := pos.New(lex)
 	parser := New(lex)
 	f.Fuzz(func(t *testing.T, text string) {
-		for _, sent := range token.SplitSentences(text) {
-			tagged := tg.Tag(sent)
-			tree := parser.Parse(tagged)
+		for _, sent := range splitSentences(text) {
+			tagged := tg.TagInto(nil, sent)
+			tree := parser.ParseInto(new(Scratch), tagged)
 			if len(tree.Nodes) != len(tagged) {
 				t.Fatalf("tree has %d nodes for %d tokens", len(tree.Nodes), len(tagged))
 			}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/nlp/lexicon"
 	"repro/internal/nlp/pos"
-	"repro/internal/nlp/token"
 )
 
 var intoTexts = []string{
@@ -19,7 +18,8 @@ var intoTexts = []string{
 
 // TestParseIntoMatchesParse drives one Scratch through all sample
 // sentences twice (so every buffer gets reused at both growing and
-// shrinking sizes) and checks each tree against the allocating Parse.
+// shrinking sizes) and checks each tree against one parsed into a fresh
+// Scratch.
 func TestParseIntoMatchesParse(t *testing.T) {
 	lex := lexicon.Default()
 	tg := pos.New(lex)
@@ -27,9 +27,9 @@ func TestParseIntoMatchesParse(t *testing.T) {
 	sc := new(Scratch)
 	for round := 0; round < 2; round++ {
 		for _, text := range intoTexts {
-			for _, sent := range token.SplitSentences(text) {
-				tagged := tg.Tag(sent)
-				want := p.Parse(tagged)
+			for _, sent := range splitSentences(text) {
+				tagged := tg.TagInto(nil, sent)
+				want := p.ParseInto(new(Scratch), tagged)
 				got := p.ParseInto(sc, tagged)
 				assertTreesEqual(t, text, got, want)
 			}
@@ -68,7 +68,7 @@ func TestParseIntoEmptySentence(t *testing.T) {
 	tg := pos.New(lex)
 	p := New(lex)
 	sc := new(Scratch)
-	p.ParseInto(sc, tg.Tag(token.SplitSentences("Kittens are cute.")[0]))
+	p.ParseInto(sc, tg.TagInto(nil, splitSentences("Kittens are cute.")[0]))
 	tree := p.ParseInto(sc, nil)
 	if tree.Root() != -1 || len(tree.Nodes) != 0 {
 		t.Fatalf("empty parse: root=%d nodes=%d", tree.Root(), len(tree.Nodes))
@@ -89,7 +89,7 @@ func TestParseIntoDoesNotAllocate(t *testing.T) {
 		"In Rome the tired tourists never found the small hotel very clean, quiet or friendly.",
 		"San Francisco, a beautiful city, isn't cheap.",
 	} {
-		tagged := tg.Tag(token.SplitSentences(text)[0])
+		tagged := tg.TagInto(nil, splitSentences(text)[0])
 		if allocs := testing.AllocsPerRun(100, func() { p.ParseInto(sc, tagged) }); allocs != 0 {
 			t.Errorf("%q: ParseInto allocates %v times per parse, want 0", text, allocs)
 		}

@@ -17,13 +17,6 @@ func New(lex *lexicon.Lexicon) *Parser {
 	return &Parser{lex: lex}
 }
 
-// Parse builds a dependency tree for one tagged sentence. The parser never
-// fails: tokens it cannot place are attached to the root with the fallback
-// label so the tree is always connected and single-headed.
-func (p *Parser) Parse(tagged []pos.Tagged) *Tree {
-	return p.ParseInto(new(Scratch), tagged)
-}
-
 // Scratch holds one worker's reusable parse buffers: the head/relation/
 // placement arrays the builder works in and the output tree itself. A
 // Scratch must not be shared between goroutines.
@@ -46,9 +39,11 @@ func (sc *Scratch) grow(n int) {
 	}
 }
 
-// ParseInto is the scratch-reuse variant of Parse: the returned tree is
-// owned by sc and valid only until the next ParseInto call with the same
-// scratch.
+// ParseInto builds a dependency tree for one tagged sentence. The parser
+// never fails: tokens it cannot place are attached to the root with the
+// fallback label so the tree is always connected and single-headed. The
+// returned tree is owned by sc and valid only until the next ParseInto call
+// with the same scratch.
 func (p *Parser) ParseInto(sc *Scratch, tagged []pos.Tagged) *Tree {
 	if len(tagged) == 0 {
 		sc.tree = Tree{root: -1, children: sc.tree.children[:0]}

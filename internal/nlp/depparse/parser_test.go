@@ -9,15 +9,21 @@ import (
 	"repro/internal/nlp/token"
 )
 
+// splitSentences splits text on fresh buffers.
+func splitSentences(text string) []token.Sentence {
+	s, _ := token.SplitSentencesInto(nil, nil, text)
+	return s
+}
+
 func parse(t *testing.T, text string) *Tree {
 	t.Helper()
 	lex := lexicon.Default()
-	sents := token.SplitSentences(text)
+	sents := splitSentences(text)
 	if len(sents) != 1 {
 		t.Fatalf("want one sentence for %q, got %d", text, len(sents))
 	}
-	tagged := pos.New(lex).Tag(sents[0])
-	return New(lex).Parse(tagged)
+	tagged := pos.New(lex).TagInto(nil, sents[0])
+	return New(lex).ParseInto(new(Scratch), tagged)
 }
 
 // find returns the index of the first node with the given lower-case text.
@@ -223,7 +229,7 @@ func TestEveryNodeReachableAndSingleHeaded(t *testing.T) {
 
 func TestParseEmpty(t *testing.T) {
 	lex := lexicon.Default()
-	tree := New(lex).Parse(nil)
+	tree := New(lex).ParseInto(new(Scratch), nil)
 	if tree.Root() != -1 || len(tree.Nodes) != 0 {
 		t.Fatalf("empty parse: root=%d nodes=%d", tree.Root(), len(tree.Nodes))
 	}

@@ -157,13 +157,6 @@ func (t *Tree) finalize() {
 	}
 }
 
-// newTree assembles a fresh tree from parallel head/rel arrays.
-func newTree(tagged []pos.Tagged, head []int, rel []Label, root int) *Tree {
-	t := &Tree{}
-	fillTree(t, tagged, head, rel, root)
-	return t
-}
-
 // fillTree (re)populates t from parallel head/rel arrays, reusing t's node
 // and child-list backing storage.
 func fillTree(t *Tree, tagged []pos.Tagged, head []int, rel []Label, root int) {

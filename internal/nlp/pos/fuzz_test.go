@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/nlp/lexicon"
-	"repro/internal/nlp/token"
 )
 
 // FuzzTag checks the tagger's structural invariants on arbitrary text:
@@ -19,8 +18,8 @@ func FuzzTag(f *testing.F) {
 	lex := lexicon.Default()
 	tagger := New(lex)
 	f.Fuzz(func(t *testing.T, text string) {
-		for _, sent := range token.SplitSentences(text) {
-			tagged := tagger.Tag(sent)
+		for _, sent := range splitSentences(text) {
+			tagged := tagger.TagInto(nil, sent)
 			if len(tagged) != len(sent.Tokens) {
 				t.Fatalf("tagged %d tokens, sentence has %d", len(tagged), len(sent.Tokens))
 			}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/nlp/token"
 )
 
-// TestTagIntoMatchesTag checks the append contract of the scratch-reuse
-// variant: prefix preserved, appended suffix equal to the allocating Tag.
+// TestTagIntoMatchesTag checks the append contract: prefix preserved,
+// appended suffix equal to the tags of a fresh buffer.
 func TestTagIntoMatchesTag(t *testing.T) {
 	tg := New(lexicon.Default())
 	texts := []string{
@@ -19,8 +19,8 @@ func TestTagIntoMatchesTag(t *testing.T) {
 	}
 	var buf []Tagged
 	for _, text := range texts {
-		for _, sent := range token.SplitSentences(text) {
-			want := tg.Tag(sent)
+		for _, sent := range splitSentences(text) {
+			want := tg.TagInto(nil, sent)
 			prefixLen := len(buf)
 			buf = tg.TagInto(buf, sent)
 			if !reflect.DeepEqual(buf[prefixLen:], want) {
@@ -43,7 +43,7 @@ func TestTagIntoDoesNotAllocate(t *testing.T) {
 		"They do not visit; the visit was fast and the crowded Zorbville was running quickly.",
 		"Blorp isn't frobnicated, 42 glamorous heroic childish things!",
 	} {
-		sents = append(sents, token.SplitSentences(text)...)
+		sents = append(sents, splitSentences(text)...)
 	}
 	var buf []Tagged
 	for _, s := range sents {
@@ -63,7 +63,7 @@ func TestTagIntoDoesNotAllocate(t *testing.T) {
 // unknown word's zero record for out-of-vocabulary tokens.
 func TestTaggedCarriesLexiconRecord(t *testing.T) {
 	lex := lexicon.Default()
-	tagged := New(lex).Tag(token.SplitSentences("Blorp DOESN'T think that Kittens are pretty.")[0])
+	tagged := New(lex).TagInto(nil, splitSentences("Blorp DOESN'T think that Kittens are pretty.")[0])
 	for _, tok := range tagged {
 		if tok.Word != lex.Word(tok.Lower()) {
 			t.Errorf("%q: record %+v, lexicon has %+v", tok.Text, tok.Word, lex.Word(tok.Lower()))

@@ -17,9 +17,7 @@ type Tagged struct {
 	Tag lexicon.Tag
 	// Word is the lexicon's record of the token's lower-cased form. TagInto
 	// resolves it — the one lexicon probe a token gets — and the tagging
-	// rules and the entity tagger read it from here. Tokens materialised
-	// elsewhere (the annotation codec) leave it zero: they only ever reach
-	// the extractor, which does not read it.
+	// rules and the entity tagger read it from here.
 	Word lexicon.Word
 }
 
@@ -33,16 +31,11 @@ func New(lex *lexicon.Lexicon) *Tagger {
 	return &Tagger{lex: lex}
 }
 
-// Tag tags a full sentence. Ambiguous lexicon entries are resolved with
-// local context; unknown words fall back to suffix and shape heuristics.
-func (tg *Tagger) Tag(sent token.Sentence) []Tagged {
-	return tg.TagInto(make([]Tagged, 0, len(sent.Tokens)), sent)
-}
-
 // TagInto appends the tagged tokens of sent to dst and returns the
-// extended slice — the scratch-reuse variant of Tag. A first pass resolves
-// every token's lexicon record; the second picks tags reading only records,
-// the neighbours' included.
+// extended slice. Ambiguous lexicon entries are resolved with local
+// context; unknown words fall back to suffix and shape heuristics. A first
+// pass resolves every token's lexicon record; the second picks tags reading
+// only records, the neighbours' included.
 func (tg *Tagger) TagInto(dst []Tagged, sent token.Sentence) []Tagged {
 	base := len(dst)
 	for _, tok := range sent.Tokens {

@@ -7,13 +7,19 @@ import (
 	"repro/internal/nlp/token"
 )
 
+// splitSentences splits text on fresh buffers.
+func splitSentences(text string) []token.Sentence {
+	s, _ := token.SplitSentencesInto(nil, nil, text)
+	return s
+}
+
 func tagSentence(t *testing.T, text string) []Tagged {
 	t.Helper()
-	sents := token.SplitSentences(text)
+	sents := splitSentences(text)
 	if len(sents) != 1 {
 		t.Fatalf("expected one sentence for %q, got %d", text, len(sents))
 	}
-	return New(lexicon.Default()).Tag(sents[0])
+	return New(lexicon.Default()).TagInto(nil, sents[0])
 }
 
 func wantTags(t *testing.T, text string, want ...lexicon.Tag) {

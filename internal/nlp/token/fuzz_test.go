@@ -17,7 +17,7 @@ func FuzzSplitSentences(f *testing.F) {
 	f.Add("a\x00b\xffc")
 	f.Add("can't shan't won't o'clock 'tis")
 	f.Fuzz(func(t *testing.T, text string) {
-		toks := Tokenize(text)
+		toks := tokenize(text)
 		prevEnd := 0
 		for i, tok := range toks {
 			if tok.Text == "" {
@@ -30,7 +30,7 @@ func FuzzSplitSentences(f *testing.F) {
 			prevEnd = tok.End
 		}
 
-		sents := SplitSentences(text)
+		sents := splitSentences(text)
 		total := 0
 		for si, s := range sents {
 			if len(s.Tokens) == 0 {
@@ -41,13 +41,13 @@ func FuzzSplitSentences(f *testing.F) {
 			}
 			for ti, tok := range s.Tokens {
 				if tok != toks[total+ti] {
-					t.Fatalf("sentence %d token %d differs from Tokenize output", si, ti)
+					t.Fatalf("sentence %d token %d differs from TokenizeInto output", si, ti)
 				}
 			}
 			total += len(s.Tokens)
 		}
 		if total != len(toks) {
-			t.Fatalf("sentences cover %d tokens, Tokenize produced %d", total, len(toks))
+			t.Fatalf("sentences cover %d tokens, TokenizeInto produced %d", total, len(toks))
 		}
 	})
 }

@@ -13,13 +13,13 @@ var intoSamples = []string{
 	"can't won't it's we're I'm they'd you'll",
 }
 
-// TestTokenizeIntoMatchesTokenize checks the scratch-reuse contract: with a
-// prefilled destination the appended suffix must equal the allocating
-// variant, and the prefix must be untouched.
+// TestTokenizeIntoMatchesTokenize checks the buffer-reuse contract: with a
+// prefilled destination the appended suffix must equal the tokens of a
+// fresh buffer, and the prefix must be untouched.
 func TestTokenizeIntoMatchesTokenize(t *testing.T) {
-	prefix := Tokenize("existing prefix tokens")
+	prefix := tokenize("existing prefix tokens")
 	for _, text := range intoSamples {
-		want := Tokenize(text)
+		want := tokenize(text)
 		dst := append([]Token(nil), prefix...)
 		got := TokenizeInto(dst, text)
 		if !reflect.DeepEqual(got[:len(prefix)], prefix) {
@@ -35,14 +35,14 @@ func TestTokenizeIntoMatchesTokenize(t *testing.T) {
 }
 
 // TestSplitSentencesIntoMatchesSplit reuses one buffer pair across all
-// samples — as a pipeline worker does — and checks each result against the
-// allocating variant.
+// samples — as a pipeline worker does — and checks each result against
+// fresh buffers.
 func TestSplitSentencesIntoMatchesSplit(t *testing.T) {
 	var sents []Sentence
 	var toks []Token
 	for round := 0; round < 3; round++ { // reuse across rounds grows caps
 		for _, text := range intoSamples {
-			want := SplitSentences(text)
+			want := splitSentences(text)
 			sents, toks = SplitSentencesInto(sents[:0], toks[:0], text)
 			if len(sents) != len(want) {
 				t.Fatalf("%q: %d sentences, want %d", text, len(sents), len(want))
@@ -64,7 +64,7 @@ func TestSplitSentencesIntoMatchesSplit(t *testing.T) {
 // of the tokenizer carry their lowercase form, and hand-built tokens still
 // answer Lower correctly through the fallback.
 func TestLowerCachedAtTokenizeTime(t *testing.T) {
-	for _, tok := range Tokenize("San Francisco DOESN'T sleep") {
+	for _, tok := range tokenize("San Francisco DOESN'T sleep") {
 		if tok.lower == "" {
 			t.Fatalf("token %q has no cached lower form", tok.Text)
 		}

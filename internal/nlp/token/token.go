@@ -16,13 +16,12 @@ type Token struct {
 
 	// lower caches the lower-cased surface form. The tokenizer fills it so
 	// the POS/lexicon hot loops never re-run strings.ToLower; tokens built
-	// by hand (tests, codecs) may leave it empty and Lower falls back.
+	// by hand (tests) may leave it empty and Lower falls back.
 	lower string
 }
 
-// New builds a token with its lowercase cache filled — the constructor for
-// code that materialises tokens outside the tokenizer (the annotation
-// codec) and needs them identical to tokenizer output.
+// New builds a token with its lowercase cache filled, identical to
+// tokenizer output.
 func New(text string, start, end int) Token {
 	return Token{Text: text, Start: start, End: end, lower: strings.ToLower(text)}
 }
@@ -60,19 +59,13 @@ var abbreviations = map[string]bool{
 	"no": true, "vol": true, "fig": true,
 }
 
-// Tokenize splits text into tokens. Rules:
+// TokenizeInto appends the tokens of text to dst and returns the extended
+// slice, so a loop over many texts can reuse one buffer. Rules:
 //   - runs of letters/digits form words;
 //   - negative contractions are split into stem + "n't" ("don't" -> "do",
 //     "n't"); other apostrophe clitics ("'s", "'re") are split off;
 //   - each punctuation rune is its own token;
 //   - hyphenated words stay together ("well-known").
-func Tokenize(text string) []Token {
-	return TokenizeInto(nil, text)
-}
-
-// TokenizeInto appends the tokens of text to dst and returns the extended
-// slice — the scratch-reuse variant of Tokenize for hot loops that process
-// many texts with one buffer.
 //
 // The scan that finds a word's end also notes whether the word has an
 // upper-case letter or an apostrophe, so a word is looked at once: without
@@ -171,17 +164,10 @@ func appendCliticTokens(dst []Token, word, lower string, start int) []Token {
 	return append(dst, Token{Text: word, Start: start, End: start + len(word), lower: lower})
 }
 
-// SplitSentences tokenizes text and groups the tokens into sentences.
-// Sentence boundaries are ".", "!", "?" tokens, except after known
-// abbreviations or single capital letters ("J. Smith").
-func SplitSentences(text string) []Sentence {
-	sents, _ := SplitSentencesInto(nil, nil, text)
-	return sents
-}
-
-// SplitSentencesInto is the scratch-reuse variant of SplitSentences: it
-// tokenizes text into toks (appending), groups the tokens into sentences
-// appended to sents, and returns both extended slices. The returned
+// SplitSentencesInto tokenizes text into toks (appending), groups the
+// tokens into sentences appended to sents, and returns both extended
+// slices. Sentence boundaries are ".", "!", "?" tokens, except after known
+// abbreviations or single capital letters ("J. Smith"). The returned
 // sentences alias the returned token slice, so they are valid only until
 // the buffers are reused.
 func SplitSentencesInto(sents []Sentence, toks []Token, text string) ([]Sentence, []Token) {

@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// tokenize and splitSentences run the one entry point on fresh buffers.
+func tokenize(text string) []Token { return TokenizeInto(nil, text) }
+
+func splitSentences(text string) []Sentence { s, _ := SplitSentencesInto(nil, nil, text); return s }
+
 func texts(toks []Token) []string {
 	out := make([]string, len(toks))
 	for i, t := range toks {
@@ -15,7 +20,7 @@ func texts(toks []Token) []string {
 }
 
 func TestTokenizeBasic(t *testing.T) {
-	got := texts(Tokenize("Chicago is very big."))
+	got := texts(tokenize("Chicago is very big."))
 	want := []string{"Chicago", "is", "very", "big", "."}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("got %v, want %v", got, want)
@@ -23,7 +28,7 @@ func TestTokenizeBasic(t *testing.T) {
 }
 
 func TestTokenizeNegativeContraction(t *testing.T) {
-	got := texts(Tokenize("I don't think so"))
+	got := texts(tokenize("I don't think so"))
 	want := []string{"I", "do", "n't", "think", "so"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("got %v, want %v", got, want)
@@ -31,7 +36,7 @@ func TestTokenizeNegativeContraction(t *testing.T) {
 }
 
 func TestTokenizeCant(t *testing.T) {
-	got := texts(Tokenize("can't won't isn't"))
+	got := texts(tokenize("can't won't isn't"))
 	want := []string{"can", "n't", "will", "n't", "is", "n't"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("got %v, want %v", got, want)
@@ -39,7 +44,7 @@ func TestTokenizeCant(t *testing.T) {
 }
 
 func TestTokenizePossessiveClitic(t *testing.T) {
-	got := texts(Tokenize("Chicago's winters"))
+	got := texts(tokenize("Chicago's winters"))
 	want := []string{"Chicago", "'s", "winters"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("got %v, want %v", got, want)
@@ -47,7 +52,7 @@ func TestTokenizePossessiveClitic(t *testing.T) {
 }
 
 func TestTokenizeHyphen(t *testing.T) {
-	got := texts(Tokenize("a well-known city"))
+	got := texts(tokenize("a well-known city"))
 	want := []string{"a", "well-known", "city"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("got %v, want %v", got, want)
@@ -55,7 +60,7 @@ func TestTokenizeHyphen(t *testing.T) {
 }
 
 func TestTokenizePunctuation(t *testing.T) {
-	got := texts(Tokenize("big, but not safe!"))
+	got := texts(tokenize("big, but not safe!"))
 	want := []string{"big", ",", "but", "not", "safe", "!"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("got %v, want %v", got, want)
@@ -64,7 +69,7 @@ func TestTokenizePunctuation(t *testing.T) {
 
 func TestTokenizeOffsets(t *testing.T) {
 	src := "San Francisco is big."
-	for _, tok := range Tokenize(src) {
+	for _, tok := range tokenize(src) {
 		if src[tok.Start:tok.End] != tok.Text {
 			t.Fatalf("offset mismatch: %q vs %q", src[tok.Start:tok.End], tok.Text)
 		}
@@ -73,7 +78,7 @@ func TestTokenizeOffsets(t *testing.T) {
 
 func TestTokenizeContractionOffsetsCoverSource(t *testing.T) {
 	src := "don't"
-	toks := Tokenize(src)
+	toks := tokenize(src)
 	if len(toks) != 2 {
 		t.Fatalf("got %d tokens", len(toks))
 	}
@@ -86,16 +91,16 @@ func TestTokenizeContractionOffsetsCoverSource(t *testing.T) {
 }
 
 func TestTokenizeEmpty(t *testing.T) {
-	if got := Tokenize(""); len(got) != 0 {
-		t.Fatalf("Tokenize empty = %v", got)
+	if got := tokenize(""); len(got) != 0 {
+		t.Fatalf("tokens of empty text = %v", got)
 	}
-	if got := Tokenize("   \n\t "); len(got) != 0 {
-		t.Fatalf("Tokenize whitespace = %v", got)
+	if got := tokenize("   \n\t "); len(got) != 0 {
+		t.Fatalf("tokens of whitespace = %v", got)
 	}
 }
 
 func TestSplitSentencesBasic(t *testing.T) {
-	sents := SplitSentences("Kittens are cute. Spiders are not cute! Really?")
+	sents := splitSentences("Kittens are cute. Spiders are not cute! Really?")
 	if len(sents) != 3 {
 		t.Fatalf("got %d sentences, want 3", len(sents))
 	}
@@ -105,7 +110,7 @@ func TestSplitSentencesBasic(t *testing.T) {
 }
 
 func TestSplitSentencesAbbreviation(t *testing.T) {
-	sents := SplitSentences("Dr. Smith lives in St. Louis. He likes it.")
+	sents := splitSentences("Dr. Smith lives in St. Louis. He likes it.")
 	if len(sents) != 2 {
 		for _, s := range sents {
 			t.Logf("sentence: %s", s.Text())
@@ -115,21 +120,21 @@ func TestSplitSentencesAbbreviation(t *testing.T) {
 }
 
 func TestSplitSentencesInitial(t *testing.T) {
-	sents := SplitSentences("J. Smith visited Rome. It was great.")
+	sents := splitSentences("J. Smith visited Rome. It was great.")
 	if len(sents) != 2 {
 		t.Fatalf("got %d sentences, want 2", len(sents))
 	}
 }
 
 func TestSplitSentencesNoTrailingPeriod(t *testing.T) {
-	sents := SplitSentences("kittens are cute")
+	sents := splitSentences("kittens are cute")
 	if len(sents) != 1 || len(sents[0].Tokens) != 3 {
 		t.Fatalf("got %v", sents)
 	}
 }
 
 func TestSentenceText(t *testing.T) {
-	sents := SplitSentences("Rome is big.")
+	sents := splitSentences("Rome is big.")
 	if got := sents[0].Text(); got != "Rome is big ." {
 		t.Fatalf("Text() = %q", got)
 	}
@@ -155,7 +160,7 @@ func TestTokenizeOffsetInvariant(t *testing.T) {
 		}
 		src := string(clean)
 		prevEnd := 0
-		for _, tok := range Tokenize(src) {
+		for _, tok := range tokenize(src) {
 			if tok.Start < prevEnd || tok.End <= tok.Start || tok.End > len(src) {
 				return false
 			}
@@ -186,9 +191,9 @@ func TestSplitSentencesPartitionProperty(t *testing.T) {
 			}
 		}
 		src := string(clean)
-		total := len(Tokenize(src))
+		total := len(tokenize(src))
 		sum := 0
-		for _, sent := range SplitSentences(src) {
+		for _, sent := range splitSentences(src) {
 			if len(sent.Tokens) == 0 {
 				return false
 			}

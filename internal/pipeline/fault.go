@@ -18,6 +18,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/corpus"
 	"repro/internal/extract"
 )
 
@@ -63,7 +64,7 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // quarantine is the per-document panic boundary: it runs process over one
 // document and, if that panics, reports the rendered reason in place of
 // the output. A healthy document has an empty reason.
-func quarantine[D any](process processor[D], seq int, doc *D) (stmts []extract.Statement, sentences int64, reason string) {
+func quarantine(process processor, seq int, doc *corpus.Document) (stmts []extract.Statement, sentences int64, reason string) {
 	defer func() {
 		if r := recover(); r != nil {
 			reason = panicReason(r) // process never returned: the outputs are still zero

@@ -6,12 +6,13 @@
 // no evidence at all. Per-phase timings are recorded for the Section-7.1
 // analysis.
 //
-// Every entry point is a document source (source.go) plus a per-worker
-// processor, handed to one extraction loop and one reduce (refit.go).
+// There is one route from raw text to counts: every entry point is a
+// document source (source.go) handed to one extraction loop, which runs the
+// NLP front end per worker, and one reduce (refit.go).
 //
 // Fault tolerance: every entry point has a context-aware variant
-// (RunContext, RunAnnotatedContext, RunStream) that honours cancellation
-// at document granularity and returns a typed *PartialError carrying the
+// (RunContext, RunStream) that honours cancellation at document
+// granularity and returns a typed *PartialError carrying the
 // consistent partial result. Each worker wraps per-document processing in
 // a recover boundary: a panicking document is quarantined — recorded on
 // Result.Quarantined — and the run continues, with results bit-identical
@@ -68,8 +69,7 @@ type Config struct {
 	// the hook quarantines the document exactly like a panic in the NLP
 	// stack. It is the deterministic chaos hook of the testkit fault-
 	// injection suite (select documents by content hash, never by
-	// schedule); it must not mutate the document. Ignored by the
-	// pre-annotated entry points.
+	// schedule); it must not mutate the document.
 	Fault func(index int, doc *corpus.Document)
 }
 
@@ -188,10 +188,10 @@ func (r *Result) Opinions() int {
 // valid until the next call. extractFrom runs it inside the quarantine
 // boundary and commits its output to shared state only when it returns, so
 // a document whose processing panics leaves no trace.
-type processor[D any] func(seq int, doc *D) (stmts []extract.Statement, sentences int64)
+type processor func(seq int, doc *corpus.Document) (stmts []extract.Statement, sentences int64)
 
-// docProcessor is the raw-text processor: the NLP front end plus one
-// worker's scratch buffers, reused across every sentence.
+// docProcessor is the one processor: the NLP front end plus one worker's
+// scratch buffers, reused across every sentence.
 type docProcessor struct {
 	posTagger *pos.Tagger
 	parser    *depparse.Parser
@@ -209,16 +209,16 @@ type docProcessor struct {
 	tsc      tagger.Scratch
 }
 
-// nlpProcessors returns the per-worker factory of raw-text processors. The
+// nlpProcessors returns the per-worker factory of processors. The
 // NLP components are read-only and safe for concurrent use, so they are
 // built once per run instead of once per worker — by the first worker to
 // ask: inside the extraction phase, and not at all for an empty corpus.
-func nlpProcessors(base *kb.KB, lex *lexicon.Lexicon, cfg Config) func() processor[corpus.Document] {
+func nlpProcessors(base *kb.KB, lex *lexicon.Lexicon, cfg Config) func() processor {
 	shared := sync.OnceValue(func() docProcessor {
 		return docProcessor{posTagger: pos.New(lex), parser: depparse.New(lex), entTagger: tagger.New(base, lex),
 			extractor: extract.NewVersion(lex, cfg.Version), fault: cfg.Fault}
 	})
-	return func() processor[corpus.Document] {
+	return func() processor {
 		p := shared() // this worker's copy: shared components, scratch of its own
 		return p.process
 	}
@@ -269,8 +269,7 @@ func Run(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) 
 // Result.Quarantined and the contract in fault.go.
 func RunContext(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	return run(cfg, base, len(docs), min(cfg.Workers, len(docs)),
-		&sliceSource[corpus.Document]{ctx: ctx, docs: docs}, nlpProcessors(base, lex, cfg))
+	return run(cfg, base, lex, len(docs), min(cfg.Workers, len(docs)), &sliceSource{ctx: ctx, docs: docs})
 }
 
 // RunStream executes the full pipeline over documents drawn from a
@@ -287,23 +286,22 @@ func RunContext(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *l
 // are surfaced on Result.SkippedLines.
 func RunStream(ctx context.Context, it *corpus.Iterator, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	return run(cfg, base, 0, cfg.Workers, // total unknown up front
-		&iterSource{ctx: ctx, it: it}, nlpProcessors(base, lex, cfg))
+	return run(cfg, base, lex, 0, cfg.Workers, &iterSource{ctx: ctx, it: it}) // total unknown up front
 }
 
 // run is the one run lifecycle behind every end-to-end entry point: the
-// extraction phase (map) over whatever source and processor the entry
-// point picked, then reduce. The reduce runs to completion even when the
+// extraction phase (map) over whatever source the entry point picked, then
+// reduce. The reduce runs to completion even when the
 // source stopped early: the committed evidence is already in memory and
 // bounded, and modelling it is what makes the partial result — and the
 // -report a SIGINT-ed cmd/surveyor flushes on the way down — exactly the
 // clean result over the committed subset.
-func run[D any](cfg Config, base *kb.KB, total, workers int, src source[D], newProcessor func() processor[D]) (*Result, error) {
+func run(cfg Config, base *kb.KB, lex *lexicon.Lexicon, total, workers int, src source) (*Result, error) {
 	o := cfg.Obs
 	o.StartRun(total, workers)
 	whole := o.Phase("run")
 	span := o.Phase("extract")
-	ext, skipped, stopErr := extractFrom(cfg, workers, src, newProcessor)
+	ext, skipped, stopErr := extractFrom(cfg, base, lex, workers, src)
 	extraction := span.End()
 	res := reduce(ext.Store, base, cfg, ReduceStats{
 		Sentences:    ext.Sentences,

@@ -179,48 +179,3 @@ func TestRunZeroEvidenceEntitiesClassified(t *testing.T) {
 	}
 	_ = zeroDecided
 }
-
-func TestRunAnnotatedMatchesRun(t *testing.T) {
-	base, lex, snap := world(t, 1)
-	direct := Run(snap.Documents, base, lex, Config{Rho: 20})
-	annotated := Annotate(snap.Documents, base, lex, 0)
-	viaAnn := RunAnnotated(annotated, base, lex, Config{Rho: 20})
-
-	if direct.TotalStatements != viaAnn.TotalStatements {
-		t.Fatalf("statements differ: %d vs %d", direct.TotalStatements, viaAnn.TotalStatements)
-	}
-	if direct.DistinctPairs != viaAnn.DistinctPairs {
-		t.Fatalf("pairs differ: %d vs %d", direct.DistinctPairs, viaAnn.DistinctPairs)
-	}
-	gd, ok1 := direct.Group("animal", "cute")
-	ga, ok2 := viaAnn.Group("animal", "cute")
-	if !ok1 || !ok2 {
-		t.Fatal("group missing")
-	}
-	for i := range gd.Entities {
-		if gd.Entities[i] != ga.Entities[i] {
-			t.Fatalf("entity %d differs:\n direct %+v\n annotated %+v",
-				i, gd.Entities[i], ga.Entities[i])
-		}
-	}
-}
-
-func TestRunAnnotatedVersionSweep(t *testing.T) {
-	// The Table-4 use case: annotate once, extract under every version.
-	base, lex, snap := world(t, 1)
-	annotated := Annotate(snap.Documents, base, lex, 0)
-	var counts []int64
-	for _, v := range []extract.Version{extract.V1, extract.V2, extract.V3, extract.V4} {
-		res := RunAnnotated(annotated, base, lex, Config{Rho: 20, Version: v})
-		counts = append(counts, res.TotalStatements)
-		// Each must match a direct run at the same version.
-		direct := Run(snap.Documents, base, lex, Config{Rho: 20, Version: v})
-		if res.TotalStatements != direct.TotalStatements {
-			t.Fatalf("version %d: annotated %d vs direct %d",
-				v, res.TotalStatements, direct.TotalStatements)
-		}
-	}
-	if counts[1] <= counts[3] {
-		t.Fatalf("V2 (%d) should exceed V4 (%d)", counts[1], counts[3])
-	}
-}

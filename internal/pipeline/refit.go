@@ -49,23 +49,24 @@ type Extraction struct {
 // incremental miner) discard it.
 func ExtractEvidence(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config, docOffset int) (*Extraction, error) {
 	cfg = cfg.withDefaults()
-	ext, _, err := extractFrom(cfg, min(cfg.Workers, len(docs)),
-		&sliceSource[corpus.Document]{ctx: ctx, docs: docs, offset: docOffset}, nlpProcessors(base, lex, cfg))
+	ext, _, err := extractFrom(cfg, base, lex, min(cfg.Workers, len(docs)),
+		&sliceSource{ctx: ctx, docs: docs, offset: docOffset})
 	return ext, err
 }
 
 // extractFrom is the one extraction loop (the map step) behind every entry
 // point: workers claim documents from src until it stops — the returned
 // error says why if that was early — and run each through their own
-// processor inside the quarantine boundary. A document reaches the
+// NLP processor inside the quarantine boundary. A document reaches the
 // worker's private evidence accumulator, folded into the shared store once
 // at the end, only after it has fully processed. Telemetry goes through a
 // worker-owned obs handle (per-worker progress slot, locally buffered
 // spans), so the hot loop never contends on a shared observability
 // structure.
-func extractFrom[D any](cfg Config, workers int, src source[D], newProcessor func() processor[D]) (ext *Extraction, skipped int64, err error) {
+func extractFrom(cfg Config, base *kb.KB, lex *lexicon.Lexicon, workers int, src source) (ext *Extraction, skipped int64, err error) {
 	o := cfg.Obs
 	pm := o.PipelineMetrics()
+	newProcessor := nlpProcessors(base, lex, cfg)
 	ext = &Extraction{Store: evidence.NewStore()}
 	var sentences atomic.Int64
 	var ql quarantineLog

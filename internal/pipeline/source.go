@@ -13,11 +13,11 @@ import (
 // keep one rule: ctx is checked before a claim and never after it, and a
 // claimed document is always finished, so the consumed set is the
 // contiguous prefix [0, consumed) whatever stops the run.
-type source[D any] interface {
+type source interface {
 	// worker returns one worker's claim function: the next document and its
 	// sequence number, or ok=false once the source ran dry, failed or was
 	// cancelled. The document stays valid until that worker's next claim.
-	worker() func() (seq int, doc *D, ok bool)
+	worker() func() (seq int, doc *corpus.Document, ok bool)
 	// stopped reports, once every worker has returned, how many leading
 	// documents were claimed, how many input lines were skipped on the way,
 	// and why the source stopped early (nil when it ran dry).
@@ -30,16 +30,16 @@ type source[D any] interface {
 // behind the slowest one. The evidence store is commutative, so the
 // schedule cannot change the result — the testkit differential suite
 // proves it. offset shifts every sequence number handed out.
-type sliceSource[D any] struct {
+type sliceSource struct {
 	ctx    context.Context
-	docs   []D
+	docs   []corpus.Document
 	offset int
 	next   atomic.Int64
 }
 
-func (s *sliceSource[D]) worker() func() (int, *D, bool) { return s.claim }
+func (s *sliceSource) worker() func() (int, *corpus.Document, bool) { return s.claim }
 
-func (s *sliceSource[D]) claim() (int, *D, bool) {
+func (s *sliceSource) claim() (int, *corpus.Document, bool) {
 	if s.ctx.Err() != nil {
 		return 0, nil, false
 	}
@@ -50,7 +50,7 @@ func (s *sliceSource[D]) claim() (int, *D, bool) {
 	return s.offset + i, &s.docs[i], true
 }
 
-func (s *sliceSource[D]) stopped() (int, int64, error) {
+func (s *sliceSource) stopped() (int, int64, error) {
 	// Every index below the counter was claimed, so the processed prefix is
 	// contiguous; workers that found the slice empty overshoot it.
 	consumed := min(int(s.next.Load()), len(s.docs))

@@ -8,12 +8,12 @@ import (
 	"repro/internal/kb"
 	"repro/internal/nlp/lexicon"
 	"repro/internal/nlp/pos"
-	"repro/internal/nlp/token"
 )
 
 // TestTagIntoMatchesTag drives one Scratch and one growing destination
 // through a batch of sentences and checks the appended mentions against
-// the allocating Tag — including sentences that link nothing.
+// a nil destination and a fresh Scratch — including sentences that link
+// nothing.
 func TestTagIntoMatchesTag(t *testing.T) {
 	_, _, tg, pt := setup()
 	texts := []string{
@@ -28,9 +28,9 @@ func TestTagIntoMatchesTag(t *testing.T) {
 	var buf []Mention
 	for round := 0; round < 2; round++ {
 		for _, text := range texts {
-			for _, sent := range token.SplitSentences(text) {
-				tagged := pt.Tag(sent)
-				want := tg.Tag(tagged)
+			for _, sent := range splitSentences(text) {
+				tagged := pt.TagInto(nil, sent)
+				want := tg.TagInto(nil, new(Scratch), tagged)
 				buf = tg.TagInto(buf[:0], sc, tagged)
 				if len(want) == 0 && len(buf) == 0 {
 					continue
@@ -46,10 +46,10 @@ func TestTagIntoMatchesTag(t *testing.T) {
 // TestTagIntoPreservesPrefix checks the append contract.
 func TestTagIntoPreservesPrefix(t *testing.T) {
 	_, _, tg, pt := setup()
-	tagged := pt.Tag(token.SplitSentences("Kittens are cute.")[0])
+	tagged := pt.TagInto(nil, splitSentences("Kittens are cute.")[0])
 	prefix := []Mention{{Entity: 42, Start: 7, End: 9, Head: 8}}
 	got := tg.TagInto(append([]Mention(nil), prefix...), new(Scratch), tagged)
-	if len(got) != 1+len(tg.Tag(tagged)) || !reflect.DeepEqual(got[0], prefix[0]) {
+	if len(got) != 1+len(tg.TagInto(nil, new(Scratch), tagged)) || !reflect.DeepEqual(got[0], prefix[0]) {
 		t.Fatalf("prefix not preserved: %+v", got)
 	}
 }
@@ -68,8 +68,8 @@ func TestFirstWordSpanHint(t *testing.T) {
 	}
 	// "San" alone must still be blocked by the failing longer span when the
 	// two-token surface exists: greedy longest-match semantics unchanged.
-	tagged := pt.Tag(token.SplitSentences("San Francisco is big.")[0])
-	mentions := tg.Tag(tagged)
+	tagged := pt.TagInto(nil, splitSentences("San Francisco is big.")[0])
+	mentions := tg.TagInto(nil, new(Scratch), tagged)
 	if len(mentions) != 1 || mentions[0].End-mentions[0].Start != 2 {
 		t.Fatalf("mentions = %+v", mentions)
 	}
@@ -89,8 +89,8 @@ func TestTagIntoDoesNotAllocate(t *testing.T) {
 		"Phoenix is a big city. Phoenix is a famous celebrity.",
 		"Ontario is a big city. Ontario is big.",
 	} {
-		for _, sent := range token.SplitSentences(text) {
-			sents = append(sents, pt.Tag(sent))
+		for _, sent := range splitSentences(text) {
+			sents = append(sents, pt.TagInto(nil, sent))
 		}
 	}
 	sc := new(Scratch)
@@ -157,7 +157,7 @@ func TestUnregisteredKnowledgeBaseStillLinks(t *testing.T) {
 		{"Foo is nice.", nil},
 		{"I saw blorps there.", []Mention{{Entity: 2, Start: 2, End: 3, Head: 2}}},
 	} {
-		got := tg.Tag(pt.Tag(token.SplitSentences(c.text)[0]))
+		got := tg.TagInto(nil, new(Scratch), pt.TagInto(nil, splitSentences(c.text)[0]))
 		if len(got) != len(c.want) || (len(got) > 0 && !reflect.DeepEqual(got, c.want)) {
 			t.Errorf("%q: mentions %+v, want %+v", c.text, got, c.want)
 		}

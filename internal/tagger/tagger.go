@@ -49,14 +49,9 @@ type Scratch struct {
 	surface []byte
 }
 
-// Tag scans a tagged sentence left to right with greedy longest-match and
-// returns the resolved, non-overlapping mentions in order.
-func (t *Tagger) Tag(tagged []pos.Tagged) []Mention {
-	return t.TagInto(nil, new(Scratch), tagged)
-}
-
-// TagInto is the scratch-reuse variant of Tag: mentions are appended to dst
-// and the extended slice returned.
+// TagInto scans a tagged sentence left to right with greedy longest-match
+// and appends the resolved, non-overlapping mentions to dst in order,
+// returning the extended slice.
 func (t *Tagger) TagInto(dst []Mention, sc *Scratch, tagged []pos.Tagged) []Mention {
 	i := 0
 	for i < len(tagged) {

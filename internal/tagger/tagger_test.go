@@ -26,16 +26,22 @@ func setup() (*kb.KB, *lexicon.Lexicon, *Tagger, *pos.Tagger) {
 	return base, lex, New(base, lex), pos.New(lex)
 }
 
+// splitSentences splits text on fresh buffers.
+func splitSentences(text string) []token.Sentence {
+	s, _ := token.SplitSentencesInto(nil, nil, text)
+	return s
+}
+
 func tagText(t *testing.T, text string) ([]Mention, []pos.Tagged) {
 	t.Helper()
 	base, _, tg, pt := setup()
 	_ = base
-	sents := token.SplitSentences(text)
+	sents := splitSentences(text)
 	if len(sents) != 1 {
 		t.Fatalf("want 1 sentence, got %d", len(sents))
 	}
-	tagged := pt.Tag(sents[0])
-	return tg.Tag(tagged), tagged
+	tagged := pt.TagInto(nil, sents[0])
+	return tg.TagInto(nil, new(Scratch), tagged), tagged
 }
 
 func TestTagSingleWordEntity(t *testing.T) {
@@ -94,14 +100,14 @@ func TestCrossTypeDisambiguationByContext(t *testing.T) {
 		}
 	}
 
-	sent := pt.Tag(token.SplitSentences("Phoenix is a big city.")[0])
-	mentions := tg.Tag(sent)
+	sent := pt.TagInto(nil, splitSentences("Phoenix is a big city.")[0])
+	mentions := tg.TagInto(nil, new(Scratch), sent)
 	if len(mentions) != 1 || mentions[0].Entity != cityPhoenix {
 		t.Fatalf("city context: %v (want city id %d)", mentions, cityPhoenix)
 	}
 
-	sent = pt.Tag(token.SplitSentences("Phoenix is a cool celebrity.")[0])
-	mentions = tg.Tag(sent)
+	sent = pt.TagInto(nil, splitSentences("Phoenix is a cool celebrity.")[0])
+	mentions = tg.TagInto(nil, new(Scratch), sent)
 	if len(mentions) != 1 || mentions[0].Entity != celebPhoenix {
 		t.Fatalf("celebrity context: %v (want celeb id %d)", mentions, celebPhoenix)
 	}
@@ -110,8 +116,8 @@ func TestCrossTypeDisambiguationByContext(t *testing.T) {
 func TestNoContextPrefersProminence(t *testing.T) {
 	// Without type context, the more prominent sense (city, 0.6) wins.
 	base, _, tg, pt := setup()
-	sent := pt.Tag(token.SplitSentences("Phoenix is big.")[0])
-	mentions := tg.Tag(sent)
+	sent := pt.TagInto(nil, splitSentences("Phoenix is big.")[0])
+	mentions := tg.TagInto(nil, new(Scratch), sent)
 	if len(mentions) != 1 {
 		t.Fatalf("mentions = %v", mentions)
 	}
@@ -140,8 +146,8 @@ func TestGreedyLongestMatch(t *testing.T) {
 	base.RegisterLexicon(lex)
 	tg := New(base, lex)
 	pt := pos.New(lex)
-	sent := pt.Tag(token.SplitSentences("San Francisco is big.")[0])
-	mentions := tg.Tag(sent)
+	sent := pt.TagInto(nil, splitSentences("San Francisco is big.")[0])
+	mentions := tg.TagInto(nil, new(Scratch), sent)
 	if len(mentions) != 1 || mentions[0].End-mentions[0].Start != 2 {
 		t.Fatalf("mentions = %v", mentions)
 	}
@@ -187,8 +193,8 @@ func TestTaggerSkipsVerbsInSpan(t *testing.T) {
 	base.RegisterLexicon(lex)
 	tg := New(base, lex)
 	pt := pos.New(lex)
-	sent := pt.Tag(token.SplitSentences("Big Sur is big.")[0])
-	mentions := tg.Tag(sent)
+	sent := pt.TagInto(nil, splitSentences("Big Sur is big.")[0])
+	mentions := tg.TagInto(nil, new(Scratch), sent)
 	if len(mentions) != 1 || mentions[0].End-mentions[0].Start != 2 {
 		t.Fatalf("mentions = %v", mentions)
 	}
@@ -202,15 +208,15 @@ func TestTaggerSentenceInitialCommonNoun(t *testing.T) {
 	base.RegisterLexicon(lex)
 	tg := New(base, lex)
 	pt := pos.New(lex)
-	sent := pt.Tag(token.SplitSentences("Chess is a calm sport.")[0])
-	if got := tg.Tag(sent); len(got) != 1 {
+	sent := pt.TagInto(nil, splitSentences("Chess is a calm sport.")[0])
+	if got := tg.TagInto(nil, new(Scratch), sent); len(got) != 1 {
 		t.Fatalf("mentions = %v", got)
 	}
 }
 
 func TestTaggerNoMentionsInEmptySentence(t *testing.T) {
 	_, _, tg, _ := setup()
-	if got := tg.Tag(nil); len(got) != 0 {
+	if got := tg.TagInto(nil, new(Scratch), nil); len(got) != 0 {
 		t.Fatalf("mentions on nil input: %v", got)
 	}
 }

@@ -11,10 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/annotate"
 	"repro/internal/corpus"
-	"repro/internal/nlp/depparse"
-	"repro/internal/nlp/lexicon"
 	"repro/internal/pipeline"
 )
 
@@ -72,78 +69,6 @@ func TestQuarantineDeterminism(t *testing.T) {
 			t.Errorf("workers %d: faulted run diverges from clean run over survivors:\n  %s",
 				workers, strings.Join(diffs, "\n  "))
 		}
-	}
-}
-
-// poisonAnnotated corrupts the first extractable sentence of doc so the
-// extractor panics on it: an adjective whose amod head points far out of
-// range sends FirstChildWith indexing past the children table.
-func poisonAnnotated(doc *annotate.Document) bool {
-	for si := range doc.Sentence {
-		s := &doc.Sentence[si]
-		if s.Tree != nil && len(s.Mentions) > 0 && len(s.Tree.Nodes) > 0 {
-			n := &s.Tree.Nodes[0]
-			n.Tag = lexicon.Adj
-			n.Rel = depparse.Amod
-			n.Head = 1 << 30
-			return true
-		}
-	}
-	return false
-}
-
-// TestQuarantineAnnotatedPath asserts the panic boundary of the
-// pre-annotated entry point: documents whose annotations are corrupted
-// enough to panic the extractor are quarantined, and the rest of the run
-// matches a clean run without them.
-func TestQuarantineAnnotatedPath(t *testing.T) {
-	w := NewWorld(2, diffScale)
-	cfg := pipeline.Config{Rho: 10, Workers: 4}
-	annotated := pipeline.Annotate(w.Docs(), w.KB, w.Lex, 4)
-
-	poisoned := make([]int, 0, 2)
-	for _, di := range []int{len(annotated) / 3, 2 * len(annotated) / 3} {
-		if poisonAnnotated(&annotated[di]) {
-			poisoned = append(poisoned, di)
-		}
-	}
-	if len(poisoned) == 0 {
-		t.Fatal("no sentence with a tree and mentions to poison — fixture too small")
-	}
-
-	res, err := pipeline.RunAnnotatedContext(context.Background(), annotated, w.KB, w.Lex, cfg)
-	if err != nil {
-		t.Fatalf("poisoned run must not fail: %v", err)
-	}
-	if len(res.Quarantined) != len(poisoned) {
-		t.Fatalf("quarantined %v, poisoned docs %v", res.Quarantined, poisoned)
-	}
-	for i, q := range res.Quarantined {
-		if q.Doc != poisoned[i] {
-			t.Errorf("quarantine %d is doc %d, want %d", i, q.Doc, poisoned[i])
-		}
-	}
-
-	survivors := make([]int, 0, len(annotated))
-	for di := range annotated {
-		keep := true
-		for _, p := range poisoned {
-			if di == p {
-				keep = false
-			}
-		}
-		if keep {
-			survivors = append(survivors, di)
-		}
-	}
-	keptDocs := make([]corpus.Document, 0, len(survivors))
-	for _, di := range survivors {
-		keptDocs = append(keptDocs, w.Docs()[di])
-	}
-	clean := pipeline.Run(keptDocs, w.KB, w.Lex, cfg)
-	if diffs := DiffResults(stripQuarantine(res), clean); len(diffs) > 0 {
-		t.Errorf("poisoned annotated run diverges from clean run over survivors:\n  %s",
-			strings.Join(diffs, "\n  "))
 	}
 }
 

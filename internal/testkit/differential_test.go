@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/extract"
 	"repro/internal/pipeline"
 )
 
@@ -13,49 +14,42 @@ import (
 const diffScale = 0.2
 
 // TestDifferentialAgainstReference is the core oracle: for several corpus
-// seeds and worker counts, the parallel pipeline must produce exactly the
-// same result — counts, fitted parameters, per-entity opinions — as the
-// single-threaded reference implementation.
+// seeds, every extraction pattern version and several worker counts, the
+// parallel pipeline must produce exactly the same result — counts, fitted
+// parameters, per-entity opinions — as the single-threaded reference
+// implementation. Version 0 is the default (V4).
 func TestDifferentialAgainstReference(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		w := NewWorld(seed, diffScale)
-		cfg := pipeline.Config{Rho: 10}
+	for _, c := range []struct {
+		seed    uint64
+		version extract.Version
+		workers []int
+	}{
+		{1, 0, []int{1, 2, 8}},
+		{2, 0, []int{1, 2, 8}},
+		{3, 0, []int{1, 2, 8}},
+		{1, extract.V1, []int{1, 8}},
+		{1, extract.V2, []int{1, 8}},
+		{1, extract.V3, []int{1, 8}},
+		{1, extract.V4, []int{1, 8}},
+	} {
+		w := NewWorld(c.seed, diffScale)
+		cfg := pipeline.Config{Rho: 10, Version: c.version}
 		ref := ReferenceRun(w.Docs(), w.KB, w.Lex, cfg)
 		if len(ref.Groups) == 0 {
-			t.Fatalf("seed %d: reference modelled no groups — fixture too small", seed)
+			t.Fatalf("seed %d version %d: reference modelled no groups — fixture too small", c.seed, c.version)
 		}
 		if ref.TotalStatements == 0 {
-			t.Fatalf("seed %d: reference extracted nothing", seed)
+			t.Fatalf("seed %d version %d: reference extracted nothing", c.seed, c.version)
 		}
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range c.workers {
 			cfg := cfg
 			cfg.Workers = workers
 			res := pipeline.Run(w.Docs(), w.KB, w.Lex, cfg)
 			if diffs := DiffReference(ref, res); len(diffs) > 0 {
-				t.Errorf("seed %d workers %d: pipeline diverges from reference:\n  %s",
-					seed, workers, strings.Join(diffs, "\n  "))
+				t.Errorf("seed %d version %d workers %d: pipeline diverges from reference:\n  %s",
+					c.seed, c.version, workers, strings.Join(diffs, "\n  "))
 			}
 		}
-	}
-}
-
-// TestDifferentialAnnotatedPath asserts the annotate-once path
-// (Annotate + RunAnnotated) agrees with both the direct pipeline and the
-// reference over annotations.
-func TestDifferentialAnnotatedPath(t *testing.T) {
-	w := NewWorld(1, diffScale)
-	cfg := pipeline.Config{Rho: 10, Workers: 4}
-
-	direct := pipeline.Run(w.Docs(), w.KB, w.Lex, cfg)
-	annotated := pipeline.Annotate(w.Docs(), w.KB, w.Lex, 4)
-	viaAnn := pipeline.RunAnnotated(annotated, w.KB, w.Lex, cfg)
-	if diffs := DiffResults(direct, viaAnn); len(diffs) > 0 {
-		t.Errorf("RunAnnotated diverges from Run:\n  %s", strings.Join(diffs, "\n  "))
-	}
-
-	ref := ReferenceRunAnnotated(annotated, w.KB, w.Lex, cfg)
-	if diffs := DiffReference(ref, viaAnn); len(diffs) > 0 {
-		t.Errorf("RunAnnotated diverges from annotated reference:\n  %s", strings.Join(diffs, "\n  "))
 	}
 }
 

@@ -73,17 +73,23 @@ func newLeafHasher(base *kb.KB, lex *lexicon.Lexicon) *leafHasher {
 		dp: depparse.New(lex), ex: extract.NewVersion(lex, extract.V4)}
 }
 
+// splitSentences splits text on fresh buffers.
+func splitSentences(text string) []token.Sentence {
+	s, _ := token.SplitSentencesInto(nil, nil, text)
+	return s
+}
+
 func (l *leafHasher) add(text string) {
 	fmt.Fprintf(l.h, "D %d\n", len(text))
-	for _, sent := range token.SplitSentences(text) {
+	for _, sent := range splitSentences(text) {
 		l.sum.sentences++
 		fmt.Fprintf(l.h, "S %d %d %d\n", sent.Start, sent.End, len(sent.Tokens))
-		tagged := l.pt.Tag(sent)
+		tagged := l.pt.TagInto(nil, sent)
 		for _, t := range tagged {
 			l.sum.tokens++
 			fmt.Fprintf(l.h, "T %q %d %d %q %d\n", t.Text, t.Start, t.End, t.Lower(), int(t.Tag))
 		}
-		mentions := l.et.Tag(tagged)
+		mentions := l.et.TagInto(nil, new(tagger.Scratch), tagged)
 		for _, m := range mentions {
 			l.sum.mentions++
 			fmt.Fprintf(l.h, "M %d %d %d %d\n", m.Entity, m.Start, m.End, m.Head)
@@ -91,7 +97,7 @@ func (l *leafHasher) add(text string) {
 		if len(mentions) == 0 {
 			continue
 		}
-		for _, st := range l.ex.Extract(l.dp.Parse(tagged), mentions) {
+		for _, st := range l.ex.ExtractInto(nil, l.dp.ParseInto(new(depparse.Scratch), tagged), mentions) {
 			l.sum.statements++
 			fmt.Fprintf(l.h, "X %d %q %d %d\n", st.Entity, st.Property, st.Polarity, st.Pattern)
 		}

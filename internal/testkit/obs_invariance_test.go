@@ -76,22 +76,6 @@ func TestObsInvariance(t *testing.T) {
 	}
 }
 
-// TestObsInvarianceAnnotatedPath covers the annotate-once entry point with
-// a live sink.
-func TestObsInvarianceAnnotatedPath(t *testing.T) {
-	w := NewWorld(1, diffScale)
-	cfg := pipeline.Config{Rho: 10, Workers: 4}
-	annotated := pipeline.Annotate(w.Docs(), w.KB, w.Lex, 4)
-
-	plain := pipeline.RunAnnotated(annotated, w.KB, w.Lex, cfg)
-	cfgObs := cfg
-	cfgObs.Obs = fullRunObs()
-	observed := pipeline.RunAnnotated(annotated, w.KB, w.Lex, cfgObs)
-	if diffs := DiffResults(plain, observed); len(diffs) > 0 {
-		t.Errorf("obs-on RunAnnotated diverges:\n  %s", strings.Join(diffs, "\n  "))
-	}
-}
-
 // TestObsSameSinkTwice: reusing one RunObs across runs must not change the
 // second run's results either (metrics accumulate, progress resets).
 func TestObsSameSinkTwice(t *testing.T) {

@@ -3,7 +3,6 @@ package testkit
 import (
 	"sort"
 
-	"repro/internal/annotate"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/evidence"
@@ -33,8 +32,10 @@ type Reference struct {
 // ReferenceRun executes Algorithm 1 with no concurrency and no shared
 // machinery beyond the deterministic leaf primitives (tokenizer, tagger,
 // parser, extractor, EM): one plain loop over documents accumulating into
-// a plain map, one plain grouping pass, one sequential EM loop. It is the
-// oracle the parallel pipeline.Run is differentially tested against.
+// a plain map, one plain grouping pass, one sequential EM loop. Every leaf
+// call gets nil buffers and a fresh scratch, so nothing is reused between
+// sentences. It is the oracle the parallel pipeline.Run is differentially
+// tested against.
 func ReferenceRun(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg pipeline.Config) *Reference {
 	ref := &Reference{
 		Counts:    map[evidence.Key]evidence.Counts{},
@@ -46,39 +47,16 @@ func ReferenceRun(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg
 	extractor := extract.NewVersion(lex, extractVersion(cfg))
 
 	for _, doc := range docs {
-		for _, sent := range token.SplitSentences(doc.Text) {
+		sents, _ := token.SplitSentencesInto(nil, nil, doc.Text)
+		for _, sent := range sents {
 			ref.Sentences++
-			tagged := posTagger.Tag(sent)
-			mentions := entTagger.Tag(tagged)
+			tagged := posTagger.TagInto(nil, sent)
+			mentions := entTagger.TagInto(nil, new(tagger.Scratch), tagged)
 			if len(mentions) == 0 {
 				continue
 			}
-			tree := parser.Parse(tagged)
-			for _, st := range extractor.Extract(tree, mentions) {
-				ref.add(st)
-			}
-		}
-	}
-	ref.finish(base, cfg)
-	return ref
-}
-
-// ReferenceRunAnnotated is ReferenceRun over a pre-annotated corpus,
-// mirroring pipeline.RunAnnotated.
-func ReferenceRunAnnotated(docs []annotate.Document, base *kb.KB, lex *lexicon.Lexicon, cfg pipeline.Config) *Reference {
-	ref := &Reference{
-		Counts:    map[evidence.Key]evidence.Counts{},
-		Documents: len(docs),
-	}
-	extractor := extract.NewVersion(lex, extractVersion(cfg))
-	for di := range docs {
-		for si := range docs[di].Sentence {
-			s := &docs[di].Sentence[si]
-			ref.Sentences++
-			if s.Tree == nil || len(s.Mentions) == 0 {
-				continue
-			}
-			for _, st := range extractor.Extract(s.Tree, s.Mentions) {
+			tree := parser.ParseInto(new(depparse.Scratch), tagged)
+			for _, st := range extractor.ExtractInto(nil, tree, mentions) {
 				ref.add(st)
 			}
 		}

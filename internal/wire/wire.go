@@ -20,12 +20,11 @@
 // deterministic Snapshot order (entity, then property) so encoding the
 // same store always yields the same bytes.
 //
-// Decoding applies the validated-decode lessons of the internal/annotate
-// codec: every length and count is bounds-checked before allocation, the
-// declared body length is capped (MaxFrameBytes) and read through an
-// allocation-bounded loop so a forged header cannot cost gigabytes, the
-// checksum is verified before any entry is parsed, and counter values
-// must fit in int64. Arbitrary input bytes therefore fail cleanly with an
+// Decoding is validated: every length and count is bounds-checked before
+// allocation, the declared body length is capped (MaxFrameBytes) and read
+// through an allocation-bounded loop so a forged header cannot cost
+// gigabytes, the checksum is verified before any entry is parsed, and
+// counter values must fit in int64. Arbitrary input bytes therefore fail cleanly with an
 // error — never a panic, never an over-allocation. FuzzWireDecode holds
 // the package to that contract.
 package wire
