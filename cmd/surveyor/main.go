@@ -124,9 +124,17 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "-version must be 1, 2, 3 or 4 (got %d)\n", *version)
 		return 1
 	}
-	if *top < 0 {
-		fmt.Fprintf(os.Stderr, "-top must not be negative (got %d)\n", *top)
-		return 1
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{
+		{"-top", int64(*top)}, {"-rho", *rho}, {"-workers", int64(*workers)},
+		{"-epochs", int64(*epochs)}, {"-distribute", int64(*distribute)},
+	} {
+		if f.value < 0 {
+			fmt.Fprintf(os.Stderr, "%s must not be negative (got %d)\n", f.name, f.value)
+			return 1
+		}
 	}
 
 	prof := obs.Profiling{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath}
@@ -377,11 +385,6 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "run report written to %s\n", *reportPath)
 	}
-	if *debugAddr != "" && *linger > 0 {
-		fmt.Fprintf(os.Stderr, "lingering %s for scrapes of the final state\n", *linger)
-		time.Sleep(*linger)
-	}
-
 	if *queryStr != "" {
 		answers, err := res.Query(*queryStr)
 		if err != nil {
@@ -391,9 +394,21 @@ func run() int {
 		for _, a := range answers {
 			fmt.Printf("%s %-24s p=%.3f (+%d/-%d)\n", "+", a.Entity, a.Probability, a.Pos, a.Neg)
 		}
-		return exit
+	} else {
+		printGroups(res, *top)
 	}
 
+	// Last, so the answer is on stdout while the final state is scraped.
+	if *debugAddr != "" && *linger > 0 {
+		fmt.Fprintf(os.Stderr, "lingering %s for scrapes of the final state\n", *linger)
+		time.Sleep(*linger)
+	}
+	return exit
+}
+
+// printGroups dumps every modelled group with its top entities by
+// probability.
+func printGroups(res *surveyor.Result, top int) {
 	for _, g := range res.Groups() {
 		fmt.Printf("\n%s %s  (pA=%.2f np+S=%.1f np-S=%.1f)\n",
 			g.Property, g.Type, g.PA, g.NpPlus, g.NpMinus)
@@ -401,7 +416,7 @@ func run() int {
 		sort.Slice(ents, func(a, b int) bool {
 			return ents[a].Probability > ents[b].Probability
 		})
-		k := *top
+		k := top
 		if k > len(ents) {
 			k = len(ents)
 		}
@@ -410,7 +425,6 @@ func run() int {
 				eo.Opinion, eo.Entity, eo.Probability, eo.Pos, eo.Neg)
 		}
 	}
-	return exit
 }
 
 // sizingSample is how many documents the -in loader reads before it sizes

@@ -31,6 +31,25 @@ func buildSurveyor(t *testing.T, dir string) string {
 	return bin
 }
 
+// debugServerAddr reads a running surveyor's stderr up to the line
+// containing until and returns the base URL its debug server announced on
+// the way there.
+func debugServerAddr(t *testing.T, stderr io.Reader, until string) string {
+	t.Helper()
+	addr := ""
+	announce := regexp.MustCompile(`debug server on (http://[^/]+)/`)
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() && !strings.Contains(sc.Text(), until) {
+		if m := announce.FindStringSubmatch(sc.Text()); m != nil {
+			addr = m[1]
+		}
+	}
+	if addr == "" || sc.Err() != nil {
+		t.Fatalf("surveyor exited before printing %q (scan error: %v)", until, sc.Err())
+	}
+	return addr
+}
+
 // scrapeSkipped runs the built binary over corpus with the debug server up,
 // waits for the run to finish, and returns the skipped-lines sample of
 // /metrics and the body of /healthz.
@@ -54,17 +73,7 @@ func scrapeSkipped(t *testing.T, bin, corpus string, extra ...string) (metric, h
 
 	// The server announces its address first, the report path once the run
 	// is over; from then on the final state lingers for scraping.
-	addr := ""
-	announce := regexp.MustCompile(`debug server on (http://[^/]+)/`)
-	sc := bufio.NewScanner(stderr)
-	for sc.Scan() && !strings.Contains(sc.Text(), "run report written") {
-		if m := announce.FindStringSubmatch(sc.Text()); m != nil {
-			addr = m[1]
-		}
-	}
-	if addr == "" || sc.Err() != nil {
-		t.Fatalf("surveyor %v exited before serving its final state (scan error: %v)", args, sc.Err())
-	}
+	addr := debugServerAddr(t, stderr, "run report written")
 	get := func(path string) string {
 		client := http.Client{Timeout: 10 * time.Second}
 		resp, err := client.Get(addr + path)
@@ -113,9 +122,11 @@ func TestSkippedLinesBatchMatchesStream(t *testing.T) {
 }
 
 // TestRejectsOutOfRangeFlags: a negative -top used to panic slicing the
-// entity list, and a -version outside 1-4 silently mined with V4 while the
-// report recorded the number given. Both are usage errors, in the worker
-// modes too, which read -version like the coordinator.
+// entity list, a -version outside 1-4 silently mined with V4 while the
+// report recorded the number given, and a negative -rho, -workers, -epochs
+// or -distribute silently meant "model everything" / "all cores" / "off".
+// All are usage errors, in the worker modes too, which read -version like
+// the coordinator.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the surveyor binary")
@@ -131,6 +142,10 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{"-version", []string{"-rho", "5", "-version", "-3"}},
 		{"-version", []string{"-dist-worker", "-version", "7"}},
 		{"-version", []string{"-dist-listen", "127.0.0.1:0", "-version", "7"}},
+		{"-rho", []string{"-rho", "-1"}},
+		{"-workers", []string{"-rho", "5", "-workers", "-2"}},
+		{"-epochs", []string{"-rho", "5", "-epochs", "-4"}},
+		{"-distribute", []string{"-rho", "5", "-distribute", "-2"}},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		var out, errb bytes.Buffer
@@ -149,6 +164,65 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		if msg := errb.String(); !strings.HasPrefix(msg, c.flag+" must ") || strings.Count(msg, "\n") != 1 {
 			t.Errorf("surveyor %v: stderr %q, want one line starting %q", c.args, msg, c.flag+" must ")
 		}
+	}
+}
+
+// TestLingerPrintsFirst: -linger used to sleep ahead of the group dump, so
+// a lingering run showed nothing on stdout until it was over. The whole
+// answer must be out — the same bytes as without the debug server — while
+// /healthz still answers.
+func TestLingerPrintsFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the surveyor binary")
+	}
+	bin := buildSurveyor(t, t.TempDir())
+	want, err := exec.Command(bin, "-rho", "5", "-top", "3").Output()
+	if err != nil || len(want) == 0 {
+		t.Fatalf("plain run: %v, %d bytes of stdout", err, len(want))
+	}
+
+	cmd := exec.Command(bin, "-rho", "5", "-top", "3", "-debug-addr", "127.0.0.1:0", "-linger", "30s")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	addr := debugServerAddr(t, stderr, "lingering")
+
+	// The process lingers with stdout open, so read exactly the bytes the
+	// plain run printed; a dump still waiting for the sleep blocks here.
+	got := make([]byte, len(want))
+	read := make(chan error, 1)
+	go func() {
+		_, err := io.ReadFull(stdout, got)
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("stdout while lingering differs from the plain run (read error: %v)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stdout not complete 10s into a 30s linger")
+	}
+	client := http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(addr + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz after the dump: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the dump: %s", resp.Status)
 	}
 }
 

@@ -3,14 +3,17 @@
 // lockflow, allocbound, ctxflow, errflow) over package patterns, mirroring
 // a golang.org/x/tools multichecker on the standard library only.
 //
-// Standalone use:
-//
-//	go run ./cmd/surveyorlint ./...
-//
-// As a vet tool (unit-checker protocol):
+// It is a vet tool (unit-checker protocol): the go command loads and
+// type-checks the packages, _test.go files included, caches per-package
+// results, and carries facts between packages.
 //
 //	go build -o /tmp/surveyorlint ./cmd/surveyorlint
 //	go vet -vettool=/tmp/surveyorlint ./...
+//
+// Given package patterns instead of a vet config, it runs exactly that on
+// itself:
+//
+//	go run ./cmd/surveyorlint ./...
 //
 // Findings can be suppressed one line at a time with a justified
 // directive, either trailing the offending line or on the line above:
@@ -23,10 +26,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"os/exec"
 	"strings"
 
 	"repro/internal/analysis/allocbound"
@@ -88,56 +92,25 @@ func main() {
 		return
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := framework.Load("", patterns)
+	// No vet config: have the go command drive this binary over the
+	// patterns, so there is one loader and one reporting path.
+	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "surveyorlint:", err)
 		os.Exit(2)
 	}
-
-	// One fact store for the whole run: Load returns packages in
-	// dependency order, so an imported package's facts are in the store
-	// before any of its importers are analyzed.
-	facts := framework.NewFactStore(analyzers)
-	var all []framework.Finding
-	for _, pkg := range pkgs {
-		findings, err := framework.Run(pkg, analyzers, facts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "surveyorlint:", err)
-			os.Exit(2)
+	patterns := flag.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, patterns...)...)
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			os.Exit(exit.ExitCode())
 		}
-		allows, malformed := framework.CollectAllows(pkg, knownAnalyzers())
-		kept, unused := framework.Suppress(findings, allows)
-		all = append(all, kept...)
-		all = append(all, malformed...)
-		all = append(all, unused...)
+		fmt.Fprintln(os.Stderr, "surveyorlint:", err)
+		os.Exit(2)
 	}
-	framework.SortFindings(all)
-
-	cwd, _ := os.Getwd()
-	for _, f := range all {
-		fmt.Printf("%s: [%s] %s\n", relTo(cwd, f.Pos.String()), f.Analyzer, f.Message)
-		for _, fix := range f.Fixes {
-			fmt.Printf("\tsuggested fix: %s\n", fix.Message)
-		}
-	}
-	if len(all) > 0 {
-		fmt.Fprintf(os.Stderr, "surveyorlint: %d finding(s)\n", len(all))
-		os.Exit(1)
-	}
-}
-
-// relTo shortens an absolute file:line:col position to be relative to the
-// working directory when possible.
-func relTo(cwd, pos string) string {
-	if cwd == "" || !filepath.IsAbs(pos) {
-		return pos
-	}
-	if rel, err := filepath.Rel(cwd, pos); err == nil && !strings.HasPrefix(rel, "..") {
-		return rel
-	}
-	return pos
 }

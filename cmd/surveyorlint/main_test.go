@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -41,8 +42,9 @@ func buildTool(t *testing.T, root string) string {
 	return bin
 }
 
-// TestStandaloneCleanTree is the self-dogfooding gate: the committed tree
-// must produce zero findings.
+// TestStandaloneCleanTree is the self-dogfooding gate: the binary given
+// package patterns (it runs go vet on itself) must produce zero findings
+// on the committed tree, _test.go files included.
 func TestStandaloneCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and lints the whole module")
@@ -57,9 +59,7 @@ func TestStandaloneCleanTree(t *testing.T) {
 	}
 }
 
-// TestStandaloneFindsSeededViolation checks the driver end to end on a
-// tree that must NOT be clean: a scratch fixture package is linted with
-// the analyzer names visible in the output and a nonzero exit.
+// TestStandaloneListsAnalyzers: -list names every registered analyzer.
 func TestStandaloneListsAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool")
@@ -88,11 +88,11 @@ func TestVetTool(t *testing.T) {
 	}
 	root := moduleRoot(t)
 	bin := buildTool(t, root)
-	// wire and dist exercise the cross-package fact path over the real
-	// tree: dist's decode guards are only provable through the
-	// DecodedSource/ValidatesParam facts wire's analysis leaves in .vetx.
+	// framing, wire and dist exercise the cross-package fact path over the
+	// real tree: dist's decode guards are only provable through the
+	// DecodedSource/ValidatesParam facts framing's analysis leaves in .vetx.
 	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/evidence", "./internal/core", "./internal/wire", "./internal/dist")
+		"./internal/evidence", "./internal/core", "./internal/wire/...", "./internal/dist")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -106,7 +106,10 @@ func TestVetTool(t *testing.T) {
 // writeFixtureModule lays out a scratch module with one injected violation
 // per dataflow analyzer. The allocbound violation lives in a package that
 // only imports the decoder — catching it requires wire's DecodedSource
-// fact to cross the package (and, under go vet, the process) boundary.
+// fact to cross the package and process boundary. internal/evidence holds
+// the seeded detmap violation (detmap's findings carry a suggested fix) and
+// a _test.go file, which the go command hands over in the package's test
+// variant only: one more violation, one justified allow, one unused allow.
 func writeFixtureModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -144,6 +147,40 @@ func Fresh() context.Context {
 	return context.Background()
 }
 `,
+		"internal/evidence/evidence.go": `// Package evidence holds the seeded detmap violation.
+package evidence
+
+// Keys leaks map iteration order into its result.
+func Keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+`,
+		"internal/evidence/evidence_test.go": `package evidence
+
+func values(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v)
+	}
+	return out
+}
+
+func sum(m map[string]int) int {
+	n := 0
+	//lint:allow detmap addition commutes, order cannot leak
+	for _, v := range m {
+		n += v
+	}
+	return n
+}
+
+//lint:allow detmap nothing below ranges over a map
+func one() int { return 1 }
+`,
 		"internal/corpus/corpus.go": `// Package corpus holds the errflow violation.
 package corpus
 
@@ -167,53 +204,74 @@ func AtEOF(err error) bool {
 	return dir
 }
 
-// fixtureWants are the three injected violations, one per new analyzer.
+// fixtureWants is every finding the fixture module must produce, by the
+// file:line it is reported at and a fragment of its message.
 var fixtureWants = []struct{ loc, msg string }{
-	{"internal/dist/dist.go", "derives from decoded input"},
-	{"internal/ctxbad/ctxbad.go", "context.Background in a library package"},
-	{"internal/corpus/corpus.go", "compared against a sentinel with =="},
+	{"internal/dist/dist.go:9:", "derives from decoded input"},
+	{"internal/ctxbad/ctxbad.go:8:", "context.Background in a library package"},
+	{"internal/corpus/corpus.go:8:", "compared against a sentinel with =="},
+	{"internal/evidence/evidence.go:7:", "[detmap]"},
+	{"internal/evidence/evidence_test.go:5:", "[detmap]"},
+	{"internal/evidence/evidence_test.go:20:", "unused //lint:allow detmap"},
 }
 
-// TestVetToolFixtureViolations drives the injected violations through the
-// real `go vet -vettool` protocol: each analyzer must fire, and the
-// allocbound finding in dist proves a DecodedSource fact travelled from
-// wire's analysis process to dist's through the .vetx files.
+// checkFixtureOutput asserts each wanted finding is reported exactly once —
+// a non-test file reaches the tool in its package and again in the test
+// variant, and only one of the two may speak — that the justified allow
+// silenced its loop, and that each detmap finding carries its fix.
+func checkFixtureOutput(t *testing.T, out string) {
+	t.Helper()
+	lines := strings.Split(out, "\n")
+	for _, w := range fixtureWants {
+		n := 0
+		for _, line := range lines {
+			if strings.Contains(line, filepath.FromSlash(w.loc)) && strings.Contains(line, w.msg) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%q at %s reported %d times, want 1:\n%s", w.msg, w.loc, n, out)
+		}
+	}
+	if strings.Contains(out, filepath.FromSlash("evidence_test.go:14:")) {
+		t.Errorf("the justified //lint:allow did not suppress its finding:\n%s", out)
+	}
+	if n := strings.Count(out, "suggested fix:"); n != 2 {
+		t.Errorf("%d suggested-fix lines, want 2 (one per unsuppressed detmap finding):\n%s", n, out)
+	}
+}
+
+// TestVetToolFixtureViolations drives the injected violations through
+// `go vet -vettool`: each analyzer must fire, and the allocbound finding
+// in dist proves a DecodedSource fact travelled from wire's analysis
+// process to dist's through the .vetx files.
 func TestVetToolFixtureViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and runs go vet")
 	}
 	bin := buildTool(t, moduleRoot(t))
-	dir := writeFixtureModule(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
+	cmd.Dir = writeFixtureModule(t)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("go vet -vettool found nothing on the violation fixture:\n%s", out)
 	}
-	for _, w := range fixtureWants {
-		if !strings.Contains(string(out), w.msg) || !strings.Contains(string(out), filepath.FromSlash(w.loc)) {
-			t.Errorf("missing %q at %s in go vet output:\n%s", w.msg, w.loc, out)
-		}
-	}
+	checkFixtureOutput(t, string(out))
 }
 
 // TestStandaloneFixtureViolations runs the same fixture module through the
-// standalone driver, where facts flow through the in-process store.
+// binary given patterns: same findings, exit status 1.
 func TestStandaloneFixtureViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool")
 	}
 	bin := buildTool(t, moduleRoot(t))
-	dir := writeFixtureModule(t)
 	cmd := exec.Command(bin, "./...")
-	cmd.Dir = dir
+	cmd.Dir = writeFixtureModule(t)
 	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("standalone run found nothing on the violation fixture:\n%s", out)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("surveyorlint ./... on the violation fixture: %v, want exit status 1\n%s", err, out)
 	}
-	for _, w := range fixtureWants {
-		if !strings.Contains(string(out), w.msg) || !strings.Contains(string(out), filepath.FromSlash(w.loc)) {
-			t.Errorf("missing %q at %s in standalone output:\n%s", w.msg, w.loc, out)
-		}
-	}
+	checkFixtureOutput(t, string(out))
 }

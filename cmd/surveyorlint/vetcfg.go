@@ -148,6 +148,9 @@ func vetMode(cfgFile string) int {
 	framework.SortFindings(all)
 	for _, f := range all {
 		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", f.Pos, f.Analyzer, f.Message)
+		for _, fix := range f.Fixes {
+			fmt.Fprintf(os.Stderr, "\tsuggested fix: %s\n", fix.Message)
+		}
 	}
 	if len(all) > 0 {
 		return 2

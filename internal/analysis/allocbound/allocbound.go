@@ -14,7 +14,7 @@
 // []byte buffer, and — via cross-package DecodedSource facts — calls to
 // any function whose results were found to be decoded-derived when *its*
 // package was analyzed. That last part is what lets internal/dist, which
-// contains no raw decoding itself, see that wire.(*Decoder).Uvarint
+// contains no raw decoding itself, see that framing.(*Decoder).Uvarint
 // yields attacker-controlled numbers.
 //
 // A bound check guards an allocation when a terminating if compares the

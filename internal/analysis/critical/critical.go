@@ -45,7 +45,7 @@ var determinismLintExtra = []string{
 // allocBound lists the packages where every allocation sized from
 // decoded input must be dominated by a bound check against a named
 // limit (the allocbound analyzer): the wire codec and its framing
-// primitives, the dist protocol layer that consumes wire's decoders
+// primitives, the dist protocol layer that consumes framing's decoders
 // cross-package (the job, result and heartbeat codecs all read sizes
 // straight off the network), and the obs telemetry codec (the
 // coordinator decodes worker frames with the same discipline).

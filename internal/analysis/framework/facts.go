@@ -29,8 +29,8 @@ type factKey struct {
 }
 
 // A FactStore holds every fact produced or imported during a run. The
-// standalone driver threads one store through all packages (analyzed in
-// dependency order); the vet-tool driver fills a fresh store from the
+// fixture harness (analysistest) threads one store through all packages
+// (analyzed in dependency order); the vet-tool driver fills a fresh store from the
 // dependencies' .vetx files before each package and serializes the union
 // afterwards, which is exactly how the go command expects facts to
 // accumulate along the import graph.

@@ -1,139 +1,13 @@
 package framework
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 )
-
-// listedPackage is the subset of `go list -json` output the loader needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Imports    []string
-	Export     string
-	DepOnly    bool
-	Error      *struct{ Err string }
-}
-
-// Load enumerates the packages matching patterns (relative to dir, "" for
-// the current directory), parses their sources with comments, and
-// type-checks them against the gc export data the go command produces for
-// every dependency. Test files are not loaded: the determinism contracts
-// the analyzers enforce bind the production code; tests exercise them.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Imports,Export,DepOnly,Error",
-		"--",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
-	}
-
-	exports := map[string]string{}
-	var targets []listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %w", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			targets = append(targets, p)
-		}
-	}
-
-	// Order targets dependency-first so a driver threading a FactStore
-	// through the returned slice sees an imported package's facts before
-	// analyzing its importers. `go list -deps` usually emits this order
-	// already; the explicit sort makes it a guarantee.
-	targets = sortDepsFirst(targets)
-
-	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports, nil)
-	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		var files []*ast.File
-		for _, name := range t.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, fmt.Errorf("parsing %s: %w", name, err)
-			}
-			files = append(files, f)
-		}
-		info := NewInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(t.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %w", t.ImportPath, err)
-		}
-		pkgs = append(pkgs, &Package{
-			Path:      t.ImportPath,
-			Fset:      fset,
-			Files:     files,
-			Types:     tpkg,
-			TypesInfo: info,
-		})
-	}
-	return pkgs, nil
-}
-
-// sortDepsFirst topologically orders the target packages so that every
-// package appears after the targets it imports. Ties (and any cycle the
-// go command would have rejected anyway) fall back to the input order.
-func sortDepsFirst(targets []listedPackage) []listedPackage {
-	byPath := make(map[string]int, len(targets))
-	for i, t := range targets {
-		byPath[t.ImportPath] = i
-	}
-	out := make([]listedPackage, 0, len(targets))
-	state := make([]int, len(targets)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(i int)
-	visit = func(i int) {
-		if state[i] != 0 {
-			return
-		}
-		state[i] = 1
-		for _, imp := range targets[i].Imports {
-			if j, ok := byPath[imp]; ok && state[j] == 0 {
-				visit(j)
-			}
-		}
-		state[i] = 2
-		out = append(out, targets[i])
-	}
-	for i := range targets {
-		visit(i)
-	}
-	return out
-}
 
 // ExportImporter returns a types.Importer that reads gc export data files.
 // exports maps an import path to its export file (as reported by

@@ -170,7 +170,7 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 		documents += oc.res.Consumed - len(oc.res.Quarantined)
 	}
 
-	// Reduce, part 2: grouping + EM + index, bit-identical to the batch
+	// Reduce, part 2: grouping + EM, bit-identical to the batch
 	// reduce over the same store.
 	res := pipeline.ReduceStore(store, base, cfg.Pipeline, pipeline.ReduceStats{
 		Sentences:   sentences,

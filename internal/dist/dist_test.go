@@ -18,7 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/testkit"
-	"repro/internal/wire"
+	"repro/internal/wire/framing"
 )
 
 func testJob() *dist.Job {
@@ -120,7 +120,7 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 	t.Run("wrong magic", func(t *testing.T) {
 		raw := append([]byte(nil), healthy.Bytes()...)
 		raw[0] ^= 0xff
-		if _, _, err := dist.ReadJob(bytes.NewReader(raw)); !errors.Is(err, wire.ErrBadMagic) {
+		if _, _, err := dist.ReadJob(bytes.NewReader(raw)); !errors.Is(err, framing.ErrBadMagic) {
 			t.Fatalf("got %v, want ErrBadMagic", err)
 		}
 	})
@@ -141,12 +141,12 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 	t.Run("forged doc count", func(t *testing.T) {
 		// A tiny body claiming 2^40 documents must be rejected before any
 		// allocation of that order.
-		e := wire.NewEncoder(16)
+		e := framing.NewEncoder(16)
 		e.Uvarint(0)
 		e.Uvarint(0)
 		e.Uvarint(1 << 40)
 		var buf bytes.Buffer
-		if _, err := wire.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
+		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := dist.ReadJob(&buf)
@@ -155,13 +155,13 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		e := wire.NewEncoder(16)
+		e := framing.NewEncoder(16)
 		e.Uvarint(0)
 		e.Uvarint(0)
 		e.Uvarint(0)
 		e.Uvarint(99) // junk after the last document
 		var buf bytes.Buffer
-		if _, err := wire.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
+		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := dist.ReadJob(&buf)

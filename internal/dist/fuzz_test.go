@@ -9,7 +9,7 @@ import (
 	"repro/internal/evidence"
 	"repro/internal/kb"
 	"repro/internal/pipeline"
-	"repro/internal/wire"
+	"repro/internal/wire/framing"
 )
 
 // FuzzDistProto holds every coordinator-facing decoder of the dist
@@ -91,13 +91,13 @@ func FuzzDistProto(f *testing.F) {
 
 		// The result loop's view of what precedes the result: any frame,
 		// heartbeats decoded and round-tripped.
-		if magic, body, _, err := wire.ReadFrameAny(bytes.NewReader(data)); err == nil && magic == heartbeatMagic {
+		if magic, body, _, err := framing.ReadFrameAny(bytes.NewReader(data)); err == nil && magic == heartbeatMagic {
 			if shard, err := decodeHeartbeat(body); err == nil {
 				var re bytes.Buffer
 				if _, err := WriteHeartbeat(&re, shard); err != nil {
 					t.Fatalf("re-encode of decoded heartbeat: %v", err)
 				}
-				_, body2, _, err := wire.ReadFrameAny(bytes.NewReader(re.Bytes()))
+				_, body2, _, err := framing.ReadFrameAny(bytes.NewReader(re.Bytes()))
 				if err != nil {
 					t.Fatalf("decode of re-encoded heartbeat: %v", err)
 				}

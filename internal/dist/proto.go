@@ -1,5 +1,5 @@
 // Wire protocol of the distributed miner. Four message types flow over a
-// worker link (see Transport), all built from the internal/wire frame
+// worker link (see Transport), all built from the internal/wire/framing
 // primitives (magic + version + length + body + FNV-1a checksum, all
 // integers varints):
 //
@@ -62,6 +62,7 @@ import (
 	"repro/internal/evidence"
 	"repro/internal/pipeline"
 	"repro/internal/wire"
+	"repro/internal/wire/framing"
 )
 
 // Frame magics of the coordinator/worker protocol.
@@ -91,7 +92,7 @@ func WriteJob(w io.Writer, job *Job) (int64, error) {
 	for i := range job.Docs {
 		size += 24 + len(job.Docs[i].URL) + len(job.Docs[i].Domain) + len(job.Docs[i].Text)
 	}
-	e := wire.NewEncoder(size)
+	e := framing.NewEncoder(size)
 	e.Uvarint(uint64(job.Shard))
 	e.Uvarint(uint64(job.DocOffset))
 	e.Uvarint(uint64(len(job.Docs)))
@@ -102,17 +103,17 @@ func WriteJob(w io.Writer, job *Job) (int64, error) {
 		e.Uvarint(uint64(d.Author))
 		e.String(d.Text)
 	}
-	return wire.WriteFrame(w, jobMagic, e.Bytes())
+	return framing.WriteFrame(w, jobMagic, e.Bytes())
 }
 
 // ReadJob reads one job frame, validating every length and count before
 // allocating for it.
 func ReadJob(r io.Reader) (*Job, int64, error) {
-	body, n, err := wire.ReadFrame(r, jobMagic)
+	body, n, err := framing.ReadFrame(r, jobMagic)
 	if err != nil {
 		return nil, n, fmt.Errorf("dist: read job frame: %w", err)
 	}
-	d := wire.NewDecoder(body)
+	d := framing.NewDecoder(body)
 	job := &Job{}
 	shard := d.Uvarint()
 	offset := d.Uvarint()
@@ -156,14 +157,14 @@ func ReadJob(r io.Reader) (*Job, int64, error) {
 // on a ticker while mining; heartbeats never interleave with result
 // frames (the heartbeater stops before the result is written).
 func WriteHeartbeat(w io.Writer, shard int) (int64, error) {
-	e := wire.NewEncoder(8)
+	e := framing.NewEncoder(8)
 	e.Uvarint(uint64(shard))
-	return wire.WriteFrame(w, heartbeatMagic, e.Bytes())
+	return framing.WriteFrame(w, heartbeatMagic, e.Bytes())
 }
 
 // decodeHeartbeat parses a heartbeat frame body into its shard index.
 func decodeHeartbeat(body []byte) (int, error) {
-	d := wire.NewDecoder(body)
+	d := framing.NewDecoder(body)
 	shard := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return 0, fmt.Errorf("dist: decode heartbeat: %w", err)
@@ -194,7 +195,7 @@ type ShardResult struct {
 // encodings are complete in memory, so a cancelled worker never emits a
 // torn message.
 func WriteShardResult(w io.Writer, res *ShardResult) (int64, error) {
-	e := wire.NewEncoder(64 + 32*len(res.Quarantined))
+	e := framing.NewEncoder(64 + 32*len(res.Quarantined))
 	e.Uvarint(uint64(res.Shard))
 	e.Uvarint(uint64(res.Consumed))
 	e.Uvarint(uint64(res.Sentences))
@@ -203,7 +204,7 @@ func WriteShardResult(w io.Writer, res *ShardResult) (int64, error) {
 		e.Uvarint(uint64(q.Doc))
 		e.String(q.Reason)
 	}
-	n, err := wire.WriteFrame(w, resultMagic, e.Bytes())
+	n, err := framing.WriteFrame(w, resultMagic, e.Bytes())
 	if err != nil {
 		return n, fmt.Errorf("dist: write result frame: %w", err)
 	}
@@ -227,7 +228,7 @@ func readShardResult(r io.Reader, beat func(shard int) error) (*ShardResult, int
 	var n int64
 	var body []byte
 	for {
-		magic, b, m, err := wire.ReadFrameAny(r)
+		magic, b, m, err := framing.ReadFrameAny(r)
 		n += m
 		if err != nil {
 			return nil, n, fmt.Errorf("dist: read result frame: %w", err)
@@ -237,7 +238,7 @@ func readShardResult(r io.Reader, beat func(shard int) error) (*ShardResult, int
 			break
 		}
 		if magic != heartbeatMagic {
-			return nil, n, fmt.Errorf("dist: read result frame: %w: got %q, want %q", wire.ErrBadMagic, magic, resultMagic)
+			return nil, n, fmt.Errorf("dist: read result frame: %w: got %q, want %q", framing.ErrBadMagic, magic, resultMagic)
 		}
 		shard, err := decodeHeartbeat(b)
 		if err == nil && beat != nil {
@@ -247,7 +248,7 @@ func readShardResult(r io.Reader, beat func(shard int) error) (*ShardResult, int
 			return nil, n, err
 		}
 	}
-	d := wire.NewDecoder(body)
+	d := framing.NewDecoder(body)
 	res := &ShardResult{}
 	shard := d.Uvarint()
 	consumed := d.Uvarint()

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/wire"
+	"repro/internal/wire/framing"
 )
 
 // TestBackoffDeterministicAndBounded pins the retry backoff contract:
@@ -118,7 +118,7 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	if _, err := WriteHeartbeat(&buf, 7); err != nil {
 		t.Fatalf("WriteHeartbeat: %v", err)
 	}
-	magic, body, _, err := wire.ReadFrameAny(&buf)
+	magic, body, _, err := framing.ReadFrameAny(&buf)
 	if err != nil {
 		t.Fatalf("ReadFrameAny: %v", err)
 	}

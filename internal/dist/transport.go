@@ -228,9 +228,9 @@ var errKilled = errors.New("dist: worker killed")
 
 // LocalTransport runs each worker as a goroutine running Serve over
 // in-memory pipes. Used by the differential suites (every schedule runs
-// under the race detector) and by BenchmarkDistributedMine
-// (process-free, so the codec and coordination costs are measured without
-// fork/exec noise).
+// under the race detector) and by the distributed benchmarks and the
+// ledger of bench/ (process-free, so the codec and coordination costs are
+// measured without fork/exec noise).
 //
 // The chaos hooks (Crash, FailAttempt, Hold, CutResult) are the
 // deterministic stand-ins for the fleet failure modes of the paper's

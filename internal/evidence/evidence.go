@@ -3,8 +3,8 @@
 // them by (type, property), and applies the occurrence threshold ρ.
 //
 // The Store supports concurrent writers (the parallel extraction phase)
-// and shard merging (the reduce step of the pipeline), with a compact
-// binary codec for spilling shards.
+// and shard merging (the reduce step of the pipeline); its binary form,
+// for shipping a shard between processes, is internal/wire's.
 package evidence
 
 import (

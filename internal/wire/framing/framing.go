@@ -1,12 +1,12 @@
 // Package framing is the dependency-free lower half of the wire format:
 // the varint body encoder/decoder and the framed-payload reader/writer
 // (magic + version + length + body + FNV-1a checksum). Package wire
-// re-exports everything here under its own name and layers the
-// evidence-store codec on top; package obs builds its telemetry frame
-// codec directly on framing so the observability layer never imports the
-// evidence graph (which imports obs back — the split exists to break that
-// cycle). Error strings keep the "wire:" prefix: framing is an internal
-// detail of the wire format, not a separate protocol.
+// layers the evidence-store codec on top and package dist its job, result
+// and heartbeat frames; package obs builds its telemetry frame codec on
+// framing too, so the observability layer never imports the evidence
+// graph (which imports obs back — the split exists to break that cycle).
+// Error strings keep the "wire:" prefix: framing is an internal detail of
+// the wire format, not a separate protocol.
 package framing
 
 import (

