@@ -136,6 +136,10 @@ func run() int {
 			return 1
 		}
 	}
+	if *distConnect != "" && slices.Contains(strings.Split(*distConnect, ","), "") {
+		fmt.Fprintf(os.Stderr, "-dist-connect must list non-empty addresses (got %q)\n", *distConnect)
+		return 1
+	}
 
 	prof := obs.Profiling{CPUProfile: *cpuProfile, MemProfile: *memProfile, Trace: *tracePath}
 	if prof.Enabled() {

@@ -123,10 +123,11 @@ func TestSkippedLinesBatchMatchesStream(t *testing.T) {
 
 // TestRejectsOutOfRangeFlags: a negative -top used to panic slicing the
 // entity list, a -version outside 1-4 silently mined with V4 while the
-// report recorded the number given, and a negative -rho, -workers, -epochs
-// or -distribute silently meant "model everything" / "all cores" / "off".
-// All are usage errors, in the worker modes too, which read -version like
-// the coordinator.
+// report recorded the number given, a negative -rho, -workers, -epochs or
+// -distribute silently meant "model everything" / "all cores" / "off", and
+// an empty -dist-connect element was dialled as "" until every shard was
+// lost to "missing address". All are usage errors, in the worker modes
+// too, which read -version like the coordinator.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the surveyor binary")
@@ -146,6 +147,8 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{"-workers", []string{"-rho", "5", "-workers", "-2"}},
 		{"-epochs", []string{"-rho", "5", "-epochs", "-4"}},
 		{"-distribute", []string{"-rho", "5", "-distribute", "-2"}},
+		{"-dist-connect", []string{"-rho", "5", "-distribute", "2", "-dist-connect", ","}},
+		{"-dist-connect", []string{"-rho", "5", "-distribute", "2", "-dist-connect", "a,,b"}},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		var out, errb bytes.Buffer

@@ -42,7 +42,7 @@ var Analyzer = &framework.Analyzer{
 // determinism contract excludes.
 var readMethods = map[string]bool{
 	"Value": true, "Snapshot": true, "Count": true, "Sum": true,
-	"Now": true, "Dropped": true, "EventCount": true,
+	"Now": true, "EventCount": true,
 	"WritePrometheus": true, "WriteChromeTrace": true, "WriteJSON": true,
 }
 

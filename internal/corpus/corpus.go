@@ -14,7 +14,6 @@ package corpus
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/kb"
@@ -218,33 +217,6 @@ func (s *Snapshot) DocumentsInDomain(domain string) []Document {
 		}
 	}
 	return out
-}
-
-// HashTruth builds a deterministic pseudo-random truth function with the
-// given positive rate, for properties with no natural objective anchor.
-func HashTruth(property string, rate float64) func(e *kb.Entity, domain string) bool {
-	return func(e *kb.Entity, domain string) bool {
-		h := fnv.New64a()
-		h.Write([]byte(e.Name))
-		h.Write([]byte{0})
-		h.Write([]byte(property))
-		return float64(h.Sum64()%1_000_000)/1_000_000 < rate
-	}
-}
-
-// AttrTruth builds a truth function thresholding an objective attribute:
-// Truth(e) = e.Attr(attr) >= threshold.
-func AttrTruth(attr string, threshold float64) func(e *kb.Entity, domain string) bool {
-	return func(e *kb.Entity, domain string) bool {
-		return e.Attr(attr, 0) >= threshold
-	}
-}
-
-// AttrBelowTruth is AttrTruth with the comparison inverted.
-func AttrBelowTruth(attr string, threshold float64) func(e *kb.Entity, domain string) bool {
-	return func(e *kb.Entity, domain string) bool {
-		return e.Attr(attr, 0) < threshold
-	}
 }
 
 // SigmoidFraction builds a per-entity positive-opinion fraction from an

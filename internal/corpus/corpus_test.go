@@ -30,6 +30,14 @@ func smallKB() *kb.KB {
 	return base
 }
 
+// AttrTruth builds a truth function thresholding an objective attribute:
+// Truth(e) = e.Attr(attr) >= threshold.
+func AttrTruth(attr string, threshold float64) func(e *kb.Entity, domain string) bool {
+	return func(e *kb.Entity, domain string) bool {
+		return e.Attr(attr, 0) >= threshold
+	}
+}
+
 func smallSpecs() []Spec {
 	return []Spec{
 		{Type: "animal", Property: "cute", PA: 0.9, NpPlus: 30, NpMinus: 3,
@@ -150,26 +158,6 @@ func TestSpecFor(t *testing.T) {
 	}
 	if _, ok := snap.SpecFor("animal", "big"); ok {
 		t.Fatal("SpecFor matched a non-existent spec")
-	}
-}
-
-func TestHashTruthDeterministicAndRateish(t *testing.T) {
-	truth := HashTruth("vital", 0.4)
-	base := kb.Default(1)
-	pos, n := 0, 0
-	for _, id := range base.OfType("city") {
-		e := base.Get(id)
-		if truth(e, "com") != truth(e, "com") {
-			t.Fatal("HashTruth not deterministic")
-		}
-		if truth(e, "com") {
-			pos++
-		}
-		n++
-	}
-	rate := float64(pos) / float64(n)
-	if rate < 0.3 || rate > 0.5 {
-		t.Fatalf("hash truth rate = %v, want ≈ 0.4", rate)
 	}
 }
 
@@ -406,7 +394,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := WriteJSONL(&buf, snap.Documents); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,11 +409,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{ok}\n")); err == nil {
+	if _, err := readJSONL(strings.NewReader("{ok}\n")); err == nil {
 		t.Fatal("garbage line accepted")
 	}
 	if !strings.Contains(func() string {
-		_, err := ReadJSONL(strings.NewReader("{\"URL\":\"x\"}\nnot json\n"))
+		_, err := readJSONL(strings.NewReader("{\"URL\":\"x\"}\nnot json\n"))
 		return err.Error()
 	}(), "line 2") {
 		t.Fatal("error should name the failing line")
@@ -433,7 +421,7 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 }
 
 func TestReadJSONLSkipsBlankLines(t *testing.T) {
-	docs, err := ReadJSONL(strings.NewReader("\n{\"URL\":\"a\"}\n\n{\"URL\":\"b\"}\n"))
+	docs, err := readJSONL(strings.NewReader("\n{\"URL\":\"a\"}\n\n{\"URL\":\"b\"}\n"))
 	if err != nil || len(docs) != 2 {
 		t.Fatalf("docs=%v err=%v", docs, err)
 	}

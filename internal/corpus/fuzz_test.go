@@ -36,7 +36,7 @@ func FuzzJSONL(f *testing.F) {
 		}
 
 		// Clean round trip first.
-		got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+		got, err := readJSONL(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
@@ -59,7 +59,7 @@ func FuzzJSONL(f *testing.F) {
 		pos %= len(lines)
 		dirty := strings.Join(lines[:pos], "") + garbage + "\n" + strings.Join(lines[pos:], "")
 
-		if _, err := ReadJSONL(strings.NewReader(dirty)); err != nil {
+		if _, err := readJSONL(strings.NewReader(dirty)); err != nil {
 			var probe Document
 			if jerr := probe.unmarshalProbe(garbage); jerr == nil {
 				t.Fatalf("strict read rejected input whose extra line is valid: %v", err)

@@ -224,19 +224,3 @@ func trimEOL(b []byte) []byte {
 	}
 	return b
 }
-
-// ReadJSONL reads a snapshot written by WriteJSONL into memory. Lines that
-// fail to parse — or exceed DefaultMaxLineBytes — abort with a *LineError
-// naming the offending line. Use an Iterator directly for bounded-memory
-// streaming or lenient skipping.
-func ReadJSONL(r io.Reader) ([]Document, error) {
-	it := NewIterator(r, IteratorConfig{})
-	var docs []Document
-	for it.Next() {
-		docs = append(docs, it.Doc())
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return docs, nil
-}

@@ -207,16 +207,3 @@ func DropTies(cases []TestCase) []TestCase {
 	}
 	return out
 }
-
-// AgreementHistogram returns, for each threshold a in [minA, workers], the
-// number of cases with agreement >= a — the Figure 11 curve.
-func AgreementHistogram(cases []TestCase, minA, workers int) []int {
-	out := make([]int, workers-minA+1)
-	for _, c := range cases {
-		a := c.Judgement.Agreement()
-		for t := minA; t <= workers && t <= a; t++ {
-			out[t-minA]++
-		}
-	}
-	return out
-}

@@ -159,23 +159,6 @@ func TestCrowdDominantTracksLatentTruth(t *testing.T) {
 	}
 }
 
-func TestAgreementHistogramMonotone(t *testing.T) {
-	base, specs := evalWorld()
-	cases := CollectCases(base, specs, 20, 20, 23)
-	hist := AgreementHistogram(cases, 11, 20)
-	if len(hist) != 10 {
-		t.Fatalf("histogram bins = %d", len(hist))
-	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i] > hist[i-1] {
-			t.Fatalf("cumulative histogram must be non-increasing: %v", hist)
-		}
-	}
-	if hist[0] == 0 {
-		t.Fatal("no cases above the lowest threshold")
-	}
-}
-
 func TestMeanAgreementEmpty(t *testing.T) {
 	if got := MeanAgreement(nil); got != 0 {
 		t.Fatalf("MeanAgreement(nil) = %v", got)

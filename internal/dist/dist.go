@@ -9,6 +9,10 @@
 // single-process run over the same corpus — the testkit differential
 // suite proves it for worker counts {1, 2, 4, 8}, with and without
 // injected worker crashes.
+//
+// The coordinator records every fleet event through one nil-safe sink,
+// the *obs.Cluster that RunObs.StartFleet returns; which /cluster field
+// and which /metrics series an event moves is decided there.
 package dist
 
 import (
@@ -21,7 +25,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/evidence"
 	"repro/internal/kb"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -93,17 +96,14 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 		shards = 1
 	}
 	o := cfg.Pipeline.Obs
-	do := o.Dist()
-	cl := clusterOf(o)
-	do.Workers.Set(float64(shards))
-	cl.StartRun(shards)
+	fleet := o.StartFleet(shards)
 	o.StartRun(len(docs), shards)
 	total := o.Phase("run")
 
 	if cfg.Transport == nil {
 		cfg.Transport = nilTransport{}
 	}
-	sc := newScheduler(cfg.Transport, cfg.Retry, do, cl)
+	sc := newScheduler(cfg.Transport, cfg.Retry, fleet)
 
 	// Map: drive every shard's retry loop concurrently. Each slot is
 	// owned by exactly one goroutine, so the outcomes slice needs no
@@ -141,30 +141,19 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 	for s := 0; s < shards; s++ {
 		oc := outcomes[s]
 		if oc.err != nil {
-			do.ShardsFailed.Inc()
-			cl.ShardFailed(s, oc.err)
+			fleet.ShardFailed(s, oc.err)
 			failed = append(failed, ShardError{Shard: s, Docs: lo[s+1] - lo[s], Attempts: oc.attempts, Err: oc.err})
 			continue
 		}
 		merge := o.Phase("merge")
 		store.Merge(oc.res.Store)
-		mergeMillis := float64(merge.End()) / float64(time.Millisecond)
-		do.ShardMergeMillis.Observe(mergeMillis)
-		do.ShardsShipped.Inc()
-		cl.ShardCommitted(s, oc.res.Consumed, len(oc.res.Quarantined), mergeMillis)
+		fleet.ShardCommitted(s, oc.res.Consumed, len(oc.res.Quarantined),
+			float64(merge.End())/float64(time.Millisecond))
 		// Federate telemetry in the same deterministic shard order as the
 		// store fold. Frames are optional and best-effort: a decode failure
 		// degrades to a rejection note, never to a shard failure — the
 		// shard's evidence is already committed.
-		switch {
-		case oc.teleErr != nil:
-			o.RejectShardTelemetry(s, oc.teleErr)
-		case oc.tele != nil:
-			do.TelemetryFrames.Inc()
-			o.AbsorbShardTelemetry(s, oc.tele)
-		default:
-			o.AbsorbShardTelemetry(s, nil)
-		}
+		fleet.ShardTelemetry(s, oc.tele, oc.teleErr)
 		sentences += oc.res.Sentences
 		quarantined = append(quarantined, oc.res.Quarantined...)
 		documents += oc.res.Consumed - len(oc.res.Quarantined)
@@ -188,16 +177,6 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 		return res, failed, fmt.Errorf("dist: all %d shards failed: %w", shards, failed[0].Err)
 	}
 	return res, failed, nil
-}
-
-// clusterOf resolves the fleet view of a possibly-nil RunObs. A field
-// access rather than a method keeps the nil-safety here, next to the one
-// caller that needs it.
-func clusterOf(o *obs.RunObs) *obs.Cluster {
-	if o == nil {
-		return nil
-	}
-	return o.Cluster
 }
 
 // nilTransport keeps a misconfigured run (no transport) failing with a

@@ -121,8 +121,7 @@ func (c *shardCommit) sealOrResult() (shardOutcome, int, bool) {
 type scheduler struct {
 	transport Transport
 	policy    RetryPolicy
-	do        *obs.DistObs
-	cl        *obs.Cluster
+	fleet     *obs.Cluster // the run's one observability sink; nil-safe
 
 	wg   sync.WaitGroup
 	mu   sync.Mutex
@@ -135,8 +134,8 @@ type attemptHandle struct {
 	cancel context.CancelFunc
 }
 
-func newScheduler(t Transport, p RetryPolicy, do *obs.DistObs, cl *obs.Cluster) *scheduler {
-	return &scheduler{transport: t, policy: p, do: do, cl: cl, live: make(map[*attemptHandle]struct{})}
+func newScheduler(t Transport, p RetryPolicy, fleet *obs.Cluster) *scheduler {
+	return &scheduler{transport: t, policy: p, fleet: fleet, live: make(map[*attemptHandle]struct{})}
 }
 
 func (sc *scheduler) track(h *attemptHandle) {
@@ -180,8 +179,7 @@ func (sc *scheduler) mineShard(ctx context.Context, shard, docOffset int, docs [
 	attempts := 0
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			sc.do.ShardRetries.Inc()
-			sc.cl.ShardRetrying(shard)
+			sc.fleet.ShardRetrying(shard)
 			if err := sleepCtx(ctx, sc.backoff(shard, attempt)); err != nil {
 				lastErr = err
 				break
@@ -197,12 +195,7 @@ func (sc *scheduler) mineShard(ctx context.Context, shard, docOffset int, docs [
 			break
 		}
 		attempts++
-		started, err := sc.runAttempt(ctx, shard, attempt, docOffset, docs, commit)
-		if attempt > 0 && started {
-			// A fresh worker picked the shard up. A retry the transport
-			// could not start (every dial failed) reached no worker.
-			sc.do.ShardReassignments.Inc()
-		}
+		err := sc.runAttempt(ctx, shard, attempt, docOffset, docs, commit)
 		if err == nil {
 			out, _, ok := commit.result()
 			if !ok {
@@ -219,7 +212,7 @@ func (sc *scheduler) mineShard(ctx context.Context, shard, docOffset int, docs [
 		if errors.Is(err, ErrShardDeadline) {
 			end = obs.AttemptExpired
 		}
-		sc.cl.ShardAttemptEnded(shard, attempt, end, err.Error())
+		sc.fleet.ShardAttemptEnded(shard, attempt, end, err.Error())
 	}
 	// Out of budget (or cancelled). A straggler may still have committed
 	// between the last failure and now — take its result; otherwise seal
@@ -234,9 +227,8 @@ func (sc *scheduler) mineShard(ctx context.Context, shard, docOffset int, docs [
 // protocol to finish or its deadline to expire. On deadline expiry the
 // attempt is abandoned, not killed: its goroutine keeps the connection
 // and may still deliver a late result into the commit cell, and drain()
-// reaps it at the end of the run. started reports whether the transport
-// got a worker going at all.
-func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffset int, docs []corpus.Document, commit *shardCommit) (started bool, err error) {
+// reaps it at the end of the run.
+func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffset int, docs []corpus.Document, commit *shardCommit) error {
 	actx, cancel := parent, context.CancelFunc(func() {})
 	if sc.policy.ShardDeadline > 0 {
 		actx, cancel = context.WithTimeout(parent, sc.policy.ShardDeadline)
@@ -246,7 +238,7 @@ func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffse
 	conn, err := sc.transport.Start(actx, shard, attempt)
 	if err != nil {
 		cancel()
-		return false, fmt.Errorf("dist: shard %d attempt %d start: %w", shard, attempt, err)
+		return fmt.Errorf("dist: shard %d attempt %d start: %w", shard, attempt, err)
 	}
 	h := &attemptHandle{conn: conn, cancel: cancel}
 	sc.track(h)
@@ -261,22 +253,21 @@ func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffse
 	select {
 	case err := <-done:
 		cancel()
-		return true, err
+		return err
 	case <-actx.Done():
 		if parent.Err() != nil {
 			// The run itself was cancelled: kill the worker now and report
 			// the cancellation. The goroutine unblocks on the broken pipes
 			// and drain() waits for it.
 			conn.Kill()
-			return true, fmt.Errorf("dist: shard %d attempt %d: %w", shard, attempt, parent.Err())
+			return fmt.Errorf("dist: shard %d attempt %d: %w", shard, attempt, parent.Err())
 		}
 		// Shard deadline: abandon the attempt. Its worker keeps running —
 		// for ProcTransport the expired context kills the child, but a
 		// transport-agnostic straggler may still deliver, and the commit
 		// cell will either take the late result (if nothing else committed)
 		// or discard it as a duplicate.
-		sc.do.DeadlinesExpired.Inc()
-		return true, fmt.Errorf("dist: shard %d attempt %d: %w after %v", shard, attempt, ErrShardDeadline, sc.policy.ShardDeadline)
+		return fmt.Errorf("dist: shard %d attempt %d: %w after %v", shard, attempt, ErrShardDeadline, sc.policy.ShardDeadline)
 	}
 }
 
@@ -286,13 +277,12 @@ func (sc *scheduler) runAttempt(parent context.Context, shard, attempt, docOffse
 // abandoned and another already committed — is counted and recorded as a
 // duplicate, never merged.
 func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, docs []corpus.Document, commit *shardCommit) error {
-	do, cl := sc.do, sc.cl
+	fleet := sc.fleet
 	// The send anchor precedes the job write so the worker's job-received
 	// anchor falls inside the coordinator's [jobSent, resultRecv] window.
-	cl.JobSent(shard, len(docs), 0)
+	fleet.JobSent(shard, len(docs), 0)
 	wn, err := WriteJob(conn, &Job{Shard: shard, DocOffset: docOffset, Docs: docs})
-	do.WireBytesEncoded.Add(wn)
-	cl.ShardWire(shard, wn, 0)
+	fleet.ShardWire(shard, wn, 0)
 	var res *ShardResult
 	if err == nil {
 		var rn int64
@@ -300,12 +290,10 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 			if beat != shard {
 				return fmt.Errorf("dist: heartbeat for shard %d on this stream (desync)", beat)
 			}
-			do.Heartbeats.Inc()
-			cl.ShardHeartbeat(shard)
+			fleet.ShardHeartbeat(shard)
 			return nil
 		})
-		do.WireBytesDecoded.Add(rn)
-		cl.ResultReceived(shard, rn)
+		fleet.ResultReceived(shard, rn)
 	}
 	var tele *obs.Telemetry
 	var teleErr error
@@ -315,8 +303,7 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 		// cannot un-commit the shard's evidence.
 		var tn int64
 		tele, tn, teleErr = obs.DecodeTelemetry(conn)
-		do.WireBytesDecoded.Add(tn)
-		cl.ShardWire(shard, 0, tn)
+		fleet.ShardWire(shard, 0, tn)
 		if errors.Is(teleErr, io.EOF) {
 			tele, teleErr = nil, nil
 		}
@@ -338,11 +325,10 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 		return fmt.Errorf("dist: shard %d: consumed %d of %d documents", shard, res.Consumed, len(docs))
 	}
 	if !commit.offer(shardOutcome{res: res, tele: tele, teleErr: teleErr}, attempt) {
-		do.DuplicateResults.Inc()
-		cl.ShardAttemptEnded(shard, attempt, obs.AttemptDuplicate, "late result discarded: shard already committed")
+		fleet.ShardAttemptEnded(shard, attempt, obs.AttemptDuplicate, "late result discarded: shard already committed")
 		return nil
 	}
-	cl.ShardAttemptEnded(shard, attempt, obs.AttemptCommitted, "")
+	fleet.ShardAttemptEnded(shard, attempt, obs.AttemptCommitted, "")
 	return nil
 }
 

@@ -15,8 +15,8 @@ import (
 // window [d/2, 3d/2) around the capped exponential d.
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	policy := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second, Seed: 42}
-	sc := newScheduler(nil, policy, nil, nil)
-	again := newScheduler(nil, policy, nil, nil)
+	sc := newScheduler(nil, policy, nil)
+	again := newScheduler(nil, policy, nil)
 	for shard := 0; shard < 4; shard++ {
 		for attempt := 1; attempt <= 6; attempt++ {
 			d := sc.backoff(shard, attempt)
@@ -46,7 +46,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 // TestBackoffZeroPolicyDefaults checks the documented zero-value
 // defaults: 50ms base, 2s cap.
 func TestBackoffZeroPolicyDefaults(t *testing.T) {
-	sc := newScheduler(nil, RetryPolicy{}, nil, nil)
+	sc := newScheduler(nil, RetryPolicy{}, nil)
 	d := sc.backoff(0, 1)
 	if d < defaultBaseBackoff/2 || d >= defaultBaseBackoff+defaultBaseBackoff/2 {
 		t.Errorf("first retry backoff %v outside default window", d)

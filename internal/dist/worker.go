@@ -81,7 +81,7 @@ func Serve(ctx context.Context, rw io.ReadWriter, base *kb.KB, lex *lexicon.Lexi
 	if err != nil {
 		return fmt.Errorf("dist: worker shard %d write result: %w", job.Shard, err)
 	}
-	cfg.Obs.Dist().WireBytesEncoded.Add(n)
+	cfg.Obs.WireBytesEncoded().Add(n)
 	if t := st.Export(); t != nil {
 		if _, err := obs.EncodeTelemetry(rw, t); err != nil {
 			return fmt.Errorf("dist: worker shard %d write telemetry: %w", job.Shard, err)

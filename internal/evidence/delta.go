@@ -5,7 +5,7 @@
 //
 // Correctness rests on the Merge algebra: counters only ever add, so the
 // accumulator's per-group state after absorbing deltas d1..dk equals the
-// state a batch GroupByTypeProperty would build from the merged store —
+// state a batch ParallelGroup would build from the merged store —
 // the incremental differential suite in testkit proves the end-to-end
 // consequence bit for bit.
 package evidence
@@ -66,7 +66,7 @@ func (a *GroupAccumulator) Pairs() int { return len(a.groups) }
 // Materialize expands one group to the full Group shape the EM phase
 // consumes — every KB entity of the type in KB order, zero-evidence
 // entities included — when its cumulative statement count is at least
-// rho. The result is identical to the entry GroupByTypeProperty would
+// rho. The result is identical to the entry ParallelGroup would
 // produce for the same key over the merged store.
 func (a *GroupAccumulator) Materialize(k GroupKey, rho int64) (Group, bool) {
 	g := a.groups[k]

@@ -252,56 +252,6 @@ type Group struct {
 
 func compareGroups(a, b Group) int { return a.Key.Compare(b.Key) }
 
-// GroupByTypeProperty groups the store by (most notable type, property),
-// keeps groups with at least rho statements (the paper used ρ = 100 and
-// kept 380k of 7M groups), and expands each kept group to all entities of
-// the type, including zero-evidence ones.
-func GroupByTypeProperty(s *Store, base *kb.KB, rho int64) []Group {
-	type agg struct {
-		counts map[kb.EntityID]Counts
-		total  int64
-	}
-	groups := map[GroupKey]*agg{}
-	for _, e := range s.Snapshot() {
-		typ := base.Get(e.Entity).Type
-		gk := GroupKey{Type: typ, Property: e.Property}
-		g := groups[gk]
-		if g == nil {
-			g = &agg{counts: map[kb.EntityID]Counts{}}
-			groups[gk] = g
-		}
-		g.counts[e.Entity] = e.Counts
-		g.total += e.Total()
-	}
-
-	var out []Group
-	for gk, g := range groups {
-		if g.total < rho {
-			continue
-		}
-		ids := base.OfType(gk.Type)
-		ents := make([]EntityCounts, len(ids))
-		for i, id := range ids {
-			c := g.counts[id]
-			ents[i] = EntityCounts{Entity: id, Pos: c.Pos, Neg: c.Neg}
-		}
-		out = append(out, Group{Key: gk, Entities: ents, Statements: g.total})
-	}
-	slices.SortFunc(out, compareGroups)
-	return out
-}
-
-// CountGroups returns the number of distinct (type, property) pairs in the
-// store regardless of ρ — the "7 million property-type pairs before
-// filtering" statistic of Section 7.1.
-func CountGroups(s *Store, base *kb.KB) int {
-	seen := map[GroupKey]bool{}
-	for _, e := range s.Snapshot() {
-		seen[GroupKey{Type: base.Get(e.Entity).Type, Property: e.Property}] = true
-	}
-	return len(seen)
-}
-
 type groupAgg struct {
 	counts map[kb.EntityID]Counts
 	total  int64
@@ -320,13 +270,18 @@ func (g *groupAgg) expand(base *kb.KB, k GroupKey) Group {
 	return Group{Key: k, Entities: ents, Statements: g.total}
 }
 
-// ParallelGroup computes GroupByTypeProperty and CountGroups in one
-// parallel pass over the store's shards, without materialising a sorted
-// snapshot: workers claim shards, build partial (type, property) aggregates,
-// and the partials merge conflict-free because each (entity, property) key
-// lives in exactly one shard. Only the final kept-group list is sorted. The
-// results are identical to the two-snapshot implementation — the grouping
-// property tests prove it.
+// ParallelGroup groups the store by (most notable type, property), keeps
+// groups with at least rho statements (the paper used ρ = 100 and kept
+// 380k of 7M groups), expands each kept group to all entities of the type,
+// zero-evidence ones included, and counts the distinct (type, property)
+// pairs regardless of ρ — the "7 million property-type pairs before
+// filtering" statistic of Section 7.1. It is one parallel pass over the
+// store's shards, without materialising a sorted snapshot: workers claim
+// shards, build partial (type, property) aggregates, and the partials merge
+// conflict-free because each (entity, property) key lives in exactly one
+// shard. Only the final kept-group list is sorted. The results are
+// identical to the two-snapshot reference in grouping_test.go — the
+// grouping property tests prove it.
 func ParallelGroup(s *Store, base *kb.KB, rho int64, workers int) (groups []Group, pairsBeforeFilter int) {
 	return ParallelGroupObserved(s, base, rho, workers, nil)
 }

@@ -3,6 +3,7 @@ package evidence
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -128,4 +129,53 @@ func TestLocalInternsProperties(t *testing.T) {
 			t.Fatalf("key property %q does not share the canonical interned backing", k.Property)
 		}
 	}
+}
+
+// GroupByTypeProperty is the two-snapshot reference ParallelGroup is
+// tested against: group the store by (most notable type, property), keep
+// groups with at least rho statements, and expand each kept group to all
+// entities of the type, including zero-evidence ones.
+func GroupByTypeProperty(s *Store, base *kb.KB, rho int64) []Group {
+	type agg struct {
+		counts map[kb.EntityID]Counts
+		total  int64
+	}
+	groups := map[GroupKey]*agg{}
+	for _, e := range s.Snapshot() {
+		typ := base.Get(e.Entity).Type
+		gk := GroupKey{Type: typ, Property: e.Property}
+		g := groups[gk]
+		if g == nil {
+			g = &agg{counts: map[kb.EntityID]Counts{}}
+			groups[gk] = g
+		}
+		g.counts[e.Entity] = e.Counts
+		g.total += e.Total()
+	}
+
+	var out []Group
+	for gk, g := range groups {
+		if g.total < rho {
+			continue
+		}
+		ids := base.OfType(gk.Type)
+		ents := make([]EntityCounts, len(ids))
+		for i, id := range ids {
+			c := g.counts[id]
+			ents[i] = EntityCounts{Entity: id, Pos: c.Pos, Neg: c.Neg}
+		}
+		out = append(out, Group{Key: gk, Entities: ents, Statements: g.total})
+	}
+	slices.SortFunc(out, compareGroups)
+	return out
+}
+
+// CountGroups is the reference for ParallelGroup's second result: the
+// number of distinct (type, property) pairs in the store regardless of ρ.
+func CountGroups(s *Store, base *kb.KB) int {
+	seen := map[GroupKey]bool{}
+	for _, e := range s.Snapshot() {
+		seen[GroupKey{Type: base.Get(e.Entity).Type, Property: e.Property}] = true
+	}
+	return len(seen)
 }

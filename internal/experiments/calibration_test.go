@@ -9,7 +9,13 @@ import (
 )
 
 // TestCalibrationReport logs the end-to-end calibration of the synthetic
-// world against the paper's reported numbers; run with -v to inspect.
+// world against the paper's reported numbers (run with -v to inspect) and
+// asserts the headline of what it logs: the Table 3 ordering of the four
+// methods, Surveyor's full coverage, and the world's shape. Every world
+// is seeded, so the counts are exact; the bound on Surveyor's correct
+// answers (354 today) is the one with slack. Swapping np+S and np−S in
+// core.Params.Lambdas leaves Surveyor 222 correct at F1 0.628, below
+// WebChild: the correct-answer and ordering assertions both fail.
 func TestCalibrationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
@@ -17,6 +23,9 @@ func TestCalibrationReport(t *testing.T) {
 	w := BuildEvalWorld(WorldConfig{Seed: 1, Scale: 0.5})
 	t.Logf("groups modelled: %d of %d before filter; statements %d",
 		len(w.Result.Groups), w.Result.PairsBeforeFilter, w.Result.TotalStatements)
+	if len(w.Result.Groups) != 25 || w.Result.PairsBeforeFilter != 74 {
+		t.Errorf("modelled %d of %d pairs, want 25 of 74", len(w.Result.Groups), w.Result.PairsBeforeFilter)
+	}
 	modelled := map[string]bool{}
 	for _, g := range w.Result.Groups {
 		modelled[g.Key.Type+"/"+g.Key.Property] = true
@@ -28,8 +37,18 @@ func TestCalibrationReport(t *testing.T) {
 		}
 	}
 	cases := w.EvalCases()
+	score := map[string]eval.Metrics{}
 	for _, m := range MethodNames {
-		t.Logf("%-22s %+v", m, eval.Score(cases, m))
+		score[m] = eval.Score(cases, m)
+		t.Logf("%-22s %+v", m, score[m])
+	}
+	if s := score["Surveyor"]; s.Total != 485 || s.Solved != 485 || s.Correct < 350 {
+		t.Errorf("Surveyor solved %d of %d with %d correct, want 485 of 485 with at least 350", s.Solved, s.Total, s.Correct)
+	}
+	// F1 today: Surveyor 0.844 > WebChild 0.775 > Scaled MV 0.613 >= MV 0.601.
+	if sv, wc, smv, mv := score["Surveyor"].F1, score["WebChild"].F1, score["Scaled Majority Vote"].F1,
+		score["Majority Vote"].F1; !(sv > wc && wc > smv && smv >= mv) {
+		t.Errorf("F1 order Surveyor %.3f > WebChild %.3f > Scaled MV %.3f >= MV %.3f does not hold", sv, wc, smv, mv)
 	}
 	// How many test-case pairs have zero evidence?
 	zero := 0
@@ -40,6 +59,9 @@ func TestCalibrationReport(t *testing.T) {
 		}
 	}
 	t.Logf("test cases with zero evidence: %d / %d", zero, len(w.Cases))
+	if zero != 215 || len(w.Cases) != 500 {
+		t.Errorf("%d of %d test cases have zero evidence, want 215 of 500", zero, len(w.Cases))
+	}
 
 	// Per-combo breakdown: solved/correct for MV and Surveyor.
 	type tally struct{ mvS, mvC, svS, svC, n, posT int }

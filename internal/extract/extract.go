@@ -326,7 +326,7 @@ func (x *Extractor) buildProperty(tree *depparse.Tree, adj int) string {
 
 // pathPolarity implements Figure 5: starting at +1, flip the sign at every
 // negated token on the path from the property token to the root. A cycle
-// (a parser bug) yields Positive, matching PathToRoot's nil return.
+// (a parser bug) yields Positive.
 func (x *Extractor) pathPolarity(tree *depparse.Tree, adj int) Polarity {
 	pol := Positive
 	steps := 0

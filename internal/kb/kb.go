@@ -197,10 +197,6 @@ func (kb *KB) CandidatesLowerBytes(lower []byte) []EntityID {
 	return kb.byAlias[string(lower)]
 }
 
-// MaxAliasTokens returns the maximum number of whitespace-separated tokens
-// in any indexed alias.
-func (kb *KB) MaxAliasTokens() int { return max(1, kb.maxSpan) }
-
 // AliasTable returns the alias index keyed by lex's word ids: the one
 // RegisterLexicon built if it is for this lexicon and neither the lexicon
 // nor the KB has grown since, a fresh one otherwise — which costs a pass

@@ -94,12 +94,12 @@ func TestOfTypeAndTypes(t *testing.T) {
 func TestMaxAliasTokens(t *testing.T) {
 	k := New()
 	k.Add(Entity{Name: "Rome", Type: "city", Proper: true})
-	if k.MaxAliasTokens() != 1 {
+	if k.maxSpan != 1 {
 		t.Fatal("single-word KB should have window 1")
 	}
 	k.Add(Entity{Name: "Rancho Santa Margarita", Type: "city", Proper: true})
-	if k.MaxAliasTokens() != 3 {
-		t.Fatalf("window = %d, want 3", k.MaxAliasTokens())
+	if k.maxSpan != 3 {
+		t.Fatalf("window = %d, want 3", k.maxSpan)
 	}
 }
 
@@ -329,8 +329,8 @@ func TestMaxAliasTokensSurvivesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.MaxAliasTokens() != 4 || loaded.MaxAliasTokens() != 4 {
-		t.Fatalf("MaxAliasTokens = %d built, %d loaded, want 4", k.MaxAliasTokens(), loaded.MaxAliasTokens())
+	if k.maxSpan != 4 || loaded.maxSpan != 4 {
+		t.Fatalf("maxSpan = %d built, %d loaded, want 4", k.maxSpan, loaded.maxSpan)
 	}
 }
 

@@ -329,3 +329,32 @@ func TestParseLeadingPPNotAppositive(t *testing.T) {
 	wantDep(t, tree, Nsubj, "cheap", "rome")
 	wantDep(t, tree, Neg, "cheap", "not")
 }
+
+// Test-side tree walks: the invariants below (and FuzzParse) are stated
+// through them; the extractor walks heads inline.
+
+// ChildrenWith returns the children of node i attached with the given label.
+func (t *Tree) ChildrenWith(i int, rel Label) []int {
+	var out []int
+	for _, c := range t.children[i] {
+		if t.Nodes[c].Rel == rel {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// PathToRoot returns the node indices from i (inclusive) up to the root
+// (inclusive). Returns nil if a cycle is detected (which would indicate a
+// parser bug).
+func (t *Tree) PathToRoot(i int) []int {
+	var path []int
+	for i >= 0 {
+		if len(path) > len(t.Nodes) {
+			return nil
+		}
+		path = append(path, i)
+		i = t.Nodes[i].Head
+	}
+	return path
+}

@@ -79,17 +79,6 @@ func (t *Tree) Root() int { return t.root }
 // Children returns the child indices of node i in token order.
 func (t *Tree) Children(i int) []int { return t.children[i] }
 
-// ChildrenWith returns the children of node i attached with the given label.
-func (t *Tree) ChildrenWith(i int, rel Label) []int {
-	var out []int
-	for _, c := range t.children[i] {
-		if t.Nodes[c].Rel == rel {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // FirstChildWith returns the first child of node i with the given label,
 // or -1 if none exists.
 func (t *Tree) FirstChildWith(i int, rel Label) int {
@@ -109,21 +98,6 @@ func (t *Tree) HasChildWith(i int, rel Label) bool {
 // IsNegated reports whether node i has a negation child — the per-token
 // test of the paper's polarity rule.
 func (t *Tree) IsNegated(i int) bool { return t.HasChildWith(i, Neg) }
-
-// PathToRoot returns the node indices from i (inclusive) up to the root
-// (inclusive). Returns nil if a cycle is detected (which would indicate a
-// parser bug).
-func (t *Tree) PathToRoot(i int) []int {
-	var path []int
-	for i >= 0 {
-		if len(path) > len(t.Nodes) {
-			return nil
-		}
-		path = append(path, i)
-		i = t.Nodes[i].Head
-	}
-	return path
-}
 
 // String renders the tree one dependency per line, for diagnostics.
 func (t *Tree) String() string {

@@ -1,10 +1,3 @@
-// Cluster is the coordinator's live fleet view of one distributed run:
-// per-shard protocol status, document and quarantine counts, wire byte
-// volume, merge latency, and the telemetry/skew outcome of each worker.
-// It is written by the distributed coordinator (internal/dist) through
-// nil-safe recording methods — write-only from the miner's perspective,
-// like every obs surface — and read by the debug server's /cluster
-// endpoint and the JSON report.
 package obs
 
 import (
@@ -34,34 +27,39 @@ const (
 	AttemptExpired   = "expired"   // shard deadline reclaimed the attempt from a hung worker
 )
 
-// Cluster tracks one distributed run. The zero value is unusable; build
-// with NewCluster (RunObs.New wires one on the shared clock). All methods
-// are safe on a nil receiver and safe for concurrent use.
+// Cluster is the coordinator's live fleet view of one distributed run and
+// its one fleet sink: per shard, protocol status, document and quarantine
+// counts, wire byte volume, merge latency, and the telemetry/skew outcome
+// of the worker. Every recording method moves the shard's record and the
+// surveyor_dist_* / surveyor_wire_bytes_* series that count the same
+// event, so which field and which series an event moves is decided here
+// and nowhere else. It is written by internal/dist — write-only from the
+// miner's perspective, like every obs surface — and read by the debug
+// server's /cluster endpoint and the JSON report.
+//
+// The zero value is unusable; build with NewCluster (obs.New wires one on
+// the shared clock) and start through RunObs.StartFleet, which binds the
+// registry and tracer — a cluster started with StartRun alone keeps
+// records and moves no series. All methods are safe on a nil receiver and
+// safe for concurrent use.
 type Cluster struct {
 	clock Clock
 
-	mu      sync.Mutex
-	started bool
-	shards  []clusterShard
+	// Where the run's series and federated worker telemetry go. Bound by
+	// StartFleet before any recording goroutine exists.
+	metrics *Registry
+	tracer  *Tracer
+
+	mu     sync.Mutex
+	series fleetSeries
+	shards []shardState // nil until a run starts
 }
 
-// clusterShard is the coordinator's record of one shard.
-type clusterShard struct {
-	status      string
-	docs        int
-	consumed    int
-	quarantined int
-	wireOut     int64 // job-frame bytes shipped to the worker
-	wireIn      int64 // result+telemetry bytes read back
-	mergeMillis float64
-	spans       int
-	skew        time.Duration
-	hasSkew     bool
-	telemetry   string // "", "ok", "absent", or "rejected: <cause>"
-	failure     string
-	attempts    int                // job frames launched for this shard
-	heartbeats  int64              // liveness frames received
-	history     []ShardAttemptView // per-attempt outcomes, oldest first
+// shardState is the coordinator's record of one shard: the JSON shape
+// served at /cluster is the state, beside the coordinator-clock anchors
+// skew correction needs.
+type shardState struct {
+	ShardView
 
 	jobSent    time.Duration
 	resultRecv time.Duration
@@ -75,6 +73,23 @@ func NewCluster(clock Clock) *Cluster {
 	return &Cluster{clock: clockOrDefault(clock)}
 }
 
+// StartFleet starts the fleet view of a distributed run of the given
+// shard count and returns the sink the coordinator records it through.
+// A RunObs with no Cluster still gets its series moved — through a
+// cluster nothing serves. Nil (inert) on a nil RunObs.
+func (o *RunObs) StartFleet(shards int) *Cluster {
+	if o == nil {
+		return nil
+	}
+	c := o.Cluster
+	if c == nil {
+		c = NewCluster(o.Clock)
+	}
+	c.metrics, c.tracer = o.Metrics, o.Tracer
+	c.StartRun(shards)
+	return c
+}
+
 // StartRun resets the view for a run of the given shard count.
 func (c *Cluster) StartRun(shards int) {
 	if c == nil {
@@ -82,40 +97,52 @@ func (c *Cluster) StartRun(shards int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.started = true
-	c.shards = make([]clusterShard, shards)
+	c.series = resolveFleetSeries(c.metrics)
+	c.series.workers.Set(float64(shards))
+	c.shards = make([]shardState, shards)
 	for s := range c.shards {
-		c.shards[s].status = ShardPending
+		c.shards[s].ShardView = ShardView{Shard: s, Status: ShardPending}
 	}
 }
 
-// shard returns the record for s, or nil when out of range (a run that
-// never called StartRun records nothing).
-func (c *Cluster) shard(s int) *clusterShard {
-	if s < 0 || s >= len(c.shards) {
-		return nil
+// record runs f on shard s's record under the lock. A nil cluster, a run
+// that never started and an out-of-range shard record nothing.
+func (c *Cluster) record(s int, f func(sh *shardState)) {
+	if c == nil {
+		return
 	}
-	return &c.shards[s]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s >= 0 && s < len(c.shards) {
+		f(&c.shards[s])
+	}
+}
+
+// wire adds byte volume to a shard's record and the codec series: out
+// counts bytes shipped to the worker, in counts bytes read back.
+func (c *Cluster) wire(sh *shardState, out, in int64) {
+	sh.WireBytesOut += out
+	sh.WireBytesIn += in
+	c.series.encoded.Add(out)
+	c.series.decoded.Add(in)
 }
 
 // JobSent records the job frame leaving for shard s: its document count,
 // the encoded bytes, and the coordinator-clock send anchor used for skew
-// correction.
+// correction. A job leaving for a RETRYING shard is a reassignment: a
+// fresh worker picked the shard up (a retry the transport could not start
+// sends no job and reassigns nothing).
 func (c *Cluster) JobSent(s, docs int, wireBytes int64) {
-	if c == nil {
-		return
-	}
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.status = ShardMining
-		sh.docs = docs
-		sh.wireOut += wireBytes
-		sh.jobSent = now
-		sh.hasSent = true
-		sh.attempts++
-	}
+	c.record(s, func(sh *shardState) {
+		if sh.Status == ShardRetrying {
+			c.series.reassigned.Inc()
+		}
+		sh.Status = ShardMining
+		sh.Docs = docs
+		sh.Attempts++
+		sh.jobSent, sh.hasSent = c.clock.Now(), true
+		c.wire(sh, wireBytes, 0)
+	})
 }
 
 // maxAttemptHistory bounds one shard's recorded attempt history; a
@@ -125,132 +152,122 @@ const maxAttemptHistory = 64
 // ShardAttemptEnded appends one attempt's terminal outcome (an Attempt*
 // constant) and its cause to shard s's history.
 func (c *Cluster) ShardAttemptEnded(s, attempt int, outcome, cause string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil && len(sh.history) < maxAttemptHistory {
-		sh.history = append(sh.history, ShardAttemptView{
-			Attempt: attempt, Outcome: outcome, Cause: cause,
-		})
-	}
+	c.record(s, func(sh *shardState) {
+		switch outcome {
+		case AttemptDuplicate:
+			c.series.duplicates.Inc()
+		case AttemptExpired:
+			c.series.expired.Inc()
+		}
+		if len(sh.History) < maxAttemptHistory {
+			sh.History = append(sh.History, ShardAttemptView{
+				Attempt: attempt, Outcome: outcome, Cause: cause,
+			})
+		}
+	})
 }
 
 // ShardRetrying marks shard s as lost-but-retrying: a failed or expired
 // attempt is being replaced by a fresh worker.
 func (c *Cluster) ShardRetrying(s int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.status = ShardRetrying
-	}
+	c.record(s, func(sh *shardState) {
+		sh.Status = ShardRetrying
+		c.series.retries.Inc()
+	})
 }
 
 // ShardHeartbeat records one liveness frame received from shard s's
 // worker.
 func (c *Cluster) ShardHeartbeat(s int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.heartbeats++
-	}
+	c.record(s, func(sh *shardState) {
+		sh.Heartbeats++
+		c.series.heartbeats.Inc()
+	})
 }
 
-// ShardWire adds wire byte volume to shard s's record: out counts bytes
-// shipped to the worker, in counts bytes read back.
+// ShardWire adds wire byte volume to shard s: out counts bytes shipped
+// to the worker, in counts bytes read back.
 func (c *Cluster) ShardWire(s int, out, in int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.wireOut += out
-		sh.wireIn += in
-	}
+	c.record(s, func(sh *shardState) { c.wire(sh, out, in) })
 }
 
 // ResultReceived records the shard result arriving from shard s: the
 // decoded bytes and the coordinator-clock receive anchor.
 func (c *Cluster) ResultReceived(s int, wireBytes int64) {
-	if c == nil {
-		return
-	}
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.wireIn += wireBytes
-		sh.resultRecv = now
-		sh.hasRecv = true
-	}
+	c.record(s, func(sh *shardState) {
+		sh.resultRecv, sh.hasRecv = c.clock.Now(), true
+		c.wire(sh, 0, wireBytes)
+	})
 }
 
 // ShardCommitted marks shard s merged into the cumulative store.
 func (c *Cluster) ShardCommitted(s, consumed, quarantined int, mergeMillis float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.status = ShardDone
-		sh.consumed = consumed
-		sh.quarantined = quarantined
-		sh.mergeMillis = mergeMillis
-	}
+	c.record(s, func(sh *shardState) {
+		sh.Status = ShardDone
+		sh.Consumed = consumed
+		sh.Quarantined = quarantined
+		sh.MergeMillis = mergeMillis
+		c.series.shipped.Inc()
+		c.series.mergeMillis.Observe(mergeMillis)
+	})
 }
 
 // ShardFailed marks shard s lost with its terminal error.
 func (c *Cluster) ShardFailed(s int, err error) {
+	c.record(s, func(sh *shardState) {
+		sh.Status = ShardLost
+		if err != nil {
+			sh.Failure = err.Error()
+		}
+		c.series.failed.Inc()
+	})
+}
+
+// ShardTelemetry federates what followed shard s's committed result. A
+// decoded frame's metric snapshot folds into the fleet namespace of the
+// registry and its spans stitch into the trace on the shard's pid track
+// with skew-corrected timestamps; no frame (t nil) records "absent".
+// Failures are absorbed here — the shard's evidence already committed, so
+// a frame that failed wire decoding (err) or federation degrades to a
+// rejection counter and a cluster note instead of an error the miner
+// could branch on (the write-only contract).
+func (c *Cluster) ShardTelemetry(s int, t *Telemetry, err error) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.status = ShardLost
-		if err != nil {
-			sh.failure = err.Error()
-		}
+	if err == nil && t != nil {
+		c.series.frames.Inc()
+		err = c.metrics.AbsorbSnapshot(t.Metrics)
+	}
+	switch {
+	case err != nil:
+		c.metrics.Counter(MetricTelemetryRejected,
+			"worker telemetry frames rejected by federation").Inc()
+		c.TelemetryMissing(s, "rejected: "+err.Error())
+	case t == nil:
+		c.TelemetryMissing(s, "absent")
+	default:
+		offset, _ := c.skewOffset(s, t.Anchor)
+		c.tracer.AbsorbSpans(WorkerPid(s), fmt.Sprintf("worker %d", s), offset, t.Spans)
+		c.TelemetryAbsorbed(s, len(t.Spans), offset)
 	}
 }
 
 // TelemetryAbsorbed records a successfully federated telemetry frame:
 // the span count stitched into the trace and the estimated clock skew.
 func (c *Cluster) TelemetryAbsorbed(s, spans int, skew time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.telemetry = "ok"
-		sh.spans = spans
-		sh.skew = skew
-		sh.hasSkew = true
-	}
+	c.record(s, func(sh *shardState) {
+		sh.Telemetry = "ok"
+		sh.Spans = spans
+		sh.SkewMillis = float64(skew) / float64(time.Millisecond)
+	})
 }
 
 // TelemetryMissing records a shard whose telemetry did not federate:
 // absent (old or silent worker, or a lost shard) or rejected (a frame
 // that failed validation — the shard's evidence still committed).
 func (c *Cluster) TelemetryMissing(s int, reason string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sh := c.shard(s); sh != nil {
-		sh.telemetry = reason
-	}
+	c.record(s, func(sh *shardState) { sh.Telemetry = reason })
 }
 
 // skewOffset estimates the worker→coordinator clock offset for shard s
@@ -259,18 +276,15 @@ func (c *Cluster) TelemetryMissing(s int, reason string) {
 // ok is false when either anchor pair is incomplete; callers then stitch
 // spans unshifted.
 func (c *Cluster) skewOffset(s int, a ClockAnchor) (offset time.Duration, ok bool) {
-	if c == nil {
-		return 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sh := c.shard(s)
-	if sh == nil || !sh.hasSent || !sh.hasRecv {
-		return 0, false
-	}
-	coordMid := (sh.jobSent + sh.resultRecv) / 2
-	workerMid := (a.JobReceived + a.Captured) / 2
-	return coordMid - workerMid, true
+	c.record(s, func(sh *shardState) {
+		if !sh.hasSent || !sh.hasRecv {
+			return
+		}
+		coordMid := (sh.jobSent + sh.resultRecv) / 2
+		workerMid := (a.JobReceived + a.Captured) / 2
+		offset, ok = coordMid-workerMid, true
+	})
+	return offset, ok
 }
 
 // ShardAttemptView is the JSON shape of one attempt in a shard's
@@ -320,35 +334,17 @@ func (c *Cluster) Snapshot() ClusterSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := ClusterSnapshot{Workers: len(c.shards)}
-	if !c.started {
+	if c.shards == nil {
 		return snap
 	}
 	snap.Shards = make([]ShardView, len(c.shards))
 	for s := range c.shards {
-		sh := &c.shards[s]
-		v := ShardView{
-			Shard:        s,
-			Status:       sh.status,
-			Docs:         sh.docs,
-			Consumed:     sh.consumed,
-			Quarantined:  sh.quarantined,
-			WireBytesOut: sh.wireOut,
-			WireBytesIn:  sh.wireIn,
-			MergeMillis:  sh.mergeMillis,
-			Spans:        sh.spans,
-			Telemetry:    sh.telemetry,
-			Failure:      sh.failure,
-			Attempts:     sh.attempts,
-			Heartbeats:   sh.heartbeats,
-			History:      append([]ShardAttemptView(nil), sh.history...),
-		}
-		if sh.hasSkew {
-			v.SkewMillis = float64(sh.skew) / float64(time.Millisecond)
-		}
+		v := c.shards[s].ShardView
+		v.History = append([]ShardAttemptView(nil), v.History...)
 		snap.Shards[s] = v
-		snap.WireBytesOut += sh.wireOut
-		snap.WireBytesIn += sh.wireIn
-		switch sh.status {
+		snap.WireBytesOut += v.WireBytesOut
+		snap.WireBytesIn += v.WireBytesIn
+		switch v.Status {
 		case ShardDone:
 			snap.ShardsDone++
 		case ShardLost:

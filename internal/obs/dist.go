@@ -9,86 +9,69 @@ const (
 	MetricTelemetryRejected = "surveyor_dist_telemetry_rejected_total"
 )
 
-// DistObs is the write-only counter set of the distributed miner
-// (internal/dist): shards shipped over the wire, wire-codec byte volume
-// in both directions, worker count, telemetry frames federated, and the
-// coordinator's per-shard merge latency. Like every obs surface it is
-// strictly write-only from the miner's perspective — distributed runs
-// with a live sink are bit-identical to runs with a nil one.
-type DistObs struct {
-	// Workers gauges the shard/worker count of the current run.
-	Workers *Gauge // surveyor_dist_workers
-	// ShardsShipped counts shard evidence deltas received and committed by
-	// the coordinator.
-	ShardsShipped *Counter // surveyor_dist_shards_shipped_total
-	// ShardsFailed counts shards lost to worker crashes or protocol
-	// errors; /healthz degrades when it is non-zero.
-	ShardsFailed *Counter // surveyor_dist_shards_failed_total
-	// TelemetryFrames counts worker telemetry frames received and
-	// federated by the coordinator.
-	TelemetryFrames *Counter // surveyor_dist_telemetry_frames_total
-	// ShardRetries counts shard attempts launched beyond each shard's
-	// first — the self-healing scheduler replacing a failed or expired
-	// worker.
-	ShardRetries *Counter // surveyor_dist_shard_retries_total
-	// ShardReassignments counts retries that handed the shard to a fresh
-	// worker — every retry except one the transport could not start
-	// (all dials refused), which reached nobody.
-	ShardReassignments *Counter // surveyor_dist_shard_reassignments_total
-	// DeadlinesExpired counts shard attempts reclaimed from hung workers
-	// by the per-shard deadline.
-	DeadlinesExpired *Counter // surveyor_dist_shard_deadlines_expired_total
-	// DuplicateResults counts late shard results discarded because an
-	// earlier attempt already committed — the exactly-once shard commit.
-	DuplicateResults *Counter // surveyor_dist_duplicate_results_total
-	// Heartbeats counts worker liveness frames received.
-	Heartbeats *Counter // surveyor_dist_heartbeats_total
-	// WireBytesEncoded and WireBytesDecoded count wire-codec traffic:
-	// job frames written to workers, result and telemetry frames read
-	// back.
-	WireBytesEncoded *Counter // surveyor_wire_bytes_encoded_total
-	WireBytesDecoded *Counter // surveyor_wire_bytes_decoded_total
-	// ShardMergeMillis is the per-shard latency of folding one decoded
-	// evidence delta into the coordinator's cumulative store.
-	ShardMergeMillis *Histogram // surveyor_dist_shard_merge_ms
+// fleetSeries is the coordinator's metric inventory. Cluster resolves it
+// when a run starts and is the only code that moves it: each recording
+// method there moves the shard record and the series that count the same
+// event, so /cluster and /metrics cannot disagree. Every handle is nil
+// (and recording free) without a registry.
+type fleetSeries struct {
+	workers     *Gauge     // shard/worker count of the current run
+	shipped     *Counter   // shard deltas received and committed
+	failed      *Counter   // shards lost for good; /healthz degrades on it
+	frames      *Counter   // worker telemetry frames received
+	retries     *Counter   // attempts launched beyond each shard's first
+	reassigned  *Counter   // retries that reached a fresh worker
+	expired     *Counter   // attempts reclaimed by the shard deadline
+	duplicates  *Counter   // late results discarded by the exactly-once commit
+	heartbeats  *Counter   // worker liveness frames received
+	encoded     *Counter   // job frames written to workers
+	decoded     *Counter   // result and telemetry frames read back
+	mergeMillis *Histogram // per-shard Store.Merge latency
 }
 
 // defaultShardMergeBounds spans test-sized deltas (sub-millisecond) up to
 // merges of production-shard counter sets.
 var defaultShardMergeBounds = []float64{0.1, 0.5, 1, 5, 25, 100, 500, 2500}
 
-// Dist resolves the distributed miner's metric inventory on the RunObs
-// registry. With a nil RunObs or registry every handle is nil and
-// recording is free.
-func (o *RunObs) Dist() *DistObs {
-	var r *Registry
-	if o != nil {
-		r = o.Metrics
-	}
-	return &DistObs{
-		Workers: r.Gauge(MetricDistWorkers,
+func resolveFleetSeries(r *Registry) fleetSeries {
+	return fleetSeries{
+		workers: r.Gauge(MetricDistWorkers,
 			"worker count of the current distributed run"),
-		ShardsShipped: r.Counter("surveyor_dist_shards_shipped_total",
+		shipped: r.Counter("surveyor_dist_shards_shipped_total",
 			"shard evidence deltas merged by the coordinator"),
-		ShardsFailed: r.Counter(MetricDistShardsFailed,
+		failed: r.Counter(MetricDistShardsFailed,
 			"shards lost to worker crashes or protocol errors"),
-		TelemetryFrames: r.Counter("surveyor_dist_telemetry_frames_total",
+		frames: r.Counter("surveyor_dist_telemetry_frames_total",
 			"worker telemetry frames received by the coordinator"),
-		ShardRetries: r.Counter("surveyor_dist_shard_retries_total",
+		retries: r.Counter("surveyor_dist_shard_retries_total",
 			"shard attempts launched beyond the first (failed or expired workers replaced)"),
-		ShardReassignments: r.Counter("surveyor_dist_shard_reassignments_total",
+		reassigned: r.Counter("surveyor_dist_shard_reassignments_total",
 			"shard retries handed to a different worker"),
-		DeadlinesExpired: r.Counter("surveyor_dist_shard_deadlines_expired_total",
+		expired: r.Counter("surveyor_dist_shard_deadlines_expired_total",
 			"shard attempts reclaimed from hung workers by the per-shard deadline"),
-		DuplicateResults: r.Counter("surveyor_dist_duplicate_results_total",
+		duplicates: r.Counter("surveyor_dist_duplicate_results_total",
 			"late shard results discarded after an earlier attempt committed"),
-		Heartbeats: r.Counter("surveyor_dist_heartbeats_total",
+		heartbeats: r.Counter("surveyor_dist_heartbeats_total",
 			"worker liveness frames received"),
-		WireBytesEncoded: r.Counter("surveyor_wire_bytes_encoded_total",
-			"wire-codec bytes encoded (job frames to workers)"),
-		WireBytesDecoded: r.Counter("surveyor_wire_bytes_decoded_total",
+		encoded: r.wireBytesEncoded(),
+		decoded: r.Counter("surveyor_wire_bytes_decoded_total",
 			"wire-codec bytes decoded (result and telemetry frames from workers)"),
-		ShardMergeMillis: r.Histogram("surveyor_dist_shard_merge_ms",
+		mergeMillis: r.Histogram("surveyor_dist_shard_merge_ms",
 			"per-shard evidence merge latency in milliseconds", defaultShardMergeBounds),
 	}
+}
+
+func (r *Registry) wireBytesEncoded() *Counter {
+	return r.Counter("surveyor_wire_bytes_encoded_total",
+		"wire-codec bytes encoded (job frames to workers)")
+}
+
+// WireBytesEncoded resolves the one fleet series a worker moves too: the
+// bytes of the result frame it ships (federated as
+// surveyor_fleet_wire_bytes_encoded_total). Nil without a registry.
+func (o *RunObs) WireBytesEncoded() *Counter {
+	if o == nil {
+		return nil
+	}
+	return o.Metrics.wireBytesEncoded()
 }

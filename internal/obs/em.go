@@ -9,24 +9,10 @@ import (
 // EMRecorder collects convergence telemetry from the per-group EM fits:
 // iterations-to-convergence and final log-likelihood for every group, and
 // full per-iteration trajectories (log-likelihood plus the pA, np+S, np−S
-// parameter path) for a deterministically sampled subset, so that large
-// runs stay bounded while the Sevüktekin–Singer-style likelihood
-// trajectories remain inspectable.
-//
-// Group selection for full trajectories is by hash of the (type,
-// property) key — independent of scheduling — with a hard cap on both the
-// number of trajectories and the number of per-group summary rows.
+// parameter path) for the first maxEMTrajectories groups to finish, so
+// that large runs stay bounded while the Sevüktekin–Singer-style
+// likelihood trajectories remain inspectable.
 type EMRecorder struct {
-	// MaxTrajectories caps the groups whose full per-iteration trajectory
-	// is kept (hash-sampled). Set before the run; default 64.
-	MaxTrajectories int
-	// MaxGroups caps the per-group summary rows; aggregate counters keep
-	// counting beyond it. Default 4096.
-	MaxGroups int
-	// SampleBits selects roughly 1/2^SampleBits of groups for full
-	// trajectories by key hash (0 = every group, subject to the cap).
-	SampleBits uint
-
 	mu           sync.Mutex
 	groups       []EMGroupRecord
 	trajectories int
@@ -35,10 +21,16 @@ type EMRecorder struct {
 	converged    int64
 }
 
-// NewEMRecorder returns a recorder with the default caps.
-func NewEMRecorder() *EMRecorder {
-	return &EMRecorder{MaxTrajectories: 64, MaxGroups: 4096}
-}
+// Caps of one recorder: groups whose full per-iteration trajectory is
+// kept, and per-group summary rows (the aggregate counters keep counting
+// beyond it).
+const (
+	maxEMTrajectories = 64
+	maxEMGroups       = 4096
+)
+
+// NewEMRecorder returns an empty recorder.
+func NewEMRecorder() *EMRecorder { return &EMRecorder{} }
 
 // EMIteration is one EM iteration's state in a recorded trajectory.
 type EMIteration struct {
@@ -72,61 +64,17 @@ type EMGroupObs struct {
 	keep   bool // full trajectory wanted for this group
 }
 
-// Group starts recording one group's fit. The trajectory is kept only for
-// hash-sampled groups (and only while the trajectory cap has room).
+// Group starts recording one group's fit. The trajectory is kept only
+// while the trajectory cap has room.
 func (r *EMRecorder) Group(typ, property string, entities int) *EMGroupObs {
 	if r == nil {
 		return nil
 	}
 	g := &EMGroupObs{rec: r, record: EMGroupRecord{Type: typ, Property: property, Entities: entities}}
-	if keyHash(typ, property)>>(64-minBits(r.SampleBits)) == 0 {
-		r.mu.Lock()
-		g.keep = r.trajectories < r.maxTrajectories()
-		r.mu.Unlock()
-	}
+	r.mu.Lock()
+	g.keep = r.trajectories < maxEMTrajectories
+	r.mu.Unlock()
 	return g
-}
-
-func minBits(b uint) uint {
-	if b > 63 {
-		return 63
-	}
-	return b
-}
-
-func (r *EMRecorder) maxTrajectories() int {
-	if r.MaxTrajectories <= 0 {
-		return 64
-	}
-	return r.MaxTrajectories
-}
-
-func (r *EMRecorder) maxGroups() int {
-	if r.MaxGroups <= 0 {
-		return 4096
-	}
-	return r.MaxGroups
-}
-
-// keyHash is FNV-1a over the group key, with a separator so ("ab","c")
-// and ("a","bc") differ, finished with the splitmix64 avalanche: bare
-// FNV-1a leaves the high bits (which the sampler reads) nearly constant
-// for short keys.
-func keyHash(typ, property string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(typ); i++ {
-		h = (h ^ uint64(typ[i])) * 0x100000001b3
-	}
-	h = (h ^ 0xff) * 0x100000001b3
-	for i := 0; i < len(property); i++ {
-		h = (h ^ uint64(property[i])) * 0x100000001b3
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
 }
 
 // Iter records one EM iteration. No-op unless this group's trajectory is
@@ -162,14 +110,14 @@ func (g *EMGroupObs) Done(iterations int, converged bool, finalLogLikelihood flo
 	if converged {
 		r.converged++
 	}
-	if g.keep && r.trajectories >= r.maxTrajectories() {
+	if g.keep && r.trajectories >= maxEMTrajectories {
 		g.record.Trajectory = nil // cap raced; drop the trajectory, keep the summary
 		g.keep = false
 	}
 	if g.keep {
 		r.trajectories++
 	}
-	if len(r.groups) < r.maxGroups() {
+	if len(r.groups) < maxEMGroups {
 		r.groups = append(r.groups, g.record)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -41,19 +42,19 @@ func TestEMRecorderTrajectory(t *testing.T) {
 	}
 }
 
+// TestEMRecorderTrajectoryCap trips the real cap: group 65 keeps its
+// summary row and loses its trajectory.
 func TestEMRecorderTrajectoryCap(t *testing.T) {
 	r := NewEMRecorder()
-	r.MaxTrajectories = 1
-	a := r.Group("t", "a", 1)
-	a.Iter(0.8, 1, 1, -1)
-	a.Done(1, true, -1)
-	b := r.Group("t", "b", 1)
-	b.Iter(0.8, 1, 1, -1)
-	b.Done(1, true, -1)
-
+	for i := 0; i <= maxEMTrajectories; i++ {
+		g := r.Group("t", fmt.Sprint(i), 1)
+		g.Iter(0.8, 1, 1, -1)
+		g.Done(1, true, -1)
+	}
 	snap := r.Snapshot()
-	if snap.Groups != 2 {
-		t.Fatalf("groups = %d, want 2 (summaries keep counting past the cap)", snap.Groups)
+	if snap.Groups != maxEMTrajectories+1 || len(snap.Records) != maxEMTrajectories+1 {
+		t.Fatalf("groups = %d, records = %d, want %d of each (summaries keep counting past the cap)",
+			snap.Groups, len(snap.Records), maxEMTrajectories+1)
 	}
 	kept := 0
 	for _, rec := range snap.Records {
@@ -61,56 +62,41 @@ func TestEMRecorderTrajectoryCap(t *testing.T) {
 			kept++
 		}
 	}
-	if kept != 1 {
-		t.Errorf("trajectories kept = %d, want 1", kept)
+	if kept != maxEMTrajectories {
+		t.Errorf("trajectories kept = %d, want %d", kept, maxEMTrajectories)
 	}
 }
 
+// TestEMRecorderGroupCap trips the real cap: row 4,097 is dropped, the
+// aggregates still count it.
 func TestEMRecorderGroupCap(t *testing.T) {
 	r := NewEMRecorder()
-	r.MaxGroups = 1
-	for _, p := range []string{"a", "b", "c"} {
-		g := r.Group("t", p, 1)
-		g.Done(3, false, -5)
+	for i := 0; i <= maxEMGroups; i++ {
+		r.Group("t", fmt.Sprint(i), 1).Done(3, false, -5)
 	}
 	snap := r.Snapshot()
-	if snap.Groups != 3 || snap.TotalIterations != 9 || snap.Converged != 0 {
-		t.Errorf("aggregates = %+v, want 3 groups / 9 iters", snap)
+	if snap.Groups != maxEMGroups+1 || snap.TotalIterations != 3*(maxEMGroups+1) || snap.Converged != 0 {
+		t.Errorf("aggregates = %d groups / %d iters / %d converged, want every group counted",
+			snap.Groups, snap.TotalIterations, snap.Converged)
 	}
-	if len(snap.Records) != 1 {
-		t.Errorf("records = %d, want 1 (capped)", len(snap.Records))
+	if len(snap.Records) != maxEMGroups {
+		t.Errorf("records = %d, want %d (capped)", len(snap.Records), maxEMGroups)
 	}
 }
 
+// TestEMRecorderSampling pins the selection policy: which groups keep a
+// trajectory depends on the cap alone, never on the group's key, so /em
+// for a run of at most maxEMTrajectories groups has every trajectory.
 func TestEMRecorderSampling(t *testing.T) {
 	r := NewEMRecorder()
-	r.SampleBits = 2 // ~1/4 of groups by key hash
-	const n = 64
-	selected := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < maxEMTrajectories; i++ {
 		g := r.Group("t", string(rune('a'+i%26))+string(rune('a'+i/26)), 1)
 		g.Iter(0.8, 1, 1, -1)
 		g.Done(1, true, -1)
 	}
 	for _, rec := range r.Snapshot().Records {
-		if len(rec.Trajectory) > 0 {
-			selected++
-		}
-	}
-	if selected == 0 || selected == n {
-		t.Errorf("hash sampling selected %d of %d groups; want a strict subset", selected, n)
-	}
-	// Selection is by key hash: a fresh recorder selects the same groups.
-	r2 := NewEMRecorder()
-	r2.SampleBits = 2
-	for _, rec := range r.Snapshot().Records {
-		g := r2.Group(rec.Type, rec.Property, 1)
-		g.Iter(0.8, 1, 1, -1)
-		g.Done(1, true, -1)
-	}
-	for i, rec := range r2.Snapshot().Records {
-		if (len(rec.Trajectory) > 0) != (len(r.Snapshot().Records[i].Trajectory) > 0) {
-			t.Errorf("sampling not deterministic for %s/%s", rec.Type, rec.Property)
+		if len(rec.Trajectory) != 1 {
+			t.Errorf("%s/%s: trajectory length %d, want 1", rec.Type, rec.Property, len(rec.Trajectory))
 		}
 	}
 }

@@ -157,12 +157,12 @@ func TestFederationRejectsNonIntegralCounter(t *testing.T) {
 // must tick the rejection counter and the cluster note.
 func TestAbsorbShardTelemetryRejection(t *testing.T) {
 	o := New()
-	o.Cluster.StartRun(2)
+	fleet := o.StartFleet(2)
 	bad := &Telemetry{
 		Metrics: []Metric{{Name: "surveyor_x_total", Kind: KindCounter, Value: 0.5}},
 		Spans:   []SpanEvent{{Name: "extract", Cat: "phase"}},
 	}
-	o.AbsorbShardTelemetry(1, bad)
+	fleet.ShardTelemetry(1, bad, nil)
 	if got := o.Metrics.Counter(MetricTelemetryRejected, "").Value(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}

@@ -2,8 +2,11 @@
 // reproduction: a metrics registry with lock-free counters, gauges, and
 // fixed-bucket histograms; span tracing for pipeline phases and per-worker
 // document loops with Chrome trace-event export (Perfetto-loadable); EM
-// convergence telemetry; live run progress; an optional debug HTTP server
-// (Prometheus text, expvar, pprof, progress); and profiling helpers.
+// convergence telemetry; live run progress; the distributed coordinator's
+// fleet sink (Cluster: the records behind /cluster and the surveyor_dist_*
+// series move together) with worker telemetry federation; an optional debug
+// HTTP server (Prometheus text, expvar, pprof, progress); and profiling
+// helpers.
 //
 // Determinism contract: telemetry is strictly write-only from the
 // pipeline's perspective. Instrumented code records counts, spans, and
@@ -19,10 +22,7 @@
 // observability path costs a single branch per call site.
 package obs
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // RunObs bundles the observability sinks of one pipeline run. Any field
 // may be nil to disable that aspect; a nil *RunObs disables everything.
@@ -31,7 +31,7 @@ import (
 type RunObs struct {
 	// Metrics receives pipeline counters, gauges, and histograms.
 	Metrics *Registry
-	// Tracer receives phase, worker, and sampled document spans.
+	// Tracer receives phase, worker, and document spans.
 	Tracer *Tracer
 	// EM receives per-group convergence telemetry.
 	EM *EMRecorder
@@ -124,7 +124,7 @@ func (o *RunObs) EndRun() {
 }
 
 // WorkerObs is one extraction worker's write-only telemetry handle:
-// per-worker progress counters plus sampled document spans. Methods are
+// per-worker progress counters plus document spans. Methods are
 // nil-safe; the pipeline holds one per worker goroutine.
 type WorkerObs struct {
 	trace     *WorkerTrace
@@ -274,44 +274,4 @@ func (o *RunObs) EMGroup(typ, property string, entities int) *EMGroupObs {
 		return nil
 	}
 	return o.EM.Group(typ, property, entities)
-}
-
-// AbsorbShardTelemetry federates one worker's decoded telemetry frame:
-// the metric snapshot folds into the fleet namespace of the registry, the
-// spans stitch into the trace on the shard's pid track with skew-corrected
-// timestamps, and the outcome lands in the cluster view. A nil telemetry
-// records "absent". Federation failures are absorbed here — the shard's
-// evidence already committed, so a bad frame degrades to a rejection
-// counter and a cluster note instead of an error the miner could branch
-// on (the write-only contract).
-func (o *RunObs) AbsorbShardTelemetry(shard int, t *Telemetry) {
-	if o == nil {
-		return
-	}
-	if t == nil {
-		o.Cluster.TelemetryMissing(shard, "absent")
-		return
-	}
-	if err := o.Metrics.AbsorbSnapshot(t.Metrics); err != nil {
-		o.Metrics.Counter(MetricTelemetryRejected,
-			"worker telemetry frames rejected by federation").Inc()
-		o.Cluster.TelemetryMissing(shard, "rejected: "+err.Error())
-		return
-	}
-	offset, _ := o.Cluster.skewOffset(shard, t.Anchor)
-	o.Tracer.AbsorbSpans(WorkerPid(shard), fmt.Sprintf("worker %d", shard), offset, t.Spans)
-	o.Cluster.TelemetryAbsorbed(shard, len(t.Spans), offset)
-}
-
-// RejectShardTelemetry records a telemetry frame that failed wire-level
-// decoding. Like a federation rejection the shard's evidence is already
-// committed, so the damage is observability-only: a rejection counter
-// tick and a cluster note.
-func (o *RunObs) RejectShardTelemetry(shard int, err error) {
-	if o == nil {
-		return
-	}
-	o.Metrics.Counter(MetricTelemetryRejected,
-		"worker telemetry frames rejected by federation").Inc()
-	o.Cluster.TelemetryMissing(shard, "rejected: "+err.Error())
 }

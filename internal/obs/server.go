@@ -29,73 +29,53 @@ type DebugServer struct {
 // distributed fleet view), /debug/vars (expvar), /debug/pprof/*,
 // /healthz, and an HTML index at /.
 func Handler(o *RunObs) http.Handler {
+	if o == nil {
+		o = &RunObs{} // every sink nil: each endpoint serves its empty form
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var reg *Registry
-		if o != nil {
-			reg = o.Metrics
-		}
-		if err := reg.WritePrometheus(w); err != nil {
+		if err := o.Metrics.WritePrometheus(w); err != nil {
 			// The scrape connection broke mid-write; nothing to salvage.
 			return
 		}
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		var p *Progress
-		if o != nil {
-			p = o.Progress
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(p.Snapshot())
+		enc.Encode(o.Progress.Snapshot())
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		var t *Tracer
-		if o != nil {
-			t = o.Tracer
-		}
-		if err := t.WriteChromeTrace(w); err != nil {
+		if err := o.Tracer.WriteChromeTrace(w); err != nil {
 			// The scrape connection broke mid-write; nothing to salvage.
 			return
 		}
 	})
 	mux.HandleFunc("/em", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		var rec *EMRecorder
-		if o != nil {
-			rec = o.EM
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(rec.Snapshot())
+		enc.Encode(o.EM.Snapshot())
 	})
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		var c *Cluster
-		if o != nil {
-			c = o.Cluster
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(c.Snapshot())
+		enc.Encode(o.Cluster.Snapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Degraded is still HTTP 200: the process is serving, but the fault
 		// boundary has been absorbing damage (quarantined documents, skipped
 		// corpus lines, or lost distributed shards) that an operator should
 		// look at.
-		var quarantined, skipped, failedShards int64
-		if o != nil && o.Metrics != nil {
-			quarantined = o.Metrics.Counter(MetricQuarantinedDocs,
-				"documents quarantined by the per-document panic boundary").Value()
-			skipped = o.Metrics.Counter(MetricSkippedLines,
-				"corpus lines skipped by lenient streaming ingestion").Value()
-			failedShards = o.Metrics.Counter(MetricDistShardsFailed,
-				"shards lost to worker crashes or protocol errors").Value()
-		}
+		quarantined := o.Metrics.Counter(MetricQuarantinedDocs,
+			"documents quarantined by the per-document panic boundary").Value()
+		skipped := o.Metrics.Counter(MetricSkippedLines,
+			"corpus lines skipped by lenient streaming ingestion").Value()
+		failedShards := o.Metrics.Counter(MetricDistShardsFailed,
+			"shards lost to worker crashes or protocol errors").Value()
 		if quarantined > 0 || skipped > 0 || failedShards > 0 {
 			fmt.Fprintf(w, "degraded quarantined_docs=%d skipped_lines=%d failed_shards=%d\n",
 				quarantined, skipped, failedShards)
@@ -139,18 +119,8 @@ var publishOnce sync.Once
 // the life of the process, matching expvar's global nature.
 func expvarHandlerFor(o *RunObs) http.Handler {
 	publishOnce.Do(func() {
-		expvar.Publish("surveyor_metrics", expvar.Func(func() any {
-			if o == nil {
-				return nil
-			}
-			return o.Metrics.Snapshot()
-		}))
-		expvar.Publish("surveyor_progress", expvar.Func(func() any {
-			if o == nil {
-				return nil
-			}
-			return o.Progress.Snapshot()
-		}))
+		expvar.Publish("surveyor_metrics", expvar.Func(func() any { return o.Metrics.Snapshot() }))
+		expvar.Publish("surveyor_progress", expvar.Func(func() any { return o.Progress.Snapshot() }))
 	})
 	return expvar.Handler()
 }

@@ -181,7 +181,7 @@ func TestHealthzDegradedOnFailedShards(t *testing.T) {
 	if body, _ := get(t, srv, "/healthz"); strings.TrimSpace(body) != "ok" {
 		t.Fatalf("healthy run: /healthz = %q", body)
 	}
-	o.Dist().ShardsFailed.Add(2)
+	o.Metrics.Counter(MetricDistShardsFailed, "").Add(2)
 	body, resp := get(t, srv, "/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("degraded /healthz status = %d, want 200", resp.StatusCode)

@@ -65,7 +65,7 @@ const (
 	// +Inf bucket).
 	maxTelemetryBuckets = 1 << 9
 	// maxTelemetrySpans caps the span list; workers cap their own buffers
-	// at PerWorkerCap per worker thread, far below this.
+	// at perWorkerSpanCap per worker thread, far below this.
 	maxTelemetrySpans = 1 << 20
 	// maxSpanArgs caps one span's annotation count.
 	maxSpanArgs = 1 << 6
@@ -91,7 +91,7 @@ type ClockAnchor struct {
 
 // Telemetry is one worker's shipped observability state: the full metric
 // snapshot, every collected span, and the clock anchors. It is passive
-// data — the coordinator absorbs it through RunObs.AbsorbShardTelemetry.
+// data — the coordinator absorbs it through Cluster.ShardTelemetry.
 type Telemetry struct {
 	Anchor  ClockAnchor
 	Metrics []Metric

@@ -6,48 +6,33 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Tracer collects complete ("ph":"X") spans for phases, workers, and
-// sampled per-document loops, and exports them as Chrome trace-event JSON
-// — the format Perfetto and chrome://tracing load directly.
+// per-document loops, and exports them as Chrome trace-event JSON — the
+// format Perfetto and chrome://tracing load directly.
 //
 // Phase spans are appended under a mutex (there are a handful per run).
 // Worker-loop spans are buffered in worker-owned WorkerTrace slices and
 // folded in once per worker, so the hot path never contends on the
-// tracer. Event volume is bounded: each worker keeps at most PerWorkerCap
-// document spans (beyond that only the drop counter moves), and DocSample
-// records every Nth document.
+// tracer. Event volume is bounded: each worker keeps at most
+// perWorkerSpanCap document spans.
 type Tracer struct {
 	clock Clock
 
-	// DocSample records one document span per this many documents per
-	// worker (1 = every document). Set before the run starts.
-	DocSample int
-	// PerWorkerCap bounds the document spans buffered per worker.
-	PerWorkerCap int
-
-	mu      sync.Mutex
-	events  []traceEvent
-	procs   map[int]string // foreign pid → process label, for trace metadata
-	dropped atomic.Int64
+	mu     sync.Mutex
+	events []traceEvent
+	procs  map[int]string // foreign pid → process label, for trace metadata
 }
 
-const (
-	defaultDocSample    = 1
-	defaultPerWorkerCap = 1 << 13
-)
+// perWorkerSpanCap bounds the document spans buffered per worker.
+const perWorkerSpanCap = 1 << 13
 
 // NewTracer returns a tracer reading timestamps from clock (nil selects
 // the shared system clock).
 func NewTracer(clock Clock) *Tracer {
-	return &Tracer{
-		clock:        clockOrDefault(clock),
-		DocSample:    defaultDocSample,
-		PerWorkerCap: defaultPerWorkerCap,
-	}
+	return &Tracer{clock: clockOrDefault(clock)}
 }
 
 // traceEvent is one complete span in the Chrome trace-event model.
@@ -83,27 +68,14 @@ func (t *Tracer) append(evs ...traceEvent) {
 	t.mu.Unlock()
 }
 
-// Dropped returns the number of document spans discarded by the
-// per-worker cap.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
 // WorkerTrace is a worker-owned span buffer: document spans are appended
 // without locks and folded into the tracer once, when the worker calls
 // close.
 type WorkerTrace struct {
-	tracer  *Tracer
-	tid     int64
-	sample  int
-	cap     int
-	seen    int
-	start   time.Duration
-	events  []traceEvent
-	dropped int64
+	tracer *Tracer
+	tid    int64
+	start  time.Duration
+	events []traceEvent
 }
 
 // worker returns a buffer for worker id (zero-based) in the given phase.
@@ -111,30 +83,14 @@ func (t *Tracer) worker(id int) *WorkerTrace {
 	if t == nil {
 		return nil
 	}
-	sample := t.DocSample
-	if sample <= 0 {
-		sample = defaultDocSample
-	}
-	capacity := t.PerWorkerCap
-	if capacity <= 0 {
-		capacity = defaultPerWorkerCap
-	}
-	return &WorkerTrace{tracer: t, tid: int64(id) + 1, sample: sample, cap: capacity}
+	return &WorkerTrace{tracer: t, tid: int64(id) + 1}
 }
 
 // docStart marks the beginning of one document's processing and reports
-// whether this document is sampled (callers skip docEnd bookkeeping
-// otherwise).
+// whether its span is recorded — false once the buffer is at its cap
+// (callers skip docEnd bookkeeping then).
 func (wt *WorkerTrace) docStart() bool {
-	if wt == nil {
-		return false
-	}
-	wt.seen++
-	if (wt.seen-1)%wt.sample != 0 {
-		return false
-	}
-	if len(wt.events) >= wt.cap {
-		wt.dropped++
+	if wt == nil || len(wt.events) >= perWorkerSpanCap {
 		return false
 	}
 	wt.start = wt.tracer.clock.Now()
@@ -172,9 +128,6 @@ func (wt *WorkerTrace) close(phase string, loopStart, loopEnd time.Duration, doc
 		args:     map[string]int64{"docs": docs},
 	})
 	wt.tracer.append(wt.events...)
-	if wt.dropped > 0 {
-		wt.tracer.dropped.Add(wt.dropped)
-	}
 	wt.events = nil
 }
 

@@ -79,41 +79,40 @@ func TestTracerPhaseAndWorkerSpans(t *testing.T) {
 	}
 }
 
+// TestTracerSampling pins the sampling policy: every document gets a span.
 func TestTracerSampling(t *testing.T) {
 	clock := &ManualClock{}
 	tr := NewTracer(clock)
-	tr.DocSample = 3
 	wt := tr.worker(0)
 	for i := 0; i < 9; i++ {
-		if sampled := wt.docStart(); sampled != (i%3 == 0) {
-			t.Errorf("doc %d sampled = %v", i, sampled)
+		if !wt.docStart() {
+			t.Errorf("doc %d not recorded", i)
 		}
-		if i%3 == 0 {
-			wt.docEnd(i, 1, 0)
-		}
+		wt.docEnd(i, 1, 0)
 	}
 	wt.close("extract", 0, clock.Now(), 9)
-	if got := tr.EventCount(); got != 4 { // 3 sampled docs + cover span
-		t.Errorf("event count = %d, want 4", got)
+	if got := tr.EventCount(); got != 10 { // 9 docs + cover span
+		t.Errorf("event count = %d, want 10", got)
 	}
 }
 
+// TestTracerPerWorkerCap trips the real cap: one span more than a worker
+// buffer holds is refused, everything before it is kept.
 func TestTracerPerWorkerCap(t *testing.T) {
 	clock := &ManualClock{}
 	tr := NewTracer(clock)
-	tr.PerWorkerCap = 2
 	wt := tr.worker(0)
-	for i := 0; i < 5; i++ {
-		if wt.docStart() {
+	for i := 0; i <= perWorkerSpanCap; i++ {
+		if recorded := wt.docStart(); recorded != (i < perWorkerSpanCap) {
+			t.Fatalf("doc %d recorded = %v", i, recorded)
+		}
+		if i < perWorkerSpanCap {
 			wt.docEnd(i, 1, 0)
 		}
 	}
-	wt.close("extract", 0, clock.Now(), 5)
-	if got := tr.EventCount(); got != 3 { // 2 capped docs + cover span
-		t.Errorf("event count = %d, want 3", got)
-	}
-	if got := tr.Dropped(); got != 3 {
-		t.Errorf("dropped = %d, want 3", got)
+	wt.close("extract", 0, clock.Now(), perWorkerSpanCap+1)
+	if got := tr.EventCount(); got != perWorkerSpanCap+1 { // capped docs + cover span
+		t.Errorf("event count = %d, want %d", got, perWorkerSpanCap+1)
 	}
 }
 

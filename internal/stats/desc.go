@@ -17,33 +17,8 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// Percentiles returns the requested percentiles of xs, sorting only once.
+// Percentiles returns the requested percentiles (0 <= p <= 100) of xs
+// using linear interpolation between closest ranks, sorting a copy once.
 func Percentiles(xs []float64, ps []float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(xs) == 0 {

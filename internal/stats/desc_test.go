@@ -7,13 +7,10 @@ import (
 	"testing/quick"
 )
 
-func TestMeanAndStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Fatalf("Mean = %v, want 5", got)
-	}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, want 2", got)
 	}
 }
 
@@ -21,10 +18,10 @@ func TestMeanEmpty(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("Mean(nil) = %v", got)
 	}
-	if got := StdDev(nil); got != 0 {
-		t.Fatalf("StdDev(nil) = %v", got)
-	}
 }
+
+// percentile is the one-percentile form of Percentiles.
+func percentile(xs []float64, p float64) float64 { return Percentiles(xs, []float64{p})[0] }
 
 func TestPercentileBasics(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
@@ -32,7 +29,7 @@ func TestPercentileBasics(t *testing.T) {
 		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
+		if got := percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("P%v = %v, want %v", c.p, got, c.want)
 		}
 	}
@@ -40,14 +37,14 @@ func TestPercentileBasics(t *testing.T) {
 
 func TestPercentileInterpolation(t *testing.T) {
 	xs := []float64{0, 10}
-	if got := Percentile(xs, 50); math.Abs(got-5) > 1e-12 {
+	if got := percentile(xs, 50); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("P50 of {0,10} = %v, want 5", got)
 	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
+	percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("Percentile mutated its input")
 	}
@@ -58,7 +55,7 @@ func TestPercentilesMatchesSingle(t *testing.T) {
 	ps := []float64{10, 25, 50, 75, 95}
 	multi := Percentiles(xs, ps)
 	for i, p := range ps {
-		if single := Percentile(xs, p); math.Abs(multi[i]-single) > 1e-12 {
+		if single := percentile(xs, p); math.Abs(multi[i]-single) > 1e-12 {
 			t.Fatalf("Percentiles[%v] = %v, Percentile = %v", p, multi[i], single)
 		}
 	}
@@ -80,7 +77,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		return Percentile(xs, p1) <= Percentile(xs, p2)+1e-9
+		return percentile(xs, p1) <= percentile(xs, p2)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -190,7 +187,7 @@ func TestPercentileAgainstSort(t *testing.T) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	if got := Percentile(xs, 50); math.Abs(got-sorted[500]) > 1e-12 {
+	if got := percentile(xs, 50); math.Abs(got-sorted[500]) > 1e-12 {
 		t.Fatalf("median = %v, want %v", got, sorted[500])
 	}
 }

@@ -47,32 +47,6 @@ func LogPoissonPMF(k int, lambda float64) float64 {
 	return float64(k)*math.Log(lambda) - lambda - LogFactorial(k)
 }
 
-// PoissonPMF returns Pr(X = k) for X ~ Poisson(lambda).
-func PoissonPMF(k int, lambda float64) float64 {
-	return math.Exp(LogPoissonPMF(k, lambda))
-}
-
-// LogBinomialPMF returns log Pr(X = k) for X ~ Binomial(n, p).
-func LogBinomialPMF(k, n int, p float64) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		if k == n {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k) +
-		float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
-}
-
 // LogMultinomialTrinomialPMF returns log Pr(A = a, B = b) where (A, B,
 // n-a-b) ~ Multinomial(n; pa, pb, 1-pa-pb). This is the exact distribution
 // of the statement counters in the Surveyor model before the Poisson

@@ -177,50 +177,3 @@ func (r *RNG) Binomial(n int, p float64) int {
 		return int(v + 0.5)
 	}
 }
-
-// Zipf samples ranks in [0, n) with probability proportional to
-// 1/(rank+1)^s. The sampler precomputes the CDF once; use NewZipf for
-// repeated draws.
-type Zipf struct {
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// Draw returns a rank in [0, n), lower ranks being more likely.
-func (z *Zipf) Draw(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Weight returns the probability mass of the given rank.
-func (z *Zipf) Weight(rank int) float64 {
-	if rank == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[rank] - z.cdf[rank-1]
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -240,44 +239,5 @@ func TestBinomialEdges(t *testing.T) {
 	}
 	if got := r.Binomial(0, 0.5); got != 0 {
 		t.Fatalf("Binomial(0,.5) = %d", got)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	z := NewZipf(100, 1.1)
-	r := NewRNG(31)
-	counts := make([]int, 100)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Draw(r)]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("zipf rank 0 (%d) not more frequent than rank 50 (%d)", counts[0], counts[50])
-	}
-	if counts[0] < n/20 {
-		t.Fatalf("zipf rank 0 too rare: %d", counts[0])
-	}
-}
-
-func TestZipfWeightsSumToOne(t *testing.T) {
-	z := NewZipf(50, 0.8)
-	sum := 0.0
-	for i := 0; i < 50; i++ {
-		sum += z.Weight(i)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("zipf weights sum = %v", sum)
-	}
-}
-
-func TestZipfDrawInRangeProperty(t *testing.T) {
-	z := NewZipf(13, 1.0)
-	r := NewRNG(99)
-	f := func(_ uint8) bool {
-		v := z.Draw(r)
-		return v >= 0 && v < 13
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
