@@ -15,6 +15,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -499,10 +500,13 @@ func perGroupVsGlobalAccuracy(w *experiments.World) (perGroup, global float64) {
 	var groupOf []int
 	for gi := range w.Result.Groups {
 		g := &w.Result.Groups[gi]
-		spec, ok := w.Snapshot.SpecFor(g.Key.Type, g.Key.Property)
-		if !ok {
+		si := slices.IndexFunc(w.Snapshot.Specs, func(s corpus.Spec) bool {
+			return s.Type == g.Key.Type && s.Property == g.Key.Property
+		})
+		if si < 0 {
 			continue
 		}
+		spec := &w.Snapshot.Specs[si]
 		for _, eo := range g.Entities {
 			all = append(all, core.Tuple{Pos: int(eo.Pos), Neg: int(eo.Neg)})
 			truths = append(truths, spec.LatentTruth(w.KB.Get(eo.Entity), "com"))
@@ -661,13 +665,13 @@ func BenchmarkPosterior(b *testing.B) {
 	}
 }
 
-func BenchmarkEvidenceStoreAdd(b *testing.B) {
-	s := evidence.NewStore()
+func BenchmarkEvidenceLocalAdd(b *testing.B) {
+	l := evidence.NewLocal()
 	st := extract.Statement{Entity: 42, Property: "cute", Polarity: extract.Positive}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		st.Entity = kb.EntityID(i % 1000)
-		s.Add(st)
+		l.Add(st)
 	}
 }
 
@@ -678,7 +682,7 @@ func benchEvidenceStore(base *kb.KB, seed uint64, statements int) *evidence.Stor
 		"crowded", "cheap", "quiet", "fast", "noisy", "clean", "very big",
 		"safe", "pretty", "green", "famous", "remote", "rainy", "flat"}
 	rng := stats.NewRNG(seed)
-	s := evidence.NewStore()
+	s, l := evidence.NewStore(), evidence.NewLocal()
 	st := extract.Statement{}
 	for i := 0; i < statements; i++ {
 		st.Entity = kb.EntityID(rng.Intn(base.Len()))
@@ -687,8 +691,9 @@ func benchEvidenceStore(base *kb.KB, seed uint64, statements int) *evidence.Stor
 		if rng.Bernoulli(0.25) {
 			st.Polarity = extract.Negative
 		}
-		s.Add(st)
+		l.Add(st)
 	}
+	l.FlushTo(s)
 	return s
 }
 

@@ -13,115 +13,126 @@
 //
 //	-seed N    deterministic seed (default 1)
 //	-scale F   corpus volume multiplier (default 1)
+//
+// Stdout is a function of the seed and the scale alone. Wall-clock
+// readings (Section 7.1's phase times, Table 4's extraction time) and
+// progress go to stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	scale := flag.Float64("scale", 1, "corpus volume multiplier")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	known := map[string]bool{
-		"all": true, "table1": true, "table3": true, "table4": true,
-		"table5": true, "fig3": true, "fig6": true, "fig9": true,
-		"fig10": true, "fig11": true, "fig12": true, "fig13": true,
-		"scale": true, "antonyms": true, "futurework": true,
+// experiment is one section of the output: its name on the command line,
+// its heading, and the function that computes its stdout text.
+type experiment struct {
+	name, title string
+	text        func() string
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "deterministic seed")
+	scale := fs.Float64("scale", 1, "corpus volume multiplier")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	wanted := flag.Args()
-	if len(wanted) == 0 {
-		wanted = []string{"all"}
-	}
-	want := map[string]bool{}
-	for _, w := range wanted {
-		if !known[w] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: table1 table3 table4 table5 fig3 fig6 fig9 fig10 fig11 fig12 fig13 scale antonyms futurework all\n", w)
-			os.Exit(2)
-		}
-		want[w] = true
-	}
-	on := func(name string) bool { return want["all"] || want[name] }
 
 	cfg := experiments.WorldConfig{Seed: *seed, Scale: *scale}
+	rho := int64(40 * *scale)
 
 	// The Section-7 experiments share one world; build it lazily.
 	var world *experiments.World
 	getWorld := func() *experiments.World {
 		if world == nil {
-			fmt.Fprintf(os.Stderr, "building evaluation world (seed=%d scale=%g)...\n", *seed, *scale)
+			fmt.Fprintf(stderr, "building evaluation world (seed=%d scale=%g)...\n", *seed, *scale)
 			world = experiments.BuildEvalWorld(cfg)
 		}
 		return world
 	}
 
-	if on("table1") {
-		section("Table 1 — example extractions")
-		fmt.Print(experiments.FormatTable1(experiments.Table1()))
+	// In print order. Each returns its section's stdout text; wall-clock
+	// readings go to stderr.
+	all := []experiment{
+		{"table1", "Table 1 — example extractions", func() string {
+			return experiments.FormatTable1(experiments.Table1())
+		}},
+		{"fig6", "Figure 6 — count distributions under Example-3 parameters", func() string {
+			return experiments.Fig6().Format()
+		}},
+		{"fig3", "Figure 3 — big Californian cities: majority vote vs model", func() string {
+			return experiments.Fig3(cfg).Format()
+		}},
+		{"fig13", "Figure 13 — wealthy countries, big lakes, high mountains", func() string {
+			var b strings.Builder
+			for _, r := range experiments.Fig13(cfg) {
+				b.WriteString(r.Format() + "\n")
+			}
+			return b.String()
+		}},
+		{"scale", "Section 7.1 — pipeline scale statistics", func() string {
+			st := experiments.Scale(getWorld())
+			fmt.Fprintf(stderr, "Section 7.1 times: extraction %d ms (paper: ~1h on 5000 nodes), grouping %d ms (paper: ~1h), EM %d ms (paper: 10 min)\n",
+				st.ExtractionMillis, st.GroupingMillis, st.EMMillis)
+			return st.Format()
+		}},
+		{"fig9", "Figure 9 — extraction statistics percentiles", func() string {
+			return experiments.Fig9(getWorld(), rho).Format()
+		}},
+		{"fig10", "Figure 10 — cute animals: paper AMT votes vs simulated panel", func() string {
+			return experiments.FormatFig10(experiments.Fig10(*seed))
+		}},
+		{"fig11", "Figure 11 — worker agreement distribution", func() string {
+			return experiments.Fig11(getWorld()).Format()
+		}},
+		{"table3", "Table 3 — method comparison on 500 curated test cases", func() string {
+			return experiments.Table3(getWorld()).Format()
+		}},
+		{"fig12", "Figure 12 — precision/coverage vs worker agreement", func() string {
+			return experiments.Fig12(getWorld()).Format()
+		}},
+		{"table4", "Table 4 — extraction pattern versions (Appendix B)", func() string {
+			rows := experiments.Table4(getWorld(), rho)
+			for _, r := range rows {
+				fmt.Fprintf(stderr, "Table 4 v%d nlp+extract: %d ms\n", r.Version, r.ExtractionMillis)
+			}
+			return experiments.FormatTable4(rows)
+		}},
+		{"table5", "Table 5 — random-sample comparison (Appendix D)", func() string {
+			return experiments.Table5(experiments.Table5Config{Seed: *seed, Scale: *scale}).Format()
+		}},
+		{"antonyms", "Section 4 ablation — antonym folding vs ignoring", func() string {
+			return experiments.FormatAntonymAblation(experiments.AntonymAblation(cfg, 0.35))
+		}},
+		{"futurework", "Section 9 outlook — learned subjective-to-objective bounds", func() string {
+			return experiments.FormatFutureWork(experiments.FutureWork(cfg))
+		}},
 	}
-	if on("fig6") {
-		section("Figure 6 — count distributions under Example-3 parameters")
-		fmt.Print(experiments.Fig6().Format())
+
+	want := map[string]bool{}
+	for _, w := range fs.Args() {
+		if w != "all" && !slices.ContainsFunc(all, func(e experiment) bool { return e.name == w }) {
+			fmt.Fprintf(stderr, "unknown experiment %q; known: table1 table3 table4 table5 fig3 fig6 fig9 fig10 fig11 fig12 fig13 scale antonyms futurework all\n", w)
+			return 2
+		}
+		want[w] = true
 	}
-	if on("fig3") {
-		section("Figure 3 — big Californian cities: majority vote vs model")
-		fmt.Print(experiments.Fig3(cfg).Format())
-	}
-	if on("fig13") {
-		section("Figure 13 — wealthy countries, big lakes, high mountains")
-		for _, r := range experiments.Fig13(cfg) {
-			fmt.Print(r.Format())
-			fmt.Println()
+	for _, e := range all {
+		if len(want) == 0 || want["all"] || want[e.name] {
+			fmt.Fprintf(stdout, "\n=== %s ===\n%s", e.title, e.text())
 		}
 	}
-	if on("scale") {
-		section("Section 7.1 — pipeline scale statistics")
-		fmt.Print(experiments.Scale(getWorld()).Format())
-	}
-	if on("fig9") {
-		section("Figure 9 — extraction statistics percentiles")
-		fmt.Print(experiments.Fig9(getWorld(), int64(40**scale)).Format())
-	}
-	if on("fig10") {
-		section("Figure 10 — cute animals: paper AMT votes vs simulated panel")
-		fmt.Print(experiments.FormatFig10(experiments.Fig10(*seed)))
-	}
-	if on("fig11") {
-		section("Figure 11 — worker agreement distribution")
-		fmt.Print(experiments.Fig11(getWorld()).Format())
-	}
-	if on("table3") {
-		section("Table 3 — method comparison on 500 curated test cases")
-		fmt.Print(experiments.Table3(getWorld()).Format())
-	}
-	if on("fig12") {
-		section("Figure 12 — precision/coverage vs worker agreement")
-		fmt.Print(experiments.Fig12(getWorld()).Format())
-	}
-	if on("table4") {
-		section("Table 4 — extraction pattern versions (Appendix B)")
-		fmt.Print(experiments.FormatTable4(experiments.Table4(getWorld(), int64(40**scale))))
-	}
-	if on("table5") {
-		section("Table 5 — random-sample comparison (Appendix D)")
-		t5 := experiments.Table5Config{Seed: *seed, Scale: *scale}
-		fmt.Print(experiments.Table5(t5).Format())
-	}
-	if on("antonyms") {
-		section("Section 4 ablation — antonym folding vs ignoring")
-		fmt.Print(experiments.FormatAntonymAblation(experiments.AntonymAblation(cfg, 0.35)))
-	}
-	if on("futurework") {
-		section("Section 9 outlook — learned subjective-to-objective bounds")
-		fmt.Print(experiments.FormatFutureWork(experiments.FutureWork(cfg)))
-	}
-}
-
-func section(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
+	return 0
 }

@@ -5,22 +5,24 @@
 // Usage:
 //
 //	surveyor [-rho N] [-version 1..4] [-workers N] [-top K] [-in FILE]
-//	         [-stream] [-lenient] [-epochs N] [-distribute N]
+//	         [-lenient] [-epochs N] [-distribute N]
 //	         [-dist-retries N] [-dist-backoff DUR] [-dist-deadline DUR]
 //	         [-dist-heartbeat DUR] [-dist-connect ADDRS | -dist-listen ADDR]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	         [-debug-addr ADDR] [-linger DUR] [-report FILE]
 //
-// With no -in, a demonstration corpus is generated on the fly. -stream
-// feeds the corpus through the bounded-memory streaming pipeline instead
-// of loading it whole; -lenient skips and counts malformed or oversized
-// corpus lines instead of aborting.
+// With no -in, a demonstration corpus is generated on the fly. An -in
+// file is streamed through the pipeline in bounded memory, never loaded
+// whole; -lenient skips and counts malformed or oversized corpus lines
+// instead of aborting. Without it a malformed line stops the run: the
+// documents before it are still mined and reported, and the exit status
+// is 1. -stream is accepted and ignored.
 //
-// -epochs N replays the in-memory corpus through the incremental miner in
-// N contiguous epochs, printing per-epoch dirty-group and re-fit stats to
+// -epochs N replays the corpus through the incremental miner in N
+// contiguous epochs, printing per-epoch dirty-group and re-fit stats to
 // stderr. The final output is bit-identical to the default batch run —
-// the whole point of the incremental engine. Incompatible with -stream
-// (which has its own batching).
+// the whole point of the incremental engine. -epochs and -distribute load
+// an -in file whole before they cut it.
 //
 // -distribute N mines the corpus with N worker processes, each re-executing
 // this binary in a hidden worker mode and extracting evidence from one
@@ -31,7 +33,7 @@
 // off with seeded jitter between attempts (-dist-backoff) and reclaiming
 // attempts that outlive -dist-deadline. Only a shard whose whole budget
 // is exhausted is lost (reported on stderr); the run continues.
-// Incompatible with -stream and -epochs.
+// Incompatible with -epochs.
 //
 // -dist-connect ADDR[,ADDR...] makes -distribute dial standalone socket
 // workers instead of forking children: each shard attempt is one TCP
@@ -96,7 +98,7 @@ func run() int {
 	workers := flag.Int("workers", 0, "extraction parallelism (0 = all cores)")
 	top := flag.Int("top", 10, "entities to print per modelled group")
 	in := flag.String("in", "", "input corpus (JSON lines); empty generates a demo snapshot")
-	stream := flag.Bool("stream", false, "stream the corpus through the pipeline in bounded memory (requires -in)")
+	flag.Bool("stream", false, "accepted and ignored: -in always streams the corpus in bounded memory")
 	lenient := flag.Bool("lenient", false, "skip and count malformed or oversized corpus lines instead of aborting")
 	epochs := flag.Int("epochs", 0, "replay the corpus through the incremental miner in N contiguous epochs (0 = one batch run)")
 	distribute := flag.Int("distribute", 0, "mine with N worker processes, one corpus shard each (0 = single process)")
@@ -192,6 +194,17 @@ func run() int {
 	stopSignals := func() { signal.Stop(sigc) }
 	defer stopSignals()
 
+	// Both worker modes below mine with workerCfg. -dist-telemetry gives a
+	// worker its own observability run; the frame it ships federates into
+	// the coordinator's /metrics, /trace, and /cluster. Without it the
+	// worker is silent (the frame is optional, so the two modes
+	// interoperate freely).
+	workerCfg := surveyor.Config{Workers: *workers, PatternVersion: *version}
+	if *distTelemetry {
+		workerCfg.Obs = obs.New()
+		workerCfg.Obs.RegisterBuildInfo()
+	}
+
 	// Hidden worker mode: serve one distributed-mining shard on
 	// stdin/stdout and exit. A terminal SIGINT reaches the whole process
 	// group, so the worker's context cancels alongside the coordinator's;
@@ -204,17 +217,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "injected flake: attempt %d < %d\n", *distAttempt, *distFlakeUntil)
 			return 3
 		}
-		// -dist-telemetry gives the worker its own observability run; the
-		// frame it ships federates into the coordinator's /metrics, /trace,
-		// and /cluster. Without it the worker is silent (the frame is
-		// optional, so the two modes interoperate freely).
-		var wo *obs.RunObs
-		if *distTelemetry {
-			wo = obs.New()
-			wo.RegisterBuildInfo()
-		}
-		err := surveyor.NewSystemWithBuiltinKB(*seed).ServeWorker(ctx, os.Stdin, os.Stdout,
-			surveyor.Config{Workers: *workers, PatternVersion: *version, Obs: wo}, *distHeartbeat)
+		err := surveyor.NewSystemWithBuiltinKB(*seed).ServeWorker(ctx, os.Stdin, os.Stdout, workerCfg, *distHeartbeat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -225,19 +228,13 @@ func run() int {
 	// Standalone socket worker: serve shard attempts over TCP until
 	// interrupted. Coordinators reach it with -distribute N -dist-connect.
 	if *distListen != "" {
-		var wo *obs.RunObs
-		if *distTelemetry {
-			wo = obs.New()
-			wo.RegisterBuildInfo()
-		}
 		ln, err := net.Listen("tcp", *distListen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "socket worker listening on %s\n", ln.Addr())
-		err = surveyor.NewSystemWithBuiltinKB(*seed).ServeSocketWorker(ctx, ln,
-			surveyor.Config{Workers: *workers, PatternVersion: *version, Obs: wo},
+		err = surveyor.NewSystemWithBuiltinKB(*seed).ServeSocketWorker(ctx, ln, workerCfg,
 			surveyor.SocketWorkerOptions{Heartbeat: *distHeartbeat, ErrLog: os.Stderr})
 		if err != nil && !errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, err)
@@ -246,21 +243,12 @@ func run() int {
 		return 0
 	}
 
-	if *distribute > 0 && (*stream || *epochs > 0) {
-		fmt.Fprintln(os.Stderr, "-distribute shards the in-memory corpus; it cannot be combined with -stream or -epochs")
+	if *distribute > 0 && *epochs > 0 {
+		fmt.Fprintln(os.Stderr, "-distribute shards the corpus across workers; it cannot be combined with -epochs")
 		return 1
 	}
 	if *distConnect != "" && *distribute <= 0 {
 		fmt.Fprintln(os.Stderr, "-dist-connect needs -distribute N to say how many shards to dial out")
-		return 1
-	}
-
-	if *stream && *in == "" {
-		fmt.Fprintln(os.Stderr, "-stream requires -in (the demo snapshot is generated in memory)")
-		return 1
-	}
-	if *epochs > 0 && *stream {
-		fmt.Fprintln(os.Stderr, "-epochs applies to in-memory corpora; it cannot be combined with -stream")
 		return 1
 	}
 
@@ -314,22 +302,22 @@ func run() int {
 	var res *surveyor.Result
 	var mineErr error
 	var loadSkipped int64
-	switch {
-	case *stream:
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+	if *in == "" {
+		docs := corpus.NewGenerator(kb.Default(*seed), corpus.Table2Specs(),
+			corpus.Config{Seed: *seed, Scale: 1}).Generate().Documents
+		fmt.Fprintf(os.Stderr, "generated demo snapshot: %d documents\n", len(docs))
+		res, mineErr = mine(ctx, sys, docs, cfg, *epochs, distOpts)
+	} else if f, err := os.Open(*in); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	} else if *epochs == 0 && *distribute == 0 {
+		// The file is the corpus: the pipeline reads it as it mines, so a
+		// malformed line ends the run with the prefix before it mined.
 		res, mineErr = sys.MineJSONL(ctx, f, surveyor.StreamOptions{Lenient: *lenient}, cfg)
 		f.Close()
-	case *in != "":
+	} else {
+		// -epochs and -distribute cut a []Document, so they load it whole.
 		var docs []surveyor.Document
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
 		it := corpus.NewIterator(f, corpus.IteratorConfig{Lenient: *lenient})
 		for it.Next() {
 			if len(docs) == sizingSample {
@@ -345,14 +333,9 @@ func run() int {
 		if loadSkipped = it.Stats().Skipped(); loadSkipped > 0 {
 			fmt.Fprintf(os.Stderr, "skipped %d malformed or oversized corpus lines\n", loadSkipped)
 			// The lines were dropped here, ahead of the pipeline: count them
-			// where -stream counts its own, so /metrics and /healthz agree.
+			// where the pipeline counts its own, so /metrics and /healthz agree.
 			o.PipelineMetrics().SkippedLines.Add(loadSkipped)
 		}
-		res, mineErr = mine(ctx, sys, docs, cfg, *epochs, distOpts)
-	default:
-		docs := corpus.NewGenerator(kb.Default(*seed), corpus.Table2Specs(),
-			corpus.Config{Seed: *seed, Scale: 1}).Generate().Documents
-		fmt.Fprintf(os.Stderr, "generated demo snapshot: %d documents\n", len(docs))
 		res, mineErr = mine(ctx, sys, docs, cfg, *epochs, distOpts)
 	}
 	stopSignals()
@@ -420,20 +403,16 @@ func printGroups(res *surveyor.Result, top int) {
 		sort.Slice(ents, func(a, b int) bool {
 			return ents[a].Probability > ents[b].Probability
 		})
-		k := top
-		if k > len(ents) {
-			k = len(ents)
-		}
-		for _, eo := range ents[:k] {
+		for _, eo := range ents[:min(top, len(ents))] {
 			fmt.Printf("  %s %-24s p=%.3f  (+%d/-%d)\n",
 				eo.Opinion, eo.Entity, eo.Probability, eo.Pos, eo.Neg)
 		}
 	}
 }
 
-// sizingSample is how many documents the -in loader reads before it sizes
-// its slice for the rest of the file: enough for a fair mean length and to
-// make the reader's read-ahead small against the bytes they took.
+// sizingSample is how many documents the whole-file loader reads before it
+// sizes its slice for the rest of the file: enough for a fair mean length
+// and to make the reader's read-ahead small against the bytes they took.
 const sizingSample = 16384
 
 // remainingDocs estimates how many documents follow the n that brought f's
@@ -449,7 +428,7 @@ func remainingDocs(f *os.File, n int) int {
 	return int(float64(st.Size()-off) / float64(off) * float64(n) * 1.125)
 }
 
-// mine runs an in-memory corpus as one batch (the default), across
+// mine runs a loaded corpus as one batch (the default), across
 // distributed workers (child processes or socket workers, with the
 // self-healing retry scheduler), or through the incremental miner in
 // epochs contiguous epochs (printing per-epoch stats). All paths produce

@@ -31,6 +31,25 @@ func buildSurveyor(t *testing.T, dir string) string {
 	return bin
 }
 
+// writeCorpus writes the generated seed-1 snapshot at scale as a JSONL
+// corpus file in dir and returns its path.
+func writeCorpus(t *testing.T, dir string, scale float64) string {
+	t.Helper()
+	path := filepath.Join(dir, "corpus.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := corpus.NewGenerator(kb.Default(1), corpus.Table2Specs(), corpus.Config{Seed: 1, Scale: scale}).Generate().Documents
+	if err := corpus.WriteJSONL(f, docs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // debugServerAddr reads a running surveyor's stderr up to the line
 // containing until and returns the base URL its debug server announced on
 // the way there.
@@ -96,8 +115,9 @@ func scrapeSkipped(t *testing.T, bin, corpus string, extra ...string) (metric, h
 }
 
 // TestSkippedLinesBatchMatchesStream: the same malformed line must degrade
-// /healthz and count on /metrics whether the corpus is loaded whole or
-// streamed — the load-then-mine path used to count it into the -report only.
+// /healthz and count on /metrics whether the pipeline streams the file (a
+// plain -in run) or -epochs loads it whole first — the loader used to count
+// it into the -report only.
 func TestSkippedLinesBatchMatchesStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the surveyor binary")
@@ -111,13 +131,79 @@ func TestSkippedLinesBatchMatchesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batchMetric, batchHealth := scrapeSkipped(t, bin, corpus)
-	streamMetric, streamHealth := scrapeSkipped(t, bin, corpus, "-stream")
+	streamMetric, streamHealth := scrapeSkipped(t, bin, corpus)
+	batchMetric, batchHealth := scrapeSkipped(t, bin, corpus, "-epochs", "2")
 	if batchMetric != "surveyor_corpus_skipped_lines_total 1" || batchMetric != streamMetric {
 		t.Errorf("/metrics: batch %q, stream %q, want both to count the one skipped line", batchMetric, streamMetric)
 	}
 	if !strings.HasPrefix(batchHealth, "degraded") || batchHealth != streamHealth {
 		t.Errorf("/healthz: batch %q, stream %q, want the same degraded line", batchHealth, streamHealth)
+	}
+}
+
+// TestStreamFlagIsNoOp: an -in file is streamed whether or not -stream is
+// given, and streaming the demo snapshot from a file prints what mining it
+// in memory prints.
+func TestStreamFlagIsNoOp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the surveyor binary")
+	}
+	dir := t.TempDir()
+	bin := buildSurveyor(t, dir)
+	path := writeCorpus(t, dir, 1)
+	var want []byte
+	for i, args := range [][]string{nil, {"-in", path}, {"-in", path, "-stream"}, {"-stream"}} {
+		out, err := exec.Command(bin, append([]string{"-rho", "5", "-top", "3"}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("surveyor %v: %v", args, err)
+		}
+		if i == 0 {
+			want = out
+		} else if !bytes.Equal(out, want) {
+			t.Errorf("surveyor %v: stdout differs from the in-memory demo run", args)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("demo run printed nothing")
+	}
+}
+
+// TestStrictMalformedLineMinesPrefix: without -lenient a malformed line
+// stops a plain -in run after mining the documents before it — the
+// partial result is reported on stderr and in -report, and the exit status
+// is 1.
+func TestStrictMalformedLineMinesPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the surveyor binary")
+	}
+	dir := t.TempDir()
+	bin := buildSurveyor(t, dir)
+	path, report := filepath.Join(dir, "corpus.jsonl"), filepath.Join(dir, "report.json")
+	lines := `{"URL":"u1","Domain":"com","Author":1,"Text":"Kittens are cute."}` + "\n{not json}\n" +
+		`{"URL":"u2","Domain":"com","Author":2,"Text":"Spiders are not cute."}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var errb bytes.Buffer
+	cmd := exec.Command(bin, "-in", path, "-rho", "1", "-report", report)
+	cmd.Stderr = &errb
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("surveyor: %v, want exit status 1\n%s", err, errb.String())
+	}
+	if log := errb.String(); !strings.Contains(log, "run stopped early (corpus: line 2") || !strings.Contains(log, "documents=1 ") {
+		t.Errorf("stderr does not report a one-document prefix stopped at line 2:\n%s", log)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Partial   bool `json:"partial"`
+		Documents int  `json:"documents"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil || !rep.Partial || rep.Documents != 1 {
+		t.Errorf("report %+v (%v), want partial over 1 document\n%s", rep, err, data)
 	}
 }
 
@@ -274,18 +360,7 @@ func TestKilledCoordinatorReapsWorkers(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildSurveyor(t, dir)
-	path := filepath.Join(dir, "corpus.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := corpus.NewGenerator(kb.Default(1), corpus.Table2Specs(), corpus.Config{Seed: 1, Scale: 40}).Generate().Documents
-	if err := corpus.WriteJSONL(f, docs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeCorpus(t, dir, 40)
 
 	// No heartbeat may fall between the kill and a worker's exit: written to
 	// the dead coordinator's pipe it would SIGPIPE the worker before it

@@ -235,9 +235,6 @@ func (t *Taint) call(call *ast.CallExpr) bool {
 	return false
 }
 
-// Obj reports whether the object itself is tainted.
-func (t *Taint) Obj(o types.Object) bool { return o != nil && t.tainted[o] }
-
 // TaintedObjs returns the distinct tainted objects referenced inside e,
 // in source order — the handles a guard query needs.
 func (t *Taint) TaintedObjs(e ast.Expr) []types.Object {

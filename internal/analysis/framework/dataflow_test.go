@@ -8,6 +8,9 @@ import (
 	"testing"
 )
 
+// Obj reports whether the object itself is tainted.
+func (t *Taint) Obj(o types.Object) bool { return o != nil && t.tainted[o] }
+
 // typecheckFile parses and type-checks a single import-free file.
 func typecheckFile(t *testing.T, src string) (*ast.File, *types.Info) {
 	t.Helper()

@@ -197,16 +197,6 @@ type Snapshot struct {
 	Statements int
 }
 
-// SpecFor returns the spec covering the (type, property) pair, if any.
-func (s *Snapshot) SpecFor(typ, property string) (*Spec, bool) {
-	for i := range s.Specs {
-		if s.Specs[i].Type == typ && s.Specs[i].Property == property {
-			return &s.Specs[i], true
-		}
-	}
-	return nil, false
-}
-
 // DocumentsInDomain filters the snapshot by top-level domain — the paper's
 // mechanism for region-specific results.
 func (s *Snapshot) DocumentsInDomain(domain string) []Document {

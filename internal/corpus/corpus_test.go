@@ -151,16 +151,6 @@ func TestLatentPosFraction(t *testing.T) {
 	}
 }
 
-func TestSpecFor(t *testing.T) {
-	snap := &Snapshot{Specs: smallSpecs()}
-	if _, ok := snap.SpecFor("animal", "cute"); !ok {
-		t.Fatal("SpecFor missed an existing spec")
-	}
-	if _, ok := snap.SpecFor("animal", "big"); ok {
-		t.Fatal("SpecFor matched a non-existent spec")
-	}
-}
-
 // frontend bundles the pipeline stages for round-trip tests.
 type frontend struct {
 	pt *pos.Tagger

@@ -184,19 +184,6 @@ func samplePicks(base *kb.KB, ids []kb.EntityID, n int, rng *stats.RNG, byPromin
 	return out
 }
 
-// MeanAgreement returns the average worker agreement over the cases
-// (the paper reports 17 of 20).
-func MeanAgreement(cases []TestCase) float64 {
-	if len(cases) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, c := range cases {
-		sum += c.Judgement.Agreement()
-	}
-	return float64(sum) / float64(len(cases))
-}
-
 // DropTies removes exactly-tied cases, as Section 7.3 does (4% of cases).
 func DropTies(cases []TestCase) []TestCase {
 	out := cases[:0:0]

@@ -6,7 +6,6 @@ package eval
 
 import (
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // Metrics are the three evaluation measures of the paper. Coverage is the
@@ -92,21 +91,6 @@ func SweepAgreement(cases []Case, methods []string, thresholds []int) []SweepPoi
 		out = append(out, pt)
 	}
 	return out
-}
-
-// PolarityAttributeCorrelation returns the Spearman rank correlation
-// between predicted polarity (−1, 0, +1) and an objective attribute — the
-// qualitative evaluation of Figures 3 and 13 (how well does predicted
-// "big" track population?).
-func PolarityAttributeCorrelation(opinions []core.Opinion, attrs []float64) float64 {
-	if len(opinions) != len(attrs) {
-		return 0
-	}
-	pol := make([]float64, len(opinions))
-	for i, o := range opinions {
-		pol[i] = float64(o)
-	}
-	return stats.Spearman(pol, attrs)
 }
 
 // DecisionRate returns the fraction of opinions that are not unsolved.

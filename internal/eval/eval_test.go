@@ -96,29 +96,6 @@ func TestSweepAgreement(t *testing.T) {
 	}
 }
 
-func TestPolarityAttributeCorrelation(t *testing.T) {
-	// Perfect alignment: positive on large attributes.
-	ops := []core.Opinion{
-		core.OpinionNegative, core.OpinionNegative,
-		core.OpinionPositive, core.OpinionPositive,
-	}
-	attrs := []float64{10, 20, 1000, 2000}
-	if got := PolarityAttributeCorrelation(ops, attrs); got < 0.8 {
-		t.Fatalf("correlation = %v, want high", got)
-	}
-	// Anti-alignment.
-	rev := []float64{2000, 1000, 20, 10}
-	if got := PolarityAttributeCorrelation(ops, rev); got > -0.8 {
-		t.Fatalf("correlation = %v, want strongly negative", got)
-	}
-}
-
-func TestPolarityAttributeCorrelationLengthMismatch(t *testing.T) {
-	if got := PolarityAttributeCorrelation([]core.Opinion{core.OpinionPositive}, nil); got != 0 {
-		t.Fatalf("mismatch correlation = %v", got)
-	}
-}
-
 func TestDecisionRate(t *testing.T) {
 	ops := []core.Opinion{core.OpinionPositive, core.OpinionUnsolved, core.OpinionNegative, core.OpinionUnsolved}
 	if got := DecisionRate(ops); math.Abs(got-0.5) > 1e-12 {
@@ -150,16 +127,5 @@ func TestSweepAgreementEmptyCases(t *testing.T) {
 	sweep := SweepAgreement(nil, []string{"m"}, []int{11, 20})
 	if len(sweep) != 2 || sweep[0].Cases != 0 {
 		t.Fatalf("sweep = %v", sweep)
-	}
-}
-
-func TestPolarityAttributeCorrelationWithUnsolved(t *testing.T) {
-	// Unsolved (0) between the poles still yields a usable correlation.
-	ops := []core.Opinion{
-		core.OpinionNegative, core.OpinionUnsolved, core.OpinionPositive,
-	}
-	attrs := []float64{1, 50, 100}
-	if got := PolarityAttributeCorrelation(ops, attrs); got < 0.9 {
-		t.Fatalf("correlation = %v", got)
 	}
 }

@@ -35,8 +35,9 @@ type Counts struct {
 // Total returns C+ + C−.
 func (c Counts) Total() int64 { return c.Pos + c.Neg }
 
-// Store is a concurrent counter map. Writers call Add; after all writers
-// finish, readers use Snapshot/Group.
+// Store is a concurrent counter map. Writers call AddCounts, directly or
+// through a worker's Local; after all writers finish, readers use
+// Snapshot/Group.
 type Store struct {
 	shards [storeShards]storeShard
 }
@@ -63,21 +64,6 @@ func (s *Store) shardFor(k Key) *storeShard {
 		h = (h ^ uint64(k.Property[i])) * 0x100000001b3
 	}
 	return &s.shards[h%storeShards]
-}
-
-// Add records one statement.
-func (s *Store) Add(st extract.Statement) {
-	k := Key{Entity: st.Entity, Property: st.Property}
-	sh := s.shardFor(k)
-	sh.mu.Lock()
-	c := sh.m[k]
-	if st.Polarity == extract.Positive {
-		c.Pos++
-	} else {
-		c.Neg++
-	}
-	sh.m[k] = c
-	sh.mu.Unlock()
 }
 
 // Local is a worker-private, unlocked statement accumulator. A worker adds

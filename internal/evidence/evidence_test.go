@@ -9,6 +9,22 @@ import (
 	"repro/internal/kb"
 )
 
+// Add records one statement under the shard lock: the per-statement
+// oracle the worker-local fold and the sharded store are checked against.
+func (s *Store) Add(st extract.Statement) {
+	k := Key{Entity: st.Entity, Property: st.Property}
+	sh := s.shardFor(k)
+	sh.mu.Lock()
+	c := sh.m[k]
+	if st.Polarity == extract.Positive {
+		c.Pos++
+	} else {
+		c.Neg++
+	}
+	sh.m[k] = c
+	sh.mu.Unlock()
+}
+
 func testKB() *kb.KB {
 	base := kb.New()
 	base.Add(kb.Entity{Name: "kitten", Type: "animal"})            // id 0

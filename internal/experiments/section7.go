@@ -248,7 +248,8 @@ func Scale(w *World) ScaleStats {
 	}
 }
 
-// Format renders the scale statistics.
+// Format renders the scale statistics; the wall-clock fields are left out,
+// so the text is a function of the world alone.
 func (s ScaleStats) Format() string {
 	return fmt.Sprintf(`documents:            %d
 sentences:            %d
@@ -257,10 +258,6 @@ entity-property pairs: %d  (paper: 60M)
 combos before filter: %d  (paper: 7M)
 combos modelled:      %d  (paper: 380k)
 opinions produced:    %d  (paper: 4B)
-extraction time:      %d ms (paper: ~1h on 5000 nodes)
-grouping time:        %d ms (paper: ~1h)
-EM time:              %d ms (paper: 10 min)
 `, s.Documents, s.Sentences, s.Statements, s.EntityPropertyPair,
-		s.CombosBeforeFilter, s.CombosModelled, s.OpinionsProduced,
-		s.ExtractionMillis, s.GroupingMillis, s.EMMillis)
+		s.CombosBeforeFilter, s.CombosModelled, s.OpinionsProduced)
 }

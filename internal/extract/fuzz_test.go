@@ -62,15 +62,15 @@ func FuzzExtract(f *testing.F) {
 				seen := map[Statement]bool{}
 				for _, st := range x.ExtractInto(nil, tree, mentions) {
 					if !known[st.Entity] {
-						t.Fatalf("statement about unknown entity %d (%q)", st.Entity, sent.Text())
+						t.Fatalf("statement about unknown entity %d (%q)", st.Entity, text[sent.Start:sent.End])
 					}
 					if st.Property == "" || st.Property != strings.ToLower(st.Property) {
-						t.Fatalf("property %q not normalised (%q)", st.Property, sent.Text())
+						t.Fatalf("property %q not normalised (%q)", st.Property, text[sent.Start:sent.End])
 					}
 					words := strings.Fields(st.Property)
 					if !adjs[words[len(words)-1]] {
 						t.Fatalf("property %q does not end in an adjective of the sentence (%q)",
-							st.Property, sent.Text())
+							st.Property, text[sent.Start:sent.End])
 					}
 					for _, w := range words[:len(words)-1] {
 						if !degreeAdverbs[w] {
@@ -78,15 +78,15 @@ func FuzzExtract(f *testing.F) {
 						}
 					}
 					if st.Polarity != Positive && st.Polarity != Negative {
-						t.Fatalf("polarity %d out of range (%q)", st.Polarity, sent.Text())
+						t.Fatalf("polarity %d out of range (%q)", st.Polarity, text[sent.Start:sent.End])
 					}
 					if st.Pattern.String() == "unknown" {
-						t.Fatalf("unknown pattern %d (%q)", st.Pattern, sent.Text())
+						t.Fatalf("unknown pattern %d (%q)", st.Pattern, text[sent.Start:sent.End])
 					}
 					k := st
 					k.Pattern = 0 // dedup ignores the producing pattern
 					if seen[k] {
-						t.Fatalf("duplicate claim %+v in one sentence (%q)", st, sent.Text())
+						t.Fatalf("duplicate claim %+v in one sentence (%q)", st, text[sent.Start:sent.End])
 					}
 					seen[k] = true
 				}

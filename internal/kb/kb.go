@@ -47,7 +47,7 @@ func (e *Entity) Attr(name string, def float64) float64 {
 }
 
 // KB is an in-memory knowledge base. It is immutable after building —
-// Add, Load and RegisterLexicon — and safe for concurrent reads.
+// Add and RegisterLexicon — and safe for concurrent reads.
 type KB struct {
 	entities  []Entity
 	byType    map[string][]EntityID
@@ -287,28 +287,4 @@ func (kb *KB) Save(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Load reads a KB previously written by Save. IDs are reassigned in file
-// order (Save writes them in ID order, so round-tripping preserves IDs).
-func Load(r io.Reader) (*KB, error) {
-	kb := New()
-	dec := json.NewDecoder(r)
-	for {
-		var e Entity
-		if err := dec.Decode(&e); err == io.EOF {
-			return kb, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("kb: load: %w", err)
-		}
-		// Avoid re-deriving plural aliases that Save already persisted.
-		aliases := e.Aliases
-		e.Aliases = nil
-		added := kb.Add(e)
-		ent := kb.Get(added)
-		ent.Aliases = aliases
-		for _, a := range aliases {
-			kb.index(a, added)
-		}
-	}
 }

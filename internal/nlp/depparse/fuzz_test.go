@@ -33,7 +33,7 @@ func FuzzParse(f *testing.F) {
 			}
 			root := tree.Root()
 			if root < 0 || root >= len(tree.Nodes) {
-				t.Fatalf("root %d out of range for %d nodes (%q)", root, len(tree.Nodes), sent.Text())
+				t.Fatalf("root %d out of range for %d nodes (%q)", root, len(tree.Nodes), text[sent.Start:sent.End])
 			}
 			if tree.Nodes[root].Head != -1 {
 				t.Fatalf("root node %d has head %d, want -1", root, tree.Nodes[root].Head)
@@ -44,21 +44,21 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("node %d carries index %d", i, n.Index)
 				}
 				if n.Head < -1 || n.Head >= len(tree.Nodes) || n.Head == i {
-					t.Fatalf("node %d has invalid head %d (%q)", i, n.Head, sent.Text())
+					t.Fatalf("node %d has invalid head %d (%q)", i, n.Head, text[sent.Start:sent.End])
 				}
 				if n.Head == -1 {
 					roots++
 				}
 				path := tree.PathToRoot(i)
 				if path == nil {
-					t.Fatalf("cycle detected from node %d (%q)", i, sent.Text())
+					t.Fatalf("cycle detected from node %d (%q)", i, text[sent.Start:sent.End])
 				}
 				if path[len(path)-1] != root {
 					t.Fatalf("path from node %d ends at %d, not the root %d", i, path[len(path)-1], root)
 				}
 			}
 			if roots != 1 {
-				t.Fatalf("tree has %d headless nodes, want exactly 1 (%q)", roots, sent.Text())
+				t.Fatalf("tree has %d headless nodes, want exactly 1 (%q)", roots, text[sent.Start:sent.End])
 			}
 		}
 	})

@@ -153,18 +153,6 @@ func (l *Lexicon) mark(key string, class uint8) {
 	l.words[key] = w
 }
 
-// Lookup returns the possible tags for a word form (case-insensitive),
-// most preferred first.
-func (l *Lexicon) Lookup(word string) ([]Tag, bool) {
-	w := l.fold(word)
-	return l.forms[w.ID].tags, w.Known()
-}
-
-// PrimaryTag returns the preferred tag for a word, or Other if unknown.
-func (l *Lexicon) PrimaryTag(word string) Tag {
-	return l.fold(word).Primary()
-}
-
 // HasTag reports whether word can take the given tag.
 func (l *Lexicon) HasTag(word string, tag Tag) bool {
 	return l.fold(word).HasTag(tag)
@@ -175,12 +163,6 @@ func (l *Lexicon) HasTag(word string, tag Tag) bool {
 // pattern versions 1-2.
 func (l *Lexicon) IsCopula(word string) bool {
 	return l.fold(word).IsCopula()
-}
-
-// CopulaLemma returns the lemma of a copular verb form ("are" -> "be").
-func (l *Lexicon) CopulaLemma(word string) (string, bool) {
-	w := l.fold(word)
-	return l.forms[w.ID].lemma, w.IsCopula()
 }
 
 // IsToBe reports whether word is a form of "to be" — the restricted verb
@@ -195,32 +177,12 @@ func (l *Lexicon) IsNegation(word string) bool {
 	return l.fold(word).IsNegation()
 }
 
-// IsSubjectiveAdjective reports whether the adjective is in the subjective
-// inventory. Extraction does not require this (the paper extracts objective
-// adjectives too), but the corpus generator and some analyses use it.
-func (l *Lexicon) IsSubjectiveAdjective(adj string) bool {
-	return l.subjective[strings.ToLower(adj)]
-}
-
 // Antonyms returns the registered antonyms of an adjective. Per Section 4
 // of the paper, polarity detection deliberately does NOT use antonyms; the
 // table exists to document the decision and to support the corpus
 // generator's distractor sentences.
 func (l *Lexicon) Antonyms(adj string) []string {
 	return l.antonyms[strings.ToLower(adj)]
-}
-
-// IsTypeNoun reports whether the noun names an entity type (city, animal,
-// sport, ...) — used by the coreference heuristic for the adjectival
-// modifier pattern ("Snakes are dangerous animals").
-func (l *Lexicon) IsTypeNoun(noun string) bool {
-	return l.fold(noun).in(classTypeNoun)
-}
-
-// IsOpinionVerb reports whether the verb introduces an opinion clause
-// (think, believe, consider, find, ...).
-func (l *Lexicon) IsOpinionVerb(word string) bool {
-	return l.fold(word).in(classOpinionVerb)
 }
 
 // AddNoun registers additional noun forms (the knowledge base feeds its

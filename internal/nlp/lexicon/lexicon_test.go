@@ -1,6 +1,49 @@
 package lexicon
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
+
+// The string accessors below read the built-in inventory for the tests;
+// the tagger and parser ask the Word record instead.
+
+// Lookup returns the possible tags for a word form (case-insensitive),
+// most preferred first.
+func (l *Lexicon) Lookup(word string) ([]Tag, bool) {
+	w := l.fold(word)
+	return l.forms[w.ID].tags, w.Known()
+}
+
+// PrimaryTag returns the preferred tag for a word, or Other if unknown.
+func (l *Lexicon) PrimaryTag(word string) Tag {
+	return l.fold(word).Primary()
+}
+
+// CopulaLemma returns the lemma of a copular verb form ("are" -> "be").
+func (l *Lexicon) CopulaLemma(word string) (string, bool) {
+	w := l.fold(word)
+	return l.forms[w.ID].lemma, w.IsCopula()
+}
+
+// IsSubjectiveAdjective reports whether the adjective is in the subjective
+// inventory. Extraction does not require this (the paper extracts objective
+// adjectives too).
+func (l *Lexicon) IsSubjectiveAdjective(adj string) bool {
+	return l.subjective[strings.ToLower(adj)]
+}
+
+// IsTypeNoun reports whether the noun names an entity type (city, animal,
+// sport, ...).
+func (l *Lexicon) IsTypeNoun(noun string) bool {
+	return l.fold(noun).in(classTypeNoun)
+}
+
+// IsOpinionVerb reports whether the verb introduces an opinion clause
+// (think, believe, consider, find, ...).
+func (l *Lexicon) IsOpinionVerb(word string) bool {
+	return l.fold(word).in(classOpinionVerb)
+}
 
 func TestDefaultClosedClasses(t *testing.T) {
 	l := Default()

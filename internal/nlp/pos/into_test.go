@@ -59,7 +59,7 @@ func TestTagIntoDoesNotAllocate(t *testing.T) {
 }
 
 // TestTaggedCarriesLexiconRecord checks the record TagInto stores on each
-// token against the lexicon's string API: same id as a fresh probe, and the
+// token against the lexicon: the same record as a fresh probe, and the
 // unknown word's zero record for out-of-vocabulary tokens.
 func TestTaggedCarriesLexiconRecord(t *testing.T) {
 	lex := lexicon.Default()
@@ -67,9 +67,6 @@ func TestTaggedCarriesLexiconRecord(t *testing.T) {
 	for _, tok := range tagged {
 		if tok.Word != lex.Word(tok.Lower()) {
 			t.Errorf("%q: record %+v, lexicon has %+v", tok.Text, tok.Word, lex.Word(tok.Lower()))
-		}
-		if _, known := lex.Lookup(tok.Text); known != tok.Word.Known() {
-			t.Errorf("%q: Known() = %v, Lookup says %v", tok.Text, tok.Word.Known(), known)
 		}
 	}
 	if tagged[0].Word.Known() || !tagged[1].Word.HasTag(lexicon.Aux) || !tagged[2].Word.IsNegation() {

@@ -41,16 +41,6 @@ type Sentence struct {
 	End    int
 }
 
-// Text reconstructs an approximate surface string (single spaces between
-// tokens); intended for diagnostics, not round-tripping.
-func (s Sentence) Text() string {
-	parts := make([]string, len(s.Tokens))
-	for i, t := range s.Tokens {
-		parts[i] = t.Text
-	}
-	return strings.Join(parts, " ")
-}
-
 // Common abbreviations that do not end a sentence.
 var abbreviations = map[string]bool{
 	"mr": true, "mrs": true, "ms": true, "dr": true, "prof": true,

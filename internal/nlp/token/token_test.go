@@ -110,10 +110,11 @@ func TestSplitSentencesBasic(t *testing.T) {
 }
 
 func TestSplitSentencesAbbreviation(t *testing.T) {
-	sents := splitSentences("Dr. Smith lives in St. Louis. He likes it.")
+	const text = "Dr. Smith lives in St. Louis. He likes it."
+	sents := splitSentences(text)
 	if len(sents) != 2 {
 		for _, s := range sents {
-			t.Logf("sentence: %s", s.Text())
+			t.Logf("sentence: %s", text[s.Start:s.End])
 		}
 		t.Fatalf("got %d sentences, want 2", len(sents))
 	}
@@ -133,10 +134,13 @@ func TestSplitSentencesNoTrailingPeriod(t *testing.T) {
 	}
 }
 
+// TestSentenceText: a sentence's byte span is its text in the source.
 func TestSentenceText(t *testing.T) {
-	sents := splitSentences("Rome is big.")
-	if got := sents[0].Text(); got != "Rome is big ." {
-		t.Fatalf("Text() = %q", got)
+	const text = "Rome is big. Paris is not."
+	sents := splitSentences(text)
+	if len(sents) != 2 || text[sents[0].Start:sents[0].End] != "Rome is big." ||
+		text[sents[1].Start:sents[1].End] != "Paris is not." {
+		t.Fatalf("sentence spans %+v", sents)
 	}
 }
 

@@ -105,24 +105,3 @@ func Ranks(xs []float64) []float64 {
 	}
 	return ranks
 }
-
-// Histogram counts xs into nbins equal-width bins spanning [min, max].
-// Values outside the range are clamped into the first/last bin.
-func Histogram(xs []float64, min, max float64, nbins int) []int {
-	counts := make([]int, nbins)
-	if nbins == 0 || max <= min {
-		return counts
-	}
-	width := (max - min) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - min) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}

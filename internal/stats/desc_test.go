@@ -164,21 +164,6 @@ func TestRanksSumProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.6, 0.9, 1.5, -2}
-	counts := Histogram(xs, 0, 1, 2)
-	// -2 clamps to bin 0; 1.5 clamps to bin 1.
-	if counts[0] != 3 || counts[1] != 3 {
-		t.Fatalf("Histogram = %v", counts)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if got := Histogram([]float64{1, 2}, 5, 5, 3); got[0] != 0 {
-		t.Fatalf("degenerate histogram = %v", got)
-	}
-}
-
 func TestPercentileAgainstSort(t *testing.T) {
 	r := NewRNG(55)
 	xs := make([]float64, 1001)

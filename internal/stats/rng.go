@@ -33,13 +33,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Split derives a new independent generator from this one. The parent
-// advances; the child starts a fresh stream. Useful to hand one RNG per
-// worker goroutine while keeping global determinism.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1342543de82ef95)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -79,19 +72,6 @@ func (r *RNG) IntRange(lo, hi int) int {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle randomly permutes n elements using the provided swap function.

@@ -66,20 +66,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(3)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("parent and split child produced %d identical draws", same)
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := NewRNG(5)
 	seen := map[int]bool{}
@@ -132,9 +118,14 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
+// TestPermIsPermutation: Shuffle of the identity leaves a permutation of it.
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(17)
-	p := r.Perm(50)
+	p := make([]int, 50)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {

@@ -205,7 +205,7 @@ func TestDuplicationStability(t *testing.T) {
 func TestMergeCommutativeAssociative(t *testing.T) {
 	rng := stats.NewRNG(7)
 	randomStore := func(n int) *evidence.Store {
-		s := evidence.NewStore()
+		s, l := evidence.NewStore(), evidence.NewLocal()
 		for i := 0; i < n; i++ {
 			st := extract.Statement{
 				Entity:   kb.EntityID(rng.IntRange(0, 50)),
@@ -215,8 +215,9 @@ func TestMergeCommutativeAssociative(t *testing.T) {
 			if rng.Bernoulli(0.3) {
 				st.Polarity = extract.Negative
 			}
-			s.Add(st)
+			l.Add(st)
 		}
+		l.FlushTo(s)
 		return s
 	}
 	clone := func(s *evidence.Store) *evidence.Store {

@@ -21,7 +21,7 @@ import (
 func randomStore(seed uint64, entries int) *evidence.Store {
 	rng := stats.NewRNG(seed)
 	props := []string{"big", "cute", "dangerous", "beautiful", "calm", "famous", ""}
-	s := evidence.NewStore()
+	s, l := evidence.NewStore(), evidence.NewLocal()
 	for i := 0; i < entries; i++ {
 		st := extract.Statement{
 			Entity:   kb.EntityID(rng.Uint64() % 64),
@@ -31,8 +31,9 @@ func randomStore(seed uint64, entries int) *evidence.Store {
 		if rng.Uint64()%3 == 0 {
 			st.Polarity = extract.Negative
 		}
-		s.Add(st)
+		l.Add(st)
 	}
+	l.FlushTo(s)
 	return s
 }
 

@@ -227,8 +227,6 @@ type StreamOptions struct {
 	// Lenient skips and counts malformed or oversized corpus lines instead
 	// of failing the run (see Stats.SkippedLines).
 	Lenient bool
-	// MaxLineBytes caps one corpus line (0 = 4 MiB).
-	MaxLineBytes int
 }
 
 // MineJSONL mines a JSONL corpus directly from a reader in bounded memory —
@@ -238,10 +236,7 @@ type StreamOptions struct {
 // before the failure.
 func (s *System) MineJSONL(ctx context.Context, r io.Reader, opts StreamOptions, cfg Config) (*Result, error) {
 	s.registerPending()
-	it := corpus.NewIterator(r, corpus.IteratorConfig{
-		Lenient:      opts.Lenient,
-		MaxLineBytes: opts.MaxLineBytes,
-	})
+	it := corpus.NewIterator(r, corpus.IteratorConfig{Lenient: opts.Lenient})
 	pres, err := pipeline.RunStream(ctx, it, s.kb, s.lex, s.pipelineConfig(cfg))
 	res := &Result{sys: s, res: pres}
 	return res, wrapPartial(res, err)
