@@ -41,8 +41,10 @@
 // and dial failures reconnect with backoff across the listed endpoints.
 // Forked or dialled, a worker sends heartbeat frames while mining
 // (-dist-heartbeat sets the cadence) so the coordinator can tell a slow
-// shard from a dead link. Output remains bit-identical to the
-// single-process run.
+// shard from a dead link. A worker's own flags (-seed, -workers) only
+// rebuild the knowledge base and size its threads: the pattern version
+// and whether to record telemetry come with each shard's job. Output
+// remains bit-identical to the single-process run.
 //
 // SIGINT/SIGTERM cancel the run at document granularity: the documents
 // processed so far are still grouped and modelled, worker children are
@@ -55,12 +57,12 @@
 // /metrics, /progress, /trace for Perfetto, /em, /cluster, expvar, pprof);
 // -linger keeps it serving after the run finishes so the final state can
 // be scraped. -report writes a machine-readable JSON run report. Combined
-// with -distribute, the workers run their own observability and ship it
-// back as telemetry frames: /metrics grows federated surveyor_fleet_*
-// series, /trace stitches every worker's spans onto its own pid track
-// with skew-corrected timestamps, and /cluster shows the per-shard fleet
-// view. Telemetry is write-only — mined results are bit-identical with or
-// without it.
+// with -distribute, forked and socket workers alike record each shard
+// attempt's observability and ship it back as a telemetry frame:
+// /metrics grows federated surveyor_fleet_* series, /trace stitches every
+// worker's spans onto its own pid track with skew-corrected timestamps,
+// and /cluster shows the per-shard fleet view. Telemetry is write-only —
+// mined results are bit-identical with or without it.
 package main
 
 import (
@@ -103,15 +105,12 @@ func run() int {
 	epochs := flag.Int("epochs", 0, "replay the corpus through the incremental miner in N contiguous epochs (0 = one batch run)")
 	distribute := flag.Int("distribute", 0, "mine with N worker processes, one corpus shard each (0 = single process)")
 	distWorker := flag.Bool("dist-worker", false, "serve one distributed-mining shard on stdin/stdout (internal; launched by -distribute)")
-	distTelemetry := flag.Bool("dist-telemetry", false, "run worker-side observability and ship it back as a telemetry frame (internal; set by -distribute when the coordinator has a live obs sink)")
 	distRetries := flag.Int("dist-retries", 3, "total worker attempts per shard before the shard is lost (with -distribute; 1 disables retry)")
 	distBackoff := flag.Duration("dist-backoff", 100*time.Millisecond, "base backoff before a shard retry, doubled per attempt with seeded jitter (with -distribute)")
 	distDeadline := flag.Duration("dist-deadline", 0, "per-shard attempt deadline; a worker past it is presumed hung and the shard reassigned (with -distribute; 0 = none)")
 	distListen := flag.String("dist-listen", "", "serve as a standalone socket worker on this address (e.g. :7070) until interrupted")
 	distConnect := flag.String("dist-connect", "", "comma-separated socket worker addresses; -distribute dials these instead of forking children")
 	distHeartbeat := flag.Duration("dist-heartbeat", time.Second, "liveness heartbeat interval of a worker while mining (with -distribute or -dist-listen)")
-	distAttempt := flag.Int("dist-attempt", 0, "which retry attempt this worker serves (internal; set by the coordinator)")
-	distFlakeUntil := flag.Int("dist-flake-until", 0, "crash worker attempts below this attempt number (internal; fault injection for the retry tests)")
 	seed := flag.Uint64("seed", 1, "seed for the demo snapshot")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -121,7 +120,8 @@ func run() int {
 	reportPath := flag.String("report", "", "write a JSON run report to this file")
 	flag.Parse()
 
-	// Every mode below reads -version, the worker modes included.
+	// Checked before any mode runs, so a worker started with a bad
+	// -version fails fast although it mines with each job's version.
 	if *version < 1 || *version > 4 {
 		fmt.Fprintf(os.Stderr, "-version must be 1, 2, 3 or 4 (got %d)\n", *version)
 		return 1
@@ -194,29 +194,15 @@ func run() int {
 	stopSignals := func() { signal.Stop(sigc) }
 	defer stopSignals()
 
-	// Both worker modes below mine with workerCfg. -dist-telemetry gives a
-	// worker its own observability run; the frame it ships federates into
-	// the coordinator's /metrics, /trace, and /cluster. Without it the
-	// worker is silent (the frame is optional, so the two modes
-	// interoperate freely).
-	workerCfg := surveyor.Config{Workers: *workers, PatternVersion: *version}
-	if *distTelemetry {
-		workerCfg.Obs = obs.New()
-		workerCfg.Obs.RegisterBuildInfo()
-	}
+	// Both worker modes below mine with workerCfg: each job brings its
+	// pattern version and says whether to record telemetry.
+	workerCfg := surveyor.Config{Workers: *workers}
 
 	// Hidden worker mode: serve one distributed-mining shard on
 	// stdin/stdout and exit. A terminal SIGINT reaches the whole process
 	// group, so the worker's context cancels alongside the coordinator's;
 	// the all-or-nothing shard commit turns that into a cleanly lost shard.
 	if *distWorker {
-		// Fault injection for the retry suite: attempts below the flake
-		// threshold crash before speaking the protocol, like a worker box
-		// dying mid-job. The coordinator's scheduler must heal them.
-		if *distFlakeUntil > 0 && *distAttempt < *distFlakeUntil {
-			fmt.Fprintf(os.Stderr, "injected flake: attempt %d < %d\n", *distAttempt, *distFlakeUntil)
-			return 3
-		}
 		err := surveyor.NewSystemWithBuiltinKB(*seed).ServeWorker(ctx, os.Stdin, os.Stdout, workerCfg, *distHeartbeat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -262,7 +248,7 @@ func run() int {
 
 	// The distributed coordinator re-executes this binary in worker mode
 	// (or dials out to -dist-connect socket workers); the worker flags
-	// reconstruct the same knowledge base and extraction configuration.
+	// rebuild the same knowledge base, and each job frame carries the rest.
 	distOpts := surveyor.DistributedOptions{
 		Workers:       *distribute,
 		Retries:       *distRetries,
@@ -279,24 +265,10 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		workerCmd := []string{exe, "-dist-worker",
+		distOpts.Command = []string{exe, "-dist-worker",
 			"-seed", strconv.FormatUint(*seed, 10),
-			"-version", strconv.Itoa(*version),
 			"-workers", strconv.Itoa(*workers),
 			"-dist-heartbeat", distHeartbeat.String()}
-		if o != nil {
-			workerCmd = append(workerCmd, "-dist-telemetry")
-		}
-		if *distFlakeUntil > 0 {
-			workerCmd = append(workerCmd, "-dist-flake-until", strconv.Itoa(*distFlakeUntil))
-		}
-		distOpts.Command = workerCmd
-		// Tell each launched worker which retry attempt it serves, so the
-		// flake injector (and any future attempt-aware behavior) can key
-		// off it.
-		distOpts.WorkerAttempt = func(_, attempt int) []string {
-			return []string{"-dist-attempt", strconv.Itoa(attempt)}
-		}
 	}
 
 	var res *surveyor.Result

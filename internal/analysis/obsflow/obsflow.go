@@ -41,8 +41,7 @@ var Analyzer = &framework.Analyzer{
 // deliberately absent: Span.End's duration feeds Result.Timings, which the
 // determinism contract excludes.
 var readMethods = map[string]bool{
-	"Value": true, "Snapshot": true, "Count": true, "Sum": true,
-	"Now": true, "EventCount": true,
+	"Value": true, "Snapshot": true, "Count": true, "Sum": true, "Now": true,
 	"WritePrometheus": true, "WriteChromeTrace": true, "WriteJSON": true,
 }
 

@@ -38,9 +38,10 @@ type Config struct {
 	// runs them in-process on goroutines.
 	Transport Transport
 	// Pipeline is the coordinator-side pipeline config: Rho and EM drive
-	// the reduce step, Obs receives the run's telemetry. Worker-side
-	// extraction settings (Version, threads per worker, Fault) live on the
-	// transport's worker, not here.
+	// the reduce step, Obs receives the run's telemetry. Every job frame
+	// carries Version, and asks its worker for telemetry when Obs is
+	// set. The worker's own settings (threads per worker, Fault) live on
+	// the transport's worker, not here.
 	Pipeline pipeline.Config
 	// Retry is the self-healing policy: attempt budget, backoff, and
 	// per-shard deadline. The zero value keeps the historical
@@ -103,7 +104,7 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 	if cfg.Transport == nil {
 		cfg.Transport = nilTransport{}
 	}
-	sc := newScheduler(cfg.Transport, cfg.Retry, fleet)
+	sc := newScheduler(cfg.Transport, cfg.Retry, fleet, Job{Version: cfg.Pipeline.Version, Telemetry: o != nil})
 
 	// Map: drive every shard's retry loop concurrently. Each slot is
 	// owned by exactly one goroutine, so the outcomes slice needs no
@@ -150,7 +151,7 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 		fleet.ShardCommitted(s, oc.res.Consumed, len(oc.res.Quarantined),
 			float64(merge.End())/float64(time.Millisecond))
 		// Federate telemetry in the same deterministic shard order as the
-		// store fold. Frames are optional and best-effort: a decode failure
+		// store fold. Frames are best-effort: a missing or undecodable one
 		// degrades to a rejection note, never to a shard failure — the
 		// shard's evidence is already committed.
 		fleet.ShardTelemetry(s, oc.tele, oc.teleErr)

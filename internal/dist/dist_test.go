@@ -14,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dist"
 	"repro/internal/evidence"
+	"repro/internal/extract"
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -25,6 +26,8 @@ func testJob() *dist.Job {
 	return &dist.Job{
 		Shard:     3,
 		DocOffset: 1207,
+		Version:   extract.V2,
+		Telemetry: true,
 		Docs: []corpus.Document{
 			{URL: "http://a.example/1", Domain: "a.example", Author: 12, Text: "the kitten is cute."},
 			{URL: "http://b.example/2", Domain: "b.example", Author: 0, Text: ""},
@@ -51,8 +54,9 @@ func TestJobRoundTrip(t *testing.T) {
 	if rn != wn {
 		t.Fatalf("ReadJob consumed %d bytes, frame is %d", rn, wn)
 	}
-	if got.Shard != job.Shard || got.DocOffset != job.DocOffset {
-		t.Fatalf("header mismatch: got shard=%d offset=%d", got.Shard, got.DocOffset)
+	if got.Shard != job.Shard || got.DocOffset != job.DocOffset || got.Version != job.Version || got.Telemetry != job.Telemetry {
+		t.Fatalf("header mismatch: got shard=%d offset=%d version=%d telemetry=%v",
+			got.Shard, got.DocOffset, got.Version, got.Telemetry)
 	}
 	if len(got.Docs) != len(job.Docs) {
 		t.Fatalf("got %d docs, want %d", len(got.Docs), len(job.Docs))
@@ -142,9 +146,9 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 		// A tiny body claiming 2^40 documents must be rejected before any
 		// allocation of that order.
 		e := framing.NewEncoder(16)
-		e.Uvarint(0)
-		e.Uvarint(0)
-		e.Uvarint(1 << 40)
+		for _, v := range []uint64{0, 0, 0, 0, 1 << 40} { // shard, offset, version, telemetry, count
+			e.Uvarint(v)
+		}
 		var buf bytes.Buffer
 		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
 			t.Fatal(err)
@@ -156,10 +160,9 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
 		e := framing.NewEncoder(16)
-		e.Uvarint(0)
-		e.Uvarint(0)
-		e.Uvarint(0)
-		e.Uvarint(99) // junk after the last document
+		for _, v := range []uint64{0, 0, 0, 0, 0, 99} { // no documents, then junk
+			e.Uvarint(v)
+		}
 		var buf bytes.Buffer
 		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
 			t.Fatal(err)
@@ -167,6 +170,20 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 		_, _, err := dist.ReadJob(&buf)
 		if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 			t.Fatalf("got %v, want trailing-bytes error", err)
+		}
+	})
+	t.Run("pattern version out of range", func(t *testing.T) {
+		e := framing.NewEncoder(16)
+		for _, v := range []uint64{0, 0, uint64(extract.V4) + 1, 0, 0} {
+			e.Uvarint(v)
+		}
+		var buf bytes.Buffer
+		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := dist.ReadJob(&buf)
+		if err == nil || !strings.Contains(err.Error(), "pattern version 5") {
+			t.Fatalf("got %v, want version rejection", err)
 		}
 	})
 }

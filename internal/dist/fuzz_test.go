@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/evidence"
+	"repro/internal/extract"
 	"repro/internal/kb"
 	"repro/internal/pipeline"
 	"repro/internal/wire/framing"
@@ -24,6 +25,8 @@ func FuzzDistProto(f *testing.F) {
 	if _, err := WriteJob(&job, &Job{
 		Shard:     3,
 		DocOffset: 1207,
+		Version:   extract.V3,
+		Telemetry: true,
 		Docs: []corpus.Document{
 			{URL: "http://a.example/1", Domain: "a.example", Author: 12, Text: "the kitten is cute."},
 			{URL: "", Domain: "", Author: 9000, Text: "spiders are not cute!"},

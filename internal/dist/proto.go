@@ -3,8 +3,12 @@
 // primitives (magic + version + length + body + FNV-1a checksum, all
 // integers varints):
 //
-//	coordinator → worker   job frame "SVJB": shard, docOffset, docCount,
-//	                       then ⟨url, domain, author, text⟩ per document.
+//	coordinator → worker   job frame "SVJB": shard, docOffset, pattern
+//	                       version (0 = the default, V4), telemetry
+//	                       (0/1), docCount, then ⟨url, domain, author,
+//	                       text⟩ per document. The job is the attempt's
+//	                       whole configuration: the worker mines with its
+//	                       version and records telemetry only if asked.
 //	                       Nothing follows it, and the stream is never
 //	                       half-closed: a worker whose input ends knows
 //	                       its coordinator is gone.
@@ -18,17 +22,16 @@
 //	                       sentences, quarantine count, ⟨doc, reason⟩
 //	                       per record — followed by one store frame
 //	                       "SVWS" (the evidence delta, wire.EncodeStore)
-//	worker → coordinator   optional telemetry frame "SVTM" (obs package:
-//	                       metric snapshot, spans, clock anchors), after
-//	                       the store frame. Obs-disabled workers omit it;
-//	                       the coordinator treats clean EOF as absent, so
-//	                       the frame is backward- and forward-optional.
+//	worker → coordinator   telemetry frame "SVTM" (obs package: metric
+//	                       snapshot, spans, clock anchors of this one
+//	                       attempt), after the store frame, exactly when
+//	                       the job asked for it.
 //
 // Protocol state machine (one worker attempt):
 //
-//	IDLE --job frame--> MINING --result+store [+telemetry], exit 0--> DONE
-//	                      |  \-- crash / kill -----------------------> LOST
-//	                      \---- ctx cancelled, exit nonzero ---------> LOST
+//	IDLE --job frame--> MINING --result+store(+telemetry), exit 0--> DONE
+//	                      |  \-- crash / kill ------------------------> LOST
+//	                      \---- ctx cancelled, exit nonzero ----------> LOST
 //
 // The self-healing scheduler layers a shard-level retry loop on top: a
 // LOST or deadline-expired attempt moves the shard to RETRYING, and a
@@ -48,7 +51,7 @@
 // committed), is what makes a run with transient faults bit-identical to
 // the batch run, and a budget-exhausted run exactly the batch result
 // minus the lost shard's documents. Telemetry rides strictly after the
-// commit point: a broken or rejected telemetry frame can degrade
+// commit point: a missing, broken or rejected telemetry frame can degrade
 // observability (a rejection counter and a /cluster note) but can never
 // fail, or un-commit, the shard.
 package dist
@@ -60,6 +63,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/evidence"
+	"repro/internal/extract"
 	"repro/internal/pipeline"
 	"repro/internal/wire"
 	"repro/internal/wire/framing"
@@ -79,10 +83,15 @@ const maxDocBytes = 1 << 26
 
 // Job is the coordinator→worker shard assignment: a contiguous document
 // range and the global index of its first document, so every index the
-// worker reports (quarantine records above all) is already corpus-global.
+// worker reports (quarantine records above all) is already corpus-global,
+// plus how the attempt runs: the extraction pattern version (zero means
+// the default, V4) and whether to ship one telemetry frame after the
+// result.
 type Job struct {
 	Shard     int
 	DocOffset int
+	Version   extract.Version
+	Telemetry bool
 	Docs      []corpus.Document
 }
 
@@ -95,6 +104,12 @@ func WriteJob(w io.Writer, job *Job) (int64, error) {
 	e := framing.NewEncoder(size)
 	e.Uvarint(uint64(job.Shard))
 	e.Uvarint(uint64(job.DocOffset))
+	e.Uvarint(uint64(job.Version))
+	telemetry := uint64(0)
+	if job.Telemetry {
+		telemetry = 1
+	}
+	e.Uvarint(telemetry)
 	e.Uvarint(uint64(len(job.Docs)))
 	for i := range job.Docs {
 		d := &job.Docs[i]
@@ -117,6 +132,8 @@ func ReadJob(r io.Reader) (*Job, int64, error) {
 	job := &Job{}
 	shard := d.Uvarint()
 	offset := d.Uvarint()
+	version := d.Uvarint()
+	telemetry := d.Uvarint()
 	count := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return nil, n, fmt.Errorf("dist: decode job header: %w", err)
@@ -124,12 +141,16 @@ func ReadJob(r io.Reader) (*Job, int64, error) {
 	if shard > math.MaxInt32 || offset > math.MaxInt32 {
 		return nil, n, fmt.Errorf("dist: implausible shard %d / offset %d", shard, offset)
 	}
+	if version > uint64(extract.V4) || telemetry > 1 {
+		return nil, n, fmt.Errorf("dist: implausible pattern version %d / telemetry %d", version, telemetry)
+	}
 	// Each document costs at least four bytes (three length prefixes and
 	// an author varint), so the body bounds the plausible count.
 	if count > uint64(d.Remaining())/4+1 {
 		return nil, n, fmt.Errorf("dist: document count %d exceeds body capacity %d", count, d.Remaining())
 	}
 	job.Shard, job.DocOffset = int(shard), int(offset)
+	job.Version, job.Telemetry = extract.Version(version), telemetry == 1
 	job.Docs = make([]corpus.Document, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var doc corpus.Document

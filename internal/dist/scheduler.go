@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"time"
@@ -49,9 +48,10 @@ const (
 // exceeded RetryPolicy.ShardDeadline. Match with errors.Is.
 var ErrShardDeadline = errors.New("dist: shard deadline exceeded")
 
-// shardOutcome is one successfully mined shard: the result and its
-// optional telemetry frame (teleErr records a frame that arrived but
-// failed validation — observability degrades, the shard does not).
+// shardOutcome is one successfully mined shard: the result and the
+// telemetry frame its job asked for (teleErr records a frame that did not
+// arrive or failed validation — observability degrades, the shard does
+// not).
 type shardOutcome struct {
 	res     *ShardResult
 	tele    *obs.Telemetry
@@ -122,6 +122,9 @@ type scheduler struct {
 	transport Transport
 	policy    RetryPolicy
 	fleet     *obs.Cluster // the run's one observability sink; nil-safe
+	// job carries what every attempt's job frame says besides its shard:
+	// the pattern version and whether to ship telemetry.
+	job Job
 
 	wg   sync.WaitGroup
 	mu   sync.Mutex
@@ -134,8 +137,8 @@ type attemptHandle struct {
 	cancel context.CancelFunc
 }
 
-func newScheduler(t Transport, p RetryPolicy, fleet *obs.Cluster) *scheduler {
-	return &scheduler{transport: t, policy: p, fleet: fleet, live: make(map[*attemptHandle]struct{})}
+func newScheduler(t Transport, p RetryPolicy, fleet *obs.Cluster, job Job) *scheduler {
+	return &scheduler{transport: t, policy: p, fleet: fleet, job: job, live: make(map[*attemptHandle]struct{})}
 }
 
 func (sc *scheduler) track(h *attemptHandle) {
@@ -281,7 +284,9 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 	// The send anchor precedes the job write so the worker's job-received
 	// anchor falls inside the coordinator's [jobSent, resultRecv] window.
 	fleet.JobSent(shard, len(docs), 0)
-	wn, err := WriteJob(conn, &Job{Shard: shard, DocOffset: docOffset, Docs: docs})
+	job := sc.job
+	job.Shard, job.DocOffset, job.Docs = shard, docOffset, docs
+	wn, err := WriteJob(conn, &job)
 	fleet.ShardWire(shard, wn, 0)
 	var res *ShardResult
 	if err == nil {
@@ -297,16 +302,13 @@ func (sc *scheduler) attemptProtocol(conn Conn, shard, attempt, docOffset int, d
 	}
 	var tele *obs.Telemetry
 	var teleErr error
-	if err == nil {
-		// Optional telemetry frame after the store frame: a clean EOF means
-		// an old or obs-disabled worker, any other failure is recorded but
-		// cannot un-commit the shard's evidence.
+	if err == nil && job.Telemetry {
+		// The telemetry frame the job asked for, after the store frame: a
+		// failure to read it is recorded but cannot un-commit the shard's
+		// evidence.
 		var tn int64
 		tele, tn, teleErr = obs.DecodeTelemetry(conn)
 		fleet.ShardWire(shard, 0, tn)
-		if errors.Is(teleErr, io.EOF) {
-			tele, teleErr = nil, nil
-		}
 	}
 	if err != nil {
 		conn.Kill()

@@ -114,21 +114,13 @@ type ProcTransport struct {
 	Path string
 	// Args are the worker's command-line arguments.
 	Args []string
-	// ExtraArgs, when non-nil, appends per-launch arguments — cmd/surveyor
-	// threads the attempt number through so a worker can be told which
-	// retry it serves (the CI flake injector keys off it).
-	ExtraArgs func(shard, attempt int) []string
 	// Stderr receives the workers' stderr streams (nil discards them).
 	Stderr io.Writer
 }
 
 // Start implements Transport.
 func (t *ProcTransport) Start(ctx context.Context, shard, attempt int) (Conn, error) {
-	args := t.Args
-	if t.ExtraArgs != nil {
-		args = append(append([]string(nil), args...), t.ExtraArgs(shard, attempt)...)
-	}
-	cmd := exec.CommandContext(ctx, t.Path, args...)
+	cmd := exec.CommandContext(ctx, t.Path, t.Args...)
 	cmd.Stderr = t.Stderr
 	// A cancelled attempt kills the child (CommandContext's default); the
 	// delay keeps a wedged child's pipes from blocking Wait forever.
@@ -242,8 +234,9 @@ type LocalTransport struct {
 	// shared seed.
 	Base *kb.KB
 	Lex  *lexicon.Lexicon
-	// Pipeline is the worker-side extraction config (Version, Workers as
-	// threads per worker, Fault for chaos injection, Obs).
+	// Pipeline is the worker-side extraction config: Workers as threads
+	// per worker, Fault for chaos injection. Version and Obs come from
+	// each job, as in every worker.
 	Pipeline pipeline.Config
 	// Crash, when non-nil, selects shards whose worker dies on every
 	// attempt before shipping its result — a permanently dead machine.
@@ -266,11 +259,11 @@ type LocalTransport struct {
 	// OnServe, when non-nil, is called as each worker attempt starts
 	// serving — a deterministic sequencing point for the chaos tests.
 	OnServe func(shard, attempt int)
-	// WorkerObs, when non-nil, gives each worker goroutine its own RunObs
-	// (overriding Pipeline.Obs) — the in-process stand-in for each child
-	// process running its own observability, so telemetry frames exercise
-	// the real capture/ship path. Returning nil for a shard makes that
-	// worker silent (no telemetry frame), like an obs-disabled process.
+	// WorkerObs, when non-nil, builds the RunObs of each attempt whose
+	// job asks for telemetry, in place of a fresh obs.New — a hook for
+	// tests that need a manual clock or a metrics-only registry. It must
+	// return a new RunObs per call; whether a frame ships is the job's
+	// decision, not this hook's.
 	WorkerObs func(shard int) *obs.RunObs
 }
 
@@ -320,14 +313,14 @@ func (t *LocalTransport) serve(ctx context.Context, shard, attempt int, r io.Rea
 			w = &holdWriter{w: w, release: ch}
 		}
 	}
-	cfg := t.Pipeline
-	if t.WorkerObs != nil {
-		cfg.Obs = t.WorkerObs(shard)
+	workerObs := t.WorkerObs
+	if workerObs == nil {
+		workerObs = attemptObs
 	}
-	return Serve(ctx, struct {
+	return serve(ctx, struct {
 		io.Reader
 		io.Writer
-	}{r, w}, t.Base, t.Lex, cfg, 0)
+	}{r, w}, t.Base, t.Lex, t.Pipeline, 0, workerObs)
 }
 
 // cutWriter passes budget bytes through, then fails every write — the

@@ -37,17 +37,38 @@ import (
 // with a read error instead of a torn or partial shard. A cancellation
 // mid-extraction returns ctx's error without shipping anything.
 //
-// A worker with a live RunObs appends one optional telemetry frame
-// ("SVTM") after the result frames: its metric snapshot, its collected
-// spans, and the clock anchors the coordinator uses for skew correction.
-// A worker with a nil RunObs ships nothing extra — the coordinator's
-// telemetry probe sees a clean EOF.
+// The job is the attempt's configuration: Serve mines with job.Version
+// and ignores cfg.Version; cfg supplies only the worker's own settings
+// (Workers, Fault). When job.Telemetry is set, the attempt records into a
+// RunObs of its own (cfg.Obs is ignored too) and appends its telemetry
+// frame ("SVTM") after the result frames: the metric snapshot, the
+// collected spans, and the clock anchors the coordinator uses for skew
+// correction — of this one attempt, so frames from one worker process
+// never overlap.
 func Serve(ctx context.Context, rw io.ReadWriter, base *kb.KB, lex *lexicon.Lexicon, cfg pipeline.Config, heartbeat time.Duration) error {
-	st := cfg.Obs.BeginShardTelemetry()
+	return serve(ctx, rw, base, lex, cfg, heartbeat, attemptObs)
+}
+
+// attemptObs is the RunObs of one attempt whose job asks for telemetry:
+// every sink live, plus the build-identification gauge.
+func attemptObs(int) *obs.RunObs {
+	o := obs.New()
+	o.RegisterBuildInfo()
+	return o
+}
+
+// serve is Serve with a say over the attempt's RunObs: workerObs is
+// called once per job that asks for telemetry.
+func serve(ctx context.Context, rw io.ReadWriter, base *kb.KB, lex *lexicon.Lexicon, cfg pipeline.Config, heartbeat time.Duration, workerObs func(shard int) *obs.RunObs) error {
 	job, _, err := ReadJob(rw)
 	if err != nil {
 		return fmt.Errorf("dist: worker read job: %w", err)
 	}
+	cfg.Version, cfg.Obs = job.Version, nil
+	if job.Telemetry {
+		cfg.Obs = workerObs(job.Shard)
+	}
+	st := cfg.Obs.BeginShardTelemetry()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	go func() {

@@ -264,8 +264,8 @@ func (c *Cluster) TelemetryAbsorbed(s, spans int, skew time.Duration) {
 }
 
 // TelemetryMissing records a shard whose telemetry did not federate:
-// absent (old or silent worker, or a lost shard) or rejected (a frame
-// that failed validation — the shard's evidence still committed).
+// absent (no frame and no error) or rejected (a frame that did not come
+// or failed validation — the shard's evidence still committed).
 func (c *Cluster) TelemetryMissing(s int, reason string) {
 	c.record(s, func(sh *shardState) { sh.Telemetry = reason })
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 )
 
 // fleetPrefix namespaces federated worker series in the coordinator
@@ -58,7 +57,7 @@ func (r *Registry) AbsorbSnapshot(metrics []Metric) error {
 func (r *Registry) absorbMetric(name string, m *Metric) error {
 	switch m.Kind {
 	case KindCounter:
-		c, err := r.counterChecked(name, m.Help)
+		c, err := register(r, name, func() *Counter { return &Counter{helpText: m.Help} })
 		if err != nil {
 			return err
 		}
@@ -67,7 +66,7 @@ func (r *Registry) absorbMetric(name string, m *Metric) error {
 		}
 		c.Add(int64(m.Value))
 	case KindGauge:
-		g, err := r.gaugeChecked(name, m.Help)
+		g, err := register(r, name, func() *Gauge { return &Gauge{helpText: m.Help} })
 		if err != nil {
 			return err
 		}
@@ -78,39 +77,6 @@ func (r *Registry) absorbMetric(name string, m *Metric) error {
 		return fmt.Errorf("unknown metric kind %d", m.Kind)
 	}
 	return nil
-}
-
-// counterChecked is Registry.Counter without the programming-error panic:
-// federated input is data, not code, so a kind conflict is an error.
-func (r *Registry) counterChecked(name, help string) (*Counter, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		c, ok := m.(*Counter)
-		if !ok {
-			return nil, fmt.Errorf("already registered as %s, snapshot says counter", m.kind())
-		}
-		return c, nil
-	}
-	c := &Counter{helpText: help}
-	r.metrics[name] = c
-	return c, nil
-}
-
-// gaugeChecked is Registry.Gauge with error reporting instead of panic.
-func (r *Registry) gaugeChecked(name, help string) (*Gauge, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		g, ok := m.(*Gauge)
-		if !ok {
-			return nil, fmt.Errorf("already registered as %s, snapshot says gauge", m.kind())
-		}
-		return g, nil
-	}
-	g := &Gauge{helpText: help}
-	r.metrics[name] = g
-	return g, nil
 }
 
 // absorb merges one histogram snapshot bucket-wise into h. The caller
@@ -153,28 +119,12 @@ func (r *Registry) absorbHistogram(name string, m *Metric) error {
 		}
 	}
 
-	r.mu.Lock()
-	existing, ok := r.metrics[name]
-	var h *Histogram
-	if ok {
-		var isHist bool
-		h, isHist = existing.(*Histogram)
-		if !isHist {
-			r.mu.Unlock()
-			return fmt.Errorf("already registered as %s, snapshot says histogram", existing.kind())
-		}
-		if len(h.bounds) != len(bounds) {
-			r.mu.Unlock()
-			return fmt.Errorf("snapshot has %d bounds, registered histogram has %d", len(bounds), len(h.bounds))
-		}
-	} else {
-		h = &Histogram{
-			helpText: m.Help,
-			bounds:   bounds,
-			counts:   make([]atomic.Int64, len(bounds)+1),
-		}
-		r.metrics[name] = h
+	h, err := register(r, name, func() *Histogram { return newHistogram(m.Help, bounds) })
+	if err != nil {
+		return err
 	}
-	r.mu.Unlock()
+	if len(h.bounds) != len(bounds) {
+		return fmt.Errorf("snapshot has %d bounds, registered histogram has %d", len(bounds), len(h.bounds))
+	}
 	return h.absorb(m)
 }

@@ -166,7 +166,7 @@ func TestAbsorbShardTelemetryRejection(t *testing.T) {
 	if got := o.Metrics.Counter(MetricTelemetryRejected, "").Value(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
-	if n := o.Tracer.EventCount(); n != 0 {
+	if n := len(o.Tracer.Events()); n != 0 {
 		t.Fatalf("rejected frame stitched %d spans", n)
 	}
 	snap := o.Cluster.Snapshot()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -262,18 +263,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		c, ok := m.(*Counter)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q re-registered as counter, was %s", name, m.kind()))
-		}
-		return c
-	}
-	c := &Counter{helpText: help}
-	r.metrics[name] = c
-	return c
+	return mustRegister(register(r, name, func() *Counter { return &Counter{helpText: help} }))
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -281,18 +271,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		g, ok := m.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q re-registered as gauge, was %s", name, m.kind()))
-		}
-		return g
-	}
-	g := &Gauge{helpText: help}
-	r.metrics[name] = g
-	return g
+	return mustRegister(register(r, name, func() *Gauge { return &Gauge{helpText: help} }))
 }
 
 // Histogram returns the histogram registered under name, creating it with
@@ -307,22 +286,52 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram %q bounds not ascending at %d", name, i))
 		}
 	}
+	return mustRegister(register(r, name, func() *Histogram {
+		return newHistogram(help, append([]float64(nil), bounds...))
+	}))
+}
+
+func newHistogram(help string, bounds []float64) *Histogram {
+	return &Histogram{helpText: help, bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+}
+
+// kindConflict is a name already registered as another metric kind. Its
+// text is federation's report; mustRegister words the registrars' panic.
+type kindConflict struct {
+	name      string
+	was, want MetricKind
+}
+
+func (e *kindConflict) Error() string {
+	return fmt.Sprintf("already registered as %s, snapshot says %s", e.was, e.want)
+}
+
+// register is the registry's one look-up-or-create path: the metric
+// registered under name, or fresh() inserted there on first use. A name
+// holding another kind is a *kindConflict.
+func register[M metric](r *Registry, name string, fresh func() M) (M, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		h, ok := m.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("obs: metric %q re-registered as histogram, was %s", name, m.kind()))
-		}
-		return h
+	m, ok := r.metrics[name]
+	if !ok {
+		m = fresh()
+		r.metrics[name] = m
 	}
-	h := &Histogram{
-		helpText: help,
-		bounds:   append([]float64(nil), bounds...),
-		counts:   make([]atomic.Int64, len(bounds)+1),
+	got, ok := m.(M)
+	if !ok { // got is M's nil pointer, whose kind() reads no field
+		return got, &kindConflict{name: name, was: m.kind(), want: got.kind()}
 	}
-	r.metrics[name] = h
-	return h
+	return got, nil
+}
+
+// mustRegister turns a registrar's kind conflict into the panic it is:
+// code, not data, chose the name.
+func mustRegister[M metric](m M, err error) M {
+	var c *kindConflict
+	if errors.As(err, &c) {
+		panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", c.name, c.want, c.was))
+	}
+	return m
 }
 
 // Snapshot reads every registered metric, sorted by name. Each individual

@@ -1,11 +1,10 @@
 // Telemetry frames: the cross-process half of the observability layer.
-// A distributed worker runs its own RunObs and, after the all-or-nothing
-// shard commit, ships one compact "SVTM" frame — its full metric
-// snapshot, its collected spans, and a pair of clock-alignment anchors —
-// appended after the store frame of the shard result. The frame is
-// optional and version-gated: a worker with no RunObs ships nothing, and
-// the coordinator treats a clean EOF after the store frame as "telemetry
-// absent", so old and new processes interoperate in both directions.
+// A distributed worker whose job asks for telemetry runs a RunObs of its
+// own for that one attempt and, after the all-or-nothing shard commit,
+// ships one compact "SVTM" frame — the attempt's metric snapshot, its
+// collected spans, and a pair of clock-alignment anchors — appended after
+// the store frame of the shard result. The coordinator reads the frame
+// only when it asked for one, and the body is version-gated.
 //
 // Frame body layout (on the internal/wire primitives; all integers
 // unsigned varints unless noted):
@@ -38,7 +37,6 @@
 package obs
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -107,7 +105,8 @@ type ShardTelemetry struct {
 }
 
 // BeginShardTelemetry anchors the start of one worker's shard service.
-// Nil (inert) when o is nil — a silent worker ships no telemetry frame.
+// Nil (inert) when o is nil — an attempt whose job asked for no
+// telemetry ships no frame.
 func (o *RunObs) BeginShardTelemetry() *ShardTelemetry {
 	if o == nil {
 		return nil
@@ -179,16 +178,10 @@ func EncodeTelemetry(w io.Writer, t *Telemetry) (int64, error) {
 }
 
 // DecodeTelemetry reads one framed telemetry snapshot and returns it with
-// the bytes consumed. A clean EOF before the first byte is returned as an
-// unwrapped io.EOF — the "telemetry absent" signal that keeps the frame
-// optional: a coordinator probing after the store frame of an old or
-// silent worker sees the stream end instead of an error.
+// the bytes consumed.
 func DecodeTelemetry(r io.Reader) (*Telemetry, int64, error) {
 	body, n, err := framing.ReadFrame(r, TelemetryMagic)
 	if err != nil {
-		if errors.Is(err, io.EOF) && n == 0 {
-			return nil, 0, io.EOF //lint:allow errflow documented clean-EOF contract: telemetry frames are optional
-		}
 		return nil, n, fmt.Errorf("obs: read telemetry frame: %w", err)
 	}
 	t, bodyErr := DecodeTelemetryBody(body)

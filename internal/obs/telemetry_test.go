@@ -82,16 +82,6 @@ func TestTelemetryEncodingDeterministic(t *testing.T) {
 	}
 }
 
-// TestTelemetryAbsentIsCleanEOF: probing an ended stream — an old or
-// obs-disabled worker — yields unwrapped io.EOF, the optional-frame
-// signal, with zero bytes consumed.
-func TestTelemetryAbsentIsCleanEOF(t *testing.T) {
-	tel, n, err := DecodeTelemetry(bytes.NewReader(nil))
-	if tel != nil || n != 0 || err != io.EOF {
-		t.Fatalf("got (%v, %d, %v), want (nil, 0, io.EOF)", tel, n, err)
-	}
-}
-
 // TestTelemetryVersionGate: a frame with an unknown telemetry version is
 // rejected even when the wire envelope is valid.
 func TestTelemetryVersionGate(t *testing.T) {
@@ -215,8 +205,9 @@ func TestTelemetryDecodeRejections(t *testing.T) {
 	}
 }
 
-// TestTelemetryTruncated: every prefix of a valid frame fails cleanly
-// (EOF for the empty prefix, an error for all others), never panics.
+// TestTelemetryTruncated: every prefix of a valid frame fails cleanly,
+// the empty one included (a frame the job asked for that never came),
+// never panics.
 func TestTelemetryTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := EncodeTelemetry(&buf, sampleTelemetry()); err != nil {
@@ -228,8 +219,8 @@ func TestTelemetryTruncated(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(frame))
 		}
-		if cut == 0 && !errors.Is(err, io.EOF) {
-			t.Fatalf("empty stream: err = %v, want io.EOF", err)
+		if cut == 0 && (!errors.Is(err, io.EOF) || err == io.EOF) {
+			t.Fatalf("empty stream: err = %v, want a wrapped io.EOF", err)
 		}
 	}
 }

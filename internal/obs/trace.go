@@ -306,13 +306,3 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	return nil
 }
-
-// EventCount returns the number of collected spans.
-func (t *Tracer) EventCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}

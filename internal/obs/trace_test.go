@@ -91,7 +91,7 @@ func TestTracerSampling(t *testing.T) {
 		wt.docEnd(i, 1, 0)
 	}
 	wt.close("extract", 0, clock.Now(), 9)
-	if got := tr.EventCount(); got != 10 { // 9 docs + cover span
+	if got := len(tr.Events()); got != 10 { // 9 docs + cover span
 		t.Errorf("event count = %d, want 10", got)
 	}
 }
@@ -111,7 +111,7 @@ func TestTracerPerWorkerCap(t *testing.T) {
 		}
 	}
 	wt.close("extract", 0, clock.Now(), perWorkerSpanCap+1)
-	if got := tr.EventCount(); got != perWorkerSpanCap+1 { // capped docs + cover span
+	if got := len(tr.Events()); got != perWorkerSpanCap+1 { // capped docs + cover span
 		t.Errorf("event count = %d, want %d", got, perWorkerSpanCap+1)
 	}
 }

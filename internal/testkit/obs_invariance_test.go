@@ -59,7 +59,7 @@ func TestObsInvariance(t *testing.T) {
 				t.Errorf("seed %d workers %d: EM telemetry saw %d groups, run had %d",
 					seed, workers, em.Groups, len(observed.Groups))
 			}
-			if o.Tracer.EventCount() == 0 {
+			if len(o.Tracer.Events()) == 0 {
 				t.Errorf("seed %d workers %d: tracer recorded no spans", seed, workers)
 			}
 			var pairsScanned int64

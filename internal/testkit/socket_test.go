@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/dist"
+	"repro/internal/extract"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -141,5 +143,62 @@ func TestSocketReconnectSkipsDeadEndpoint(t *testing.T) {
 	}
 	if diffs := DiffResults(batch, res); len(diffs) > 0 {
 		t.Errorf("reconnect run diverges from batch:\n  %s", strings.Join(diffs, "\n  "))
+	}
+}
+
+// TestSocketWorkerTelemetryPerAttempt: one socket worker, started with no
+// observability of its own, serves both shards of a coordinator that has
+// it. Each job asks for telemetry, so every shard federates a frame, and
+// each frame describes its own attempt alone: the fleet document count is
+// the corpus, not a running total of the worker process.
+func TestSocketWorkerTelemetryPerAttempt(t *testing.T) {
+	w := NewWorld(1, diffScale)
+	docs := w.Docs()
+	cfg := pipeline.Config{Rho: 10, Workers: 2}
+	addr := startSocketWorker(t, w, cfg, 0)
+	o := coordRunObs()
+	reduceCfg := cfg
+	reduceCfg.Obs = o
+	_, failed, err := dist.Mine(context.Background(), docs, w.KB, dist.Config{
+		Shards:    2,
+		Transport: &dist.SocketTransport{Addrs: []string{addr}, Seed: 1},
+		Pipeline:  reduceCfg,
+	})
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("err=%v failed=%v", err, failed)
+	}
+	for _, sv := range o.Cluster.Snapshot().Shards {
+		if sv.Status != obs.ShardDone || sv.Telemetry != "ok" {
+			t.Errorf("shard view %+v, want DONE with telemetry ok", sv)
+		}
+	}
+	if got := metricValues(o)[obs.FleetMetricName("surveyor_documents_total")]; got != float64(len(docs)) {
+		t.Errorf("fleet documents = %v, want the corpus's %d", got, len(docs))
+	}
+}
+
+// TestSocketWorkerMinesWithJobVersion: a socket worker configured with
+// pattern version 1 serves a version-4 coordinator. The version travels
+// in the job frame, so the run equals the version-4 batch run.
+func TestSocketWorkerMinesWithJobVersion(t *testing.T) {
+	w := NewWorld(1, diffScale)
+	docs := w.Docs()
+	cfg := pipeline.Config{Rho: 10, Workers: 2, Version: extract.V4}
+	batch := pipeline.Run(docs, w.KB, w.Lex, cfg)
+	v1 := cfg
+	v1.Version = extract.V1
+	if DiffResults(batch, pipeline.Run(docs, w.KB, w.Lex, v1)) == nil {
+		t.Fatal("versions 1 and 4 mine this corpus alike — useless fixture")
+	}
+	res, failed, err := dist.Mine(context.Background(), docs, w.KB, dist.Config{
+		Shards:    2,
+		Transport: &dist.SocketTransport{Addrs: []string{startSocketWorker(t, w, v1, 0)}, Seed: 1},
+		Pipeline:  cfg,
+	})
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("err=%v failed=%v", err, failed)
+	}
+	if diffs := DiffResults(batch, res); len(diffs) > 0 {
+		t.Errorf("socket run diverges from the version-4 batch:\n  %s", strings.Join(diffs, "\n  "))
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/obs"
 )
 
 // DistributedOptions configures MineDistributed.
@@ -29,10 +28,6 @@ type DistributedOptions struct {
 	// protocol over in-memory pipes): the right default when the corpus
 	// fits one machine and the win is CPU parallelism.
 	Command []string
-	// WorkerAttempt, when non-nil alongside Command, appends per-launch
-	// arguments telling a worker process which (shard, attempt) it
-	// serves. cmd/surveyor uses it to thread -dist-attempt through.
-	WorkerAttempt func(shard, attempt int) []string
 	// Connect lists socket worker endpoints ("host:port") running
 	// ServeSocketWorker (`surveyor -dist-listen`). Non-empty selects the
 	// TCP transport and takes precedence over Command: shards are dialed
@@ -92,21 +87,9 @@ func (s *System) MineDistributed(ctx context.Context, docs []Document, opts Dist
 	case len(opts.Connect) > 0:
 		transport = &dist.SocketTransport{Addrs: opts.Connect, Seed: opts.Seed}
 	case len(opts.Command) > 0:
-		transport = &dist.ProcTransport{
-			Path:      opts.Command[0],
-			Args:      opts.Command[1:],
-			ExtraArgs: opts.WorkerAttempt,
-			Stderr:    opts.Stderr,
-		}
+		transport = &dist.ProcTransport{Path: opts.Command[0], Args: opts.Command[1:], Stderr: opts.Stderr}
 	default:
-		lt := &dist.LocalTransport{Base: s.kb, Lex: s.lex, Pipeline: pcfg}
-		if pcfg.Obs != nil {
-			// Mirror the multi-process reality in-process: each worker runs
-			// its own observability and ships it back as a telemetry frame,
-			// rather than writing into the coordinator's registry directly.
-			lt.WorkerObs = func(int) *obs.RunObs { return obs.New() }
-		}
-		transport = lt
+		transport = &dist.LocalTransport{Base: s.kb, Lex: s.lex, Pipeline: pcfg}
 	}
 	pres, shardErrs, err := dist.Mine(ctx, docs, s.kb, dist.Config{
 		Shards:    opts.Workers,
@@ -136,7 +119,9 @@ func (s *System) MineDistributed(ctx context.Context, docs []Document, opts Dist
 // return. The attempt is cancelled if r ends or delivers anything
 // further — the coordinator is gone. cmd/surveyor's hidden -dist-worker
 // mode calls this on stdin/stdout; the system must hold the same
-// knowledge base and lexicon the coordinator mined with.
+// knowledge base and lexicon the coordinator mined with. Of cfg only
+// Workers applies: the pattern version and whether to record telemetry
+// come with the job.
 func (s *System) ServeWorker(ctx context.Context, r io.Reader, w io.Writer, cfg Config, heartbeat time.Duration) error {
 	s.registerPending()
 	rw := struct {
