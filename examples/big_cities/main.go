@@ -44,7 +44,7 @@ func run(w io.Writer, scale float64) {
 	cities := make(map[string]cityInfo, base.Len())
 	for _, kid := range base.OfType("city") {
 		e := base.Get(kid)
-		id := sys.AddEntity(e.Name, "city", true, e.Attributes)
+		id := sys.AddEntity(e.Name, "city", true, e.Attrs())
 		cities[e.Name] = cityInfo{id: id, pop: e.Attr("population", 0)}
 	}
 

@@ -37,7 +37,7 @@ func run(w io.Writer, scale float64) {
 	sys := surveyor.NewSystem()
 	for _, id := range base.OfType("city") {
 		e := base.Get(id)
-		sys.AddEntity(e.Name, "city", true, e.Attributes)
+		sys.AddEntity(e.Name, "city", true, e.Attrs())
 	}
 	docs := make([]surveyor.Document, len(snap.Documents))
 	for i, d := range snap.Documents {

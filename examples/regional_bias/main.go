@@ -46,7 +46,7 @@ func run(w io.Writer, scale float64) {
 		sys := surveyor.NewSystem()
 		for _, id := range base.OfType("city") {
 			e := base.Get(id)
-			sys.AddEntity(e.Name, "city", true, e.Attributes)
+			sys.AddEntity(e.Name, "city", true, e.Attrs())
 		}
 		var docs []surveyor.Document
 		for _, d := range snap.DocumentsInDomain(domain) {

@@ -17,16 +17,11 @@ import (
 
 func smallKB() *kb.KB {
 	base := kb.New()
-	base.Add(kb.Entity{Name: "kitten", Type: "animal",
-		Attributes: map[string]float64{"cuteness": 0.95}})
-	base.Add(kb.Entity{Name: "spider", Type: "animal",
-		Attributes: map[string]float64{"cuteness": 0.05}})
-	base.Add(kb.Entity{Name: "tiger", Type: "animal",
-		Attributes: map[string]float64{"cuteness": 0.6}})
-	base.Add(kb.Entity{Name: "Bigville", Type: "city", Proper: true,
-		Attributes: map[string]float64{"population": 1_000_000}})
-	base.Add(kb.Entity{Name: "Tinytown", Type: "city", Proper: true,
-		Attributes: map[string]float64{"population": 900}})
+	base.SetAttr(base.Add(kb.Entity{Name: "kitten", Type: "animal"}), "cuteness", 0.95)
+	base.SetAttr(base.Add(kb.Entity{Name: "spider", Type: "animal"}), "cuteness", 0.05)
+	base.SetAttr(base.Add(kb.Entity{Name: "tiger", Type: "animal"}), "cuteness", 0.6)
+	base.SetAttr(base.Add(kb.Entity{Name: "Bigville", Type: "city", Proper: true}), "population", 1_000_000)
+	base.SetAttr(base.Add(kb.Entity{Name: "Tinytown", Type: "city", Proper: true}), "population", 900)
 	return base
 }
 
@@ -294,8 +289,7 @@ func TestRegionalSpecTruthDiffers(t *testing.T) {
 	base := smallKB()
 	spec := RegionalSpec("big", "com", "cn", 100_000)
 	// Bigville (1M) is big in both regions; a 250k city would differ.
-	base.Add(kb.Entity{Name: "Midburg", Type: "city", Proper: true,
-		Attributes: map[string]float64{"population": 250_000}})
+	base.SetAttr(base.Add(kb.Entity{Name: "Midburg", Type: "city", Proper: true}), "population", 250_000)
 	mid := base.Get(base.Candidates("midburg")[0])
 	if !spec.Truth(mid, "com") {
 		t.Error("250k should be big for domain com (threshold 100k)")

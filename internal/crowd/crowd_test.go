@@ -162,8 +162,7 @@ func TestCrowdDominantTracksLatentTruth(t *testing.T) {
 func TestSamplePicksDistinct(t *testing.T) {
 	base := kb.New()
 	for i := 0; i < 30; i++ {
-		base.Add(kb.Entity{Name: fmt.Sprintf("e%d", i), Type: "thing",
-			Attributes: map[string]float64{"prominence": 1 / float64(i+1)}})
+		base.SetAttr(base.Add(kb.Entity{Name: fmt.Sprintf("e%d", i), Type: "thing"}), "prominence", 1/float64(i+1))
 	}
 	ids := base.OfType("thing")
 	rng := stats.NewRNG(4)
@@ -187,8 +186,7 @@ func TestSamplePicksProminenceBias(t *testing.T) {
 		if i < 10 {
 			prom = 1.0
 		}
-		base.Add(kb.Entity{Name: fmt.Sprintf("e%d", i), Type: "thing",
-			Attributes: map[string]float64{"prominence": prom}})
+		base.SetAttr(base.Add(kb.Entity{Name: fmt.Sprintf("e%d", i), Type: "thing"}), "prominence", prom)
 	}
 	ids := base.OfType("thing")
 	rng := stats.NewRNG(6)

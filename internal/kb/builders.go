@@ -3,6 +3,7 @@ package kb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,18 +46,14 @@ func (b *Builder) setProminenceByRankJitter(typ string, key func(e *Entity) floa
 		return key(b.kb.Get(ids[i])) > key(b.kb.Get(ids[j]))
 	})
 	for rank, id := range ids {
-		e := b.kb.Get(id)
-		if e.Attributes == nil {
-			e.Attributes = map[string]float64{}
-		}
-		if _, ok := e.Attributes["prominence"]; !ok {
+		if math.IsNaN(b.kb.Get(id).Attr("prominence", math.NaN())) {
 			// Lognormal jitter decorrelates fame from the ranking proxy:
 			// Palo Alto is famous but small, some big places are obscure.
 			p := math.Pow(1/float64(rank+1), 0.6) * math.Exp(b.rng.Normal(0, jitter))
 			if p > 1 {
 				p = 1
 			}
-			e.Attributes["prominence"] = p
+			b.kb.SetAttr(id, "prominence", p)
 		}
 	}
 }
@@ -132,11 +129,8 @@ func (b *Builder) CalifornianCities(n int) {
 			return
 		}
 		seen[strings.ToLower(name)] = true
-		b.kb.Add(Entity{
-			Name: name, Type: "city", Proper: true,
-			Attributes: map[string]float64{"population": pop},
-			Ambiguous:  ambiguous,
-		})
+		id := b.kb.Add(Entity{Name: name, Type: "city", Proper: true, Ambiguous: ambiguous})
+		b.kb.SetAttr(id, "population", pop)
 	}
 	for _, c := range realCACities {
 		if len(seen) >= n {
@@ -225,25 +219,17 @@ func (b *Builder) Animals() {
 		"puppy": 0.02, "camel": 0.2, "white shark": 0.98, "lion": 0.95,
 	}
 	for _, a := range figure10Animals {
-		b.kb.Add(Entity{
-			Name: a.name, Type: "animal", Proper: false,
-			Attributes: map[string]float64{
-				"weight_kg":  f10Weights[a.name],
-				"ferocity":   f10Ferocity[a.name],
-				"cuteness":   float64(a.cuteVotes) / 20,
-				"cute_votes": float64(a.cuteVotes),
-			},
-		})
+		id := b.kb.Add(Entity{Name: a.name, Type: "animal"})
+		b.kb.SetAttr(id, "weight_kg", f10Weights[a.name])
+		b.kb.SetAttr(id, "ferocity", f10Ferocity[a.name])
+		b.kb.SetAttr(id, "cuteness", float64(a.cuteVotes)/20)
+		b.kb.SetAttr(id, "cute_votes", float64(a.cuteVotes))
 	}
 	for _, a := range extraAnimals {
-		b.kb.Add(Entity{
-			Name: a.name, Type: "animal", Proper: false,
-			Attributes: map[string]float64{
-				"weight_kg": a.weight,
-				"ferocity":  a.ferocity,
-				"cuteness":  a.cuteness,
-			},
-		})
+		id := b.kb.Add(Entity{Name: a.name, Type: "animal"})
+		b.kb.SetAttr(id, "weight_kg", a.weight)
+		b.kb.SetAttr(id, "ferocity", a.ferocity)
+		b.kb.SetAttr(id, "cuteness", a.cuteness)
 	}
 }
 
@@ -267,13 +253,9 @@ func (b *Builder) Celebrities(n int) {
 			continue
 		}
 		seen[strings.ToLower(name)] = true
-		b.kb.Add(Entity{
-			Name: name, Type: "celebrity", Proper: true,
-			Attributes: map[string]float64{
-				"age":  float64(b.rng.IntRange(17, 85)),
-				"fame": b.rng.Float64(),
-			},
-		})
+		id := b.kb.Add(Entity{Name: name, Type: "celebrity", Proper: true})
+		b.kb.SetAttr(id, "age", float64(b.rng.IntRange(17, 85)))
+		b.kb.SetAttr(id, "fame", b.rng.Float64())
 	}
 }
 
@@ -307,12 +289,10 @@ var professions = []struct {
 // Professions builds the profession domain.
 func (b *Builder) Professions() {
 	for _, p := range professions {
-		b.kb.Add(Entity{
-			Name: p.name, Type: "profession", Proper: false,
-			Attributes: map[string]float64{
-				"risk": p.risk, "salary": p.salary, "scarcity": p.scarcity,
-			},
-		})
+		id := b.kb.Add(Entity{Name: p.name, Type: "profession"})
+		b.kb.SetAttr(id, "risk", p.risk)
+		b.kb.SetAttr(id, "salary", p.salary)
+		b.kb.SetAttr(id, "scarcity", p.scarcity)
 	}
 }
 
@@ -346,12 +326,10 @@ var sports = []struct {
 // Sports builds the sport domain.
 func (b *Builder) Sports() {
 	for _, s := range sports {
-		b.kb.Add(Entity{
-			Name: s.name, Type: "sport", Proper: false,
-			Attributes: map[string]float64{
-				"speed": s.speed, "risk": s.risk, "popularity": s.popularity,
-			},
-		})
+		id := b.kb.Add(Entity{Name: s.name, Type: "sport"})
+		b.kb.SetAttr(id, "speed", s.speed)
+		b.kb.SetAttr(id, "risk", s.risk)
+		b.kb.SetAttr(id, "popularity", s.popularity)
 	}
 }
 
@@ -405,10 +383,8 @@ var countries = []struct {
 // Countries builds the country domain (Appendix A, "wealthy").
 func (b *Builder) Countries() {
 	for _, c := range countries {
-		b.kb.Add(Entity{
-			Name: c.name, Type: "country", Proper: true,
-			Attributes: map[string]float64{"gdp_per_capita": c.gdp},
-		})
+		id := b.kb.Add(Entity{Name: c.name, Type: "country", Proper: true})
+		b.kb.SetAttr(id, "gdp_per_capita", c.gdp)
 	}
 }
 
@@ -441,10 +417,8 @@ func (b *Builder) SwissLakes(n int) {
 			return
 		}
 		seen[strings.ToLower(name)] = true
-		b.kb.Add(Entity{
-			Name: name, Type: "lake", Proper: true,
-			Attributes: map[string]float64{"area_km2": area},
-		})
+		id := b.kb.Add(Entity{Name: name, Type: "lake", Proper: true})
+		b.kb.SetAttr(id, "area_km2", area)
 	}
 	for _, l := range realSwissLakes {
 		add(l.name, l.area)
@@ -486,10 +460,8 @@ func (b *Builder) BritishMountains(n int) {
 			return
 		}
 		seen[strings.ToLower(name)] = true
-		b.kb.Add(Entity{
-			Name: name, Type: "mountain", Proper: true,
-			Attributes: map[string]float64{"height_m": h},
-		})
+		id := b.kb.Add(Entity{Name: name, Type: "mountain", Proper: true})
+		b.kb.SetAttr(id, "height_m", h)
 	}
 	for _, m := range realBritishMountains {
 		add(m.name, m.height)
@@ -525,27 +497,29 @@ var randomNameSyllables = []string{"ka", "lo", "mi", "ren", "tav", "sol",
 // decay, so most are rarely mentioned.
 func (b *Builder) RandomDomains(nTypes, entitiesPerType int) []string {
 	var types []string
+	// One allocation for the entities: growing a slice this large by
+	// appends keeps old and new arrays alive at once, which sets the peak.
+	b.kb.entities = slices.Grow(b.kb.entities, nTypes*entitiesPerType)
 	for t := 0; t < nTypes; t++ {
 		typ := fmt.Sprintf("%s%d", randomTypeStems[t%len(randomTypeStems)], t/len(randomTypeStems))
 		types = append(types, typ)
+		suffix := " " + titleCase(typ)
 		for e := 0; e < entitiesPerType; e++ {
 			var sb strings.Builder
+			sb.Grow(3*4 + len(suffix)) // up to three syllables of up to four letters
 			k := 2 + b.rng.Intn(2)
 			for s := 0; s < k; s++ {
 				syl := randomNameSyllables[b.rng.Intn(len(randomNameSyllables))]
-				if s == 0 {
-					syl = strings.ToUpper(syl[:1]) + syl[1:]
+				if s == 0 { // the syllables are lower-case ASCII
+					sb.WriteByte(syl[0] - 'a' + 'A')
+					syl = syl[1:]
 				}
 				sb.WriteString(syl)
 			}
-			name := fmt.Sprintf("%s %s", sb.String(), titleCase(typ))
-			b.kb.Add(Entity{
-				Name: name, Type: typ, Proper: true,
-				Attributes: map[string]float64{
-					"prominence": 1 / math.Pow(float64(e+1), 2.0),
-					"latent":     b.rng.Float64(),
-				},
-			})
+			sb.WriteString(suffix)
+			id := b.kb.Add(Entity{Name: sb.String(), Type: typ, Proper: true})
+			b.kb.SetAttr(id, "prominence", 1/math.Pow(float64(e+1), 2.0))
+			b.kb.SetAttr(id, "latent", b.rng.Float64())
 		}
 	}
 	return types

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -21,35 +22,57 @@ type EntityID int32
 
 // Entity is one knowledge-base entry.
 type Entity struct {
-	ID      EntityID `json:"id"`
-	Name    string   `json:"name"` // canonical surface form, e.g. "San Francisco"
-	Type    string   `json:"type"` // most notable type, e.g. "city"
-	Aliases []string `json:"aliases,omitempty"`
+	ID EntityID
 	// Proper reports whether the name is a proper noun (capitalised in
 	// text) as opposed to a common noun like "kitten" or "soccer".
-	Proper bool `json:"proper"`
-	// Attributes holds objective numeric properties (population, area_km2,
-	// gdp_per_capita, height_m, prominence) used as correlation proxies in
-	// the paper's empirical analyses.
-	Attributes map[string]float64 `json:"attributes,omitempty"`
+	Proper bool
 	// Ambiguous marks names that collide with unrelated senses; the entity
 	// tagger requires stronger context to link them (Section 2 discarded
 	// 11 of 23 high-traffic city names for ambiguity).
-	Ambiguous bool `json:"ambiguous,omitempty"`
+	Ambiguous bool
+	Name      string // canonical surface form, e.g. "San Francisco"
+	Type      string // most notable type, e.g. "city"
+	Aliases   []string
+	// attrs is the attribute table of the KB the entity was added to.
+	attrs *attrTable
 }
+
+// attrTable holds a KB's objective numeric attributes (population,
+// area_km2, gdp_per_capita, height_m, prominence), used as correlation
+// proxies in the paper's empirical analyses, as one column per name
+// indexed by EntityID. NaN, or an id past the column's end, is absent.
+type attrTable struct{ cols map[string][]float64 }
 
 // Attr returns a named attribute, or def when absent.
 func (e *Entity) Attr(name string, def float64) float64 {
-	if v, ok := e.Attributes[name]; ok {
-		return v
+	if e.attrs != nil {
+		if col := e.attrs.cols[name]; int(e.ID) < len(col) && !math.IsNaN(col[e.ID]) {
+			return col[e.ID]
+		}
 	}
 	return def
 }
 
+// Attrs returns the entity's attributes as a fresh map.
+func (e *Entity) Attrs() map[string]float64 {
+	out := map[string]float64{}
+	if e.attrs == nil {
+		return out
+	}
+	//lint:allow detmap builds a map: the result is the same in any order
+	for name := range e.attrs.cols {
+		if v := e.Attr(name, math.NaN()); !math.IsNaN(v) {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // KB is an in-memory knowledge base. It is immutable after building —
-// Add and RegisterLexicon — and safe for concurrent reads.
+// Add, SetAttr and RegisterLexicon — and safe for concurrent reads.
 type KB struct {
 	entities  []Entity
+	attrs     attrTable
 	byType    map[string][]EntityID
 	byAlias   map[string][]EntityID // lower-cased alias -> candidate IDs
 	firstSpan map[string]int        // first alias word -> max token count of aliases starting with it
@@ -103,6 +126,7 @@ func (t *AliasTable) TypeNoun(typ string) TypeNoun { return t.typeNouns[typ] }
 // New returns an empty knowledge base.
 func New() *KB {
 	return &KB{
+		attrs:     attrTable{cols: map[string][]float64{}},
 		byType:    map[string][]EntityID{},
 		byAlias:   map[string][]EntityID{},
 		firstSpan: map[string]int{},
@@ -114,7 +138,7 @@ func New() *KB {
 // plural alias is derived automatically ("kitten" -> "kittens").
 func (kb *KB) Add(e Entity) EntityID {
 	id := EntityID(len(kb.entities))
-	e.ID = id
+	e.ID, e.attrs = id, &kb.attrs
 	if !e.Proper {
 		if pl := Pluralize(e.Name); pl != e.Name && !containsFold(e.Aliases, pl) {
 			e.Aliases = append(e.Aliases, pl)
@@ -127,6 +151,19 @@ func (kb *KB) Add(e Entity) EntityID {
 		kb.index(a, id)
 	}
 	return id
+}
+
+// SetAttr sets an objective attribute of an entity; NaN is absent. Like
+// Add, it is a build step and not safe beside readers. Like Get, it panics
+// on an ID the KB does not have.
+func (kb *KB) SetAttr(id EntityID, name string, v float64) {
+	_ = kb.entities[id]
+	col := kb.attrs.cols[name]
+	for len(col) <= int(id) {
+		col = append(col, math.NaN())
+	}
+	col[id] = v
+	kb.attrs.cols[name] = col
 }
 
 func (kb *KB) index(alias string, id EntityID) {
@@ -232,10 +269,14 @@ func (kb *KB) AliasTable(lex *lexicon.Lexicon) *AliasTable {
 func (kb *KB) RegisterLexicon(lex *lexicon.Lexicon) {
 	for i := range kb.entities {
 		e := &kb.entities[i]
-		for _, form := range append([]string{e.Name}, e.Aliases...) {
+		addNouns := func(form string) {
 			for _, w := range strings.Fields(form) {
 				lex.AddNoun(w, e.Proper)
 			}
+		}
+		addNouns(e.Name)
+		for _, a := range e.Aliases {
+			addNouns(a)
 		}
 	}
 	// Sorted, not in map order: new words take their ids in call order.
@@ -278,11 +319,23 @@ func isVowel(b byte) bool {
 	return false
 }
 
+// record is an entity as Save writes it, one JSON object per line.
+type record struct {
+	ID         EntityID           `json:"id"`
+	Name       string             `json:"name"`
+	Type       string             `json:"type"`
+	Aliases    []string           `json:"aliases,omitempty"`
+	Proper     bool               `json:"proper"`
+	Attributes map[string]float64 `json:"attributes,omitempty"`
+	Ambiguous  bool               `json:"ambiguous,omitempty"`
+}
+
 // Save writes the KB as JSON (one entity per line) to w.
 func (kb *KB) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for i := range kb.entities {
-		if err := enc.Encode(&kb.entities[i]); err != nil {
+		e := &kb.entities[i]
+		if err := enc.Encode(record{e.ID, e.Name, e.Type, e.Aliases, e.Proper, e.Attrs(), e.Ambiguous}); err != nil {
 			return fmt.Errorf("kb: save entity %d: %w", i, err)
 		}
 	}

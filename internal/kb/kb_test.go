@@ -2,19 +2,24 @@ package kb
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/nlp/lexicon"
 )
 
 func TestAddAndGet(t *testing.T) {
 	k := New()
-	id := k.Add(Entity{Name: "Palo Alto", Type: "city", Proper: true,
-		Attributes: map[string]float64{"population": 64000}})
+	id := k.Add(Entity{Name: "Palo Alto", Type: "city", Proper: true})
+	k.SetAttr(id, "population", 64000)
 	e := k.Get(id)
 	if e.Name != "Palo Alto" || e.Type != "city" || e.ID != id {
 		t.Fatalf("Get returned %+v", e)
@@ -125,10 +130,11 @@ func TestRegisterLexicon(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	k := New()
-	k.Add(Entity{Name: "Palo Alto", Type: "city", Proper: true,
-		Attributes: map[string]float64{"population": 64000}})
-	k.Add(Entity{Name: "kitten", Type: "animal",
-		Attributes: map[string]float64{"cuteness": 1}})
+	k.SetAttr(k.Add(Entity{Name: "Palo Alto", Type: "city", Proper: true}), "population", 64000)
+	k.Add(Entity{Name: "Ontario", Type: "city", Proper: true, Ambiguous: true})
+	kitten := k.Add(Entity{Name: "kitten", Type: "animal"})
+	k.SetAttr(kitten, "cuteness", 1)
+	k.SetAttr(kitten, "cute_votes", 20)
 
 	var buf bytes.Buffer
 	if err := k.Save(&buf); err != nil {
@@ -138,15 +144,107 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 2 {
+	if loaded.Len() != 3 {
 		t.Fatalf("loaded %d entities", loaded.Len())
 	}
-	e := loaded.Get(0)
-	if e.Name != "Palo Alto" || e.Attr("population", 0) != 64000 {
-		t.Fatalf("round trip lost data: %+v", e)
+	for id := EntityID(0); id < 3; id++ {
+		want, got := k.Get(id), loaded.Get(id)
+		if !reflect.DeepEqual(want.Attrs(), got.Attrs()) || got.Name != want.Name ||
+			got.Ambiguous != want.Ambiguous || !reflect.DeepEqual(got.Aliases, want.Aliases) {
+			t.Fatalf("round trip of entity %d: %+v %v, want %+v %v", id, got, got.Attrs(), want, want.Attrs())
+		}
+	}
+	if got := loaded.Get(1).Attrs(); len(got) != 0 {
+		t.Fatalf("entity without attributes loaded with %v", got)
 	}
 	if got := loaded.Candidates("kittens"); len(got) != 1 {
 		t.Fatalf("plural alias lost in round trip: %v", got)
+	}
+}
+
+// TestSaveBytesPinned pins Save's output for the default KB, so that how
+// entities and their attributes are held in memory cannot change the file.
+func TestSaveBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Default(1).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "6e72d12dab404c7abadaf56a5b72f6c8f58a716c21dd2c201518bd16fdb67245"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want || buf.Len() != 122508 {
+		t.Fatalf("Save(Default(1)) = %d bytes, sha256 %s; want 122508 bytes, %s", buf.Len(), got, want)
+	}
+}
+
+// TestAttrAbsent pins that absent and NaN are one state: an attribute
+// never set, set to NaN, or set only on entities of other types (whose
+// column ends before the entity's id) reads as the default and is left
+// out of Attrs.
+func TestAttrAbsent(t *testing.T) {
+	k := New()
+	city := k.Add(Entity{Name: "Palo Alto", Type: "city", Proper: true})
+	k.SetAttr(city, "population", 64000)
+	k.SetAttr(city, "area_km2", math.NaN())
+	kitten := k.Add(Entity{Name: "kitten", Type: "animal"})
+	k.SetAttr(kitten, "cuteness", 1)
+	rome := k.Add(Entity{Name: "Rome", Type: "city", Proper: true})
+	k.SetAttr(rome, "area_km2", 1285)
+	k.SetAttr(rome, "cuteness", math.NaN())
+	for _, c := range []struct {
+		id   EntityID
+		name string
+		want float64
+	}{
+		{city, "population", 64000},
+		{city, "area_km2", -1}, // set to NaN
+		{city, "cuteness", -1}, // column starts after the city's id
+		{kitten, "population", -1},
+		{kitten, "area_km2", -1}, // NaN-filled gap in the column
+		{kitten, "cuteness", 1},
+		{rome, "population", -1}, // column shorter than the id
+		{rome, "area_km2", 1285},
+		{rome, "cuteness", -1}, // overwritten-to-NaN is absent too
+		{rome, "unknown", -1},  // no such column
+	} {
+		if got := k.Get(c.id).Attr(c.name, -1); got != c.want {
+			t.Errorf("%s.Attr(%s) = %v, want %v", k.Get(c.id).Name, c.name, got, c.want)
+		}
+	}
+	for id, want := range []map[string]float64{
+		{"population": 64000}, {"cuteness": 1}, {"area_km2": 1285},
+	} {
+		if got := k.Get(EntityID(id)).Attrs(); !reflect.DeepEqual(got, want) {
+			t.Errorf("entity %d Attrs() = %v, want %v", id, got, want)
+		}
+	}
+	if got := k.Get(rome).Attr("cuteness", math.NaN()); !math.IsNaN(got) {
+		t.Errorf("Attr with a NaN default = %v", got)
+	}
+}
+
+// TestFootprint pins the retained heap of the long-tail knowledge base:
+// 30,000 RandomDomains entities, registered with a lexicon, measured after
+// GC. Entities that each hold an attribute map cost about 510 bytes; with
+// attribute columns it is about 250.
+func TestFootprint(t *testing.T) {
+	const perEntityBound = 320
+	lex := lexicon.Default()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b := NewBuilder(1)
+	b.RandomDomains(50, 600)
+	k := b.KB()
+	k.RegisterLexicon(lex)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntity := float64(after.HeapAlloc-before.HeapAlloc) / float64(k.Len())
+	runtime.KeepAlive(k)
+	t.Logf("retained heap: %.0f B per entity", perEntity)
+	if perEntity > perEntityBound {
+		t.Fatalf("retained heap is %.0f B per entity, want <= %d", perEntity, perEntityBound)
+	}
+	if size := unsafe.Sizeof(Entity{}); size > 72 {
+		t.Fatalf("Entity is %d bytes, want <= 72: ID, Proper and Ambiguous share a word", size)
 	}
 }
 
@@ -316,7 +414,7 @@ func TestFigure10AnimalsAllPresent(t *testing.T) {
 func TestEntityAttrNilMap(t *testing.T) {
 	e := Entity{Name: "x"}
 	if e.Attr("anything", 3.5) != 3.5 {
-		t.Fatal("Attr on nil map should return default")
+		t.Fatal("Attr on an entity of no KB should return default")
 	}
 }
 
@@ -468,20 +566,21 @@ func load(r io.Reader) (*KB, error) {
 	kb := New()
 	dec := json.NewDecoder(r)
 	for {
-		var e Entity
-		if err := dec.Decode(&e); err == io.EOF {
+		var rec record
+		if err := dec.Decode(&rec); err == io.EOF {
 			return kb, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("kb: load: %w", err)
 		}
 		// Avoid re-deriving plural aliases that Save already persisted.
-		aliases := e.Aliases
-		e.Aliases = nil
-		added := kb.Add(e)
-		ent := kb.Get(added)
-		ent.Aliases = aliases
-		for _, a := range aliases {
+		added := kb.Add(Entity{Name: rec.Name, Type: rec.Type, Proper: rec.Proper, Ambiguous: rec.Ambiguous})
+		kb.Get(added).Aliases = rec.Aliases
+		for _, a := range rec.Aliases {
 			kb.index(a, added)
+		}
+		//lint:allow detmap each SetAttr writes its own column: the table is the same in any order
+		for n, v := range rec.Attributes {
+			kb.SetAttr(added, n, v)
 		}
 	}
 }

@@ -24,8 +24,7 @@ func world(t *testing.T, scale float64) (*kb.KB, *lexicon.Lexicon, *corpus.Snaps
 		{"rat", 0.2}, {"hyena", 0.15}, {"piranha", 0.06}, {"slug", 0.1},
 	}
 	for _, a := range animals {
-		base.Add(kb.Entity{Name: a.name, Type: "animal",
-			Attributes: map[string]float64{"cuteness": a.cute}})
+		base.SetAttr(base.Add(kb.Entity{Name: a.name, Type: "animal"}), "cuteness", a.cute)
 	}
 	lex := lexicon.Default()
 	base.RegisterLexicon(lex)

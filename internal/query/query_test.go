@@ -22,8 +22,7 @@ func engine(t *testing.T) (*Engine, *kb.KB) {
 		{"rat", 0.2}, {"hyena", 0.15},
 	}
 	for _, a := range animals {
-		base.Add(kb.Entity{Name: a.name, Type: "animal",
-			Attributes: map[string]float64{"cuteness": a.cute}})
+		base.SetAttr(base.Add(kb.Entity{Name: a.name, Type: "animal"}), "cuteness", a.cute)
 	}
 	lex := lexicon.Default()
 	base.RegisterLexicon(lex)

@@ -11,15 +11,12 @@ import (
 
 func setup() (*kb.KB, *lexicon.Lexicon, *Tagger, *pos.Tagger) {
 	base := kb.New()
-	base.Add(kb.Entity{Name: "San Francisco", Type: "city", Proper: true,
-		Attributes: map[string]float64{"prominence": 0.9}})
+	base.SetAttr(base.Add(kb.Entity{Name: "San Francisco", Type: "city", Proper: true}), "prominence", 0.9)
 	base.Add(kb.Entity{Name: "Palo Alto", Type: "city", Proper: true})
 	base.Add(kb.Entity{Name: "kitten", Type: "animal"})
 	base.Add(kb.Entity{Name: "white shark", Type: "animal"})
-	base.Add(kb.Entity{Name: "Phoenix", Type: "city", Proper: true,
-		Attributes: map[string]float64{"prominence": 0.6}})
-	base.Add(kb.Entity{Name: "Phoenix", Type: "celebrity", Proper: true,
-		Attributes: map[string]float64{"prominence": 0.4}})
+	base.SetAttr(base.Add(kb.Entity{Name: "Phoenix", Type: "city", Proper: true}), "prominence", 0.6)
+	base.SetAttr(base.Add(kb.Entity{Name: "Phoenix", Type: "celebrity", Proper: true}), "prominence", 0.4)
 	base.Add(kb.Entity{Name: "Ontario", Type: "city", Proper: true, Ambiguous: true})
 	lex := lexicon.Default()
 	base.RegisterLexicon(lex)

@@ -59,8 +59,7 @@ func NewTinyWorld(seed uint64, scale float64) *World {
 		{"rat", 0.2}, {"hyena", 0.15}, {"piranha", 0.06}, {"slug", 0.1},
 	}
 	for _, a := range animals {
-		base.Add(kb.Entity{Name: a.name, Type: "animal",
-			Attributes: map[string]float64{"cuteness": a.cute}})
+		base.SetAttr(base.Add(kb.Entity{Name: a.name, Type: "animal"}), "cuteness", a.cute)
 	}
 	lex := lexicon.Default()
 	base.RegisterLexicon(lex)

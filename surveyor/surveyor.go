@@ -28,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -89,10 +91,18 @@ func NewSystemWithBuiltinKB(seed uint64) *System {
 
 // AddEntity registers an entity with its most notable type. proper marks
 // proper names ("Chicago") as opposed to common nouns ("kitten"); attrs
-// are optional objective attributes. Returns a handle usable with
-// Result.OpinionByID.
+// are optional objective attributes, a NaN value being absent. Returns a
+// handle usable with Result.OpinionByID.
 func (s *System) AddEntity(name, typ string, proper bool, attrs map[string]float64) int {
-	id := s.kb.Add(kb.Entity{Name: name, Type: typ, Proper: proper, Attributes: attrs})
+	id := s.kb.Add(kb.Entity{Name: name, Type: typ, Proper: proper})
+	names := make([]string, 0, len(attrs))
+	for n := range attrs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		s.kb.SetAttr(id, n, attrs[n])
+	}
 	s.dirty = true
 	return int(id)
 }
@@ -471,7 +481,7 @@ func (r *Result) LearnRule(typ, property, attribute string) (Rule, bool) {
 	seen := false
 	for i, eo := range g.Entities {
 		e := r.sys.kb.Get(eo.Entity)
-		if _, has := e.Attributes[attribute]; has {
+		if !math.IsNaN(e.Attr(attribute, math.NaN())) {
 			seen = true
 		}
 		attrs[i] = e.Attr(attribute, 0)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -218,16 +219,25 @@ func TestEntityNameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLearnRule(t *testing.T) {
+// mineBigCities mines big and small cities whose population attributes
+// separate them, each city also carrying the extra attributes.
+func mineBigCities(extra map[string]float64) *Result {
 	sys := NewSystem()
 	// Cities with population attributes; statements only about big ones.
 	bigs := []string{"Megaton", "Grandville", "Hugeport", "Vastburg"}
 	smalls := []string{"Tinyton", "Littleville", "Smallport", "Weeburg"}
+	add := func(n string, pop float64) {
+		attrs := map[string]float64{"population": pop}
+		for k, v := range extra {
+			attrs[k] = v
+		}
+		sys.AddEntity(n, "city", true, attrs)
+	}
 	for i, n := range bigs {
-		sys.AddEntity(n, "city", true, map[string]float64{"population": 1_000_000 + float64(i)})
+		add(n, 1_000_000+float64(i))
 	}
 	for i, n := range smalls {
-		sys.AddEntity(n, "city", true, map[string]float64{"population": 5_000 + float64(i)})
+		add(n, 5_000+float64(i))
 	}
 	var docs []Document
 	for _, n := range bigs {
@@ -238,7 +248,11 @@ func TestLearnRule(t *testing.T) {
 	for _, n := range smalls {
 		docs = append(docs, Document{Text: n + " is not a big city. " + n + " isn't big."})
 	}
-	res := sys.Mine(docs, Config{Rho: 1})
+	return sys.Mine(docs, Config{Rho: 1})
+}
+
+func TestLearnRule(t *testing.T) {
+	res := mineBigCities(nil)
 	rule, ok := res.LearnRule("city", "big", "population")
 	if !ok {
 		t.Fatal("LearnRule failed")
@@ -261,6 +275,18 @@ func TestLearnRule(t *testing.T) {
 	}
 	if _, ok := res.LearnRule("city", "purple", "population"); ok {
 		t.Fatal("rule on unmodelled property should fail")
+	}
+}
+
+// TestLearnRuleNaNAttributeIsAbsent: an attribute every entity carries as
+// NaN is absent, so no rule is learnt on it (no "area < NaN" bound).
+func TestLearnRuleNaNAttributeIsAbsent(t *testing.T) {
+	res := mineBigCities(map[string]float64{"area_km2": math.NaN()})
+	if rule, ok := res.LearnRule("city", "big", "area_km2"); ok {
+		t.Fatalf("rule on a NaN-only attribute: %v", rule)
+	}
+	if _, ok := res.LearnRule("city", "big", "population"); !ok {
+		t.Fatal("LearnRule on population failed beside a NaN attribute")
 	}
 }
 
