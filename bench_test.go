@@ -697,8 +697,9 @@ func benchEvidenceStore(base *kb.KB, seed uint64, statements int) *evidence.Stor
 	return s
 }
 
-// BenchmarkGroupingThroughput measures the single-pass parallel grouping
-// phase (before-ρ count + grouped aggregates) on a populated store.
+// BenchmarkGroupingThroughput measures the grouping phase — a fresh
+// accumulator absorbing the whole store, then the ρ filter and expansion —
+// on a populated store.
 func BenchmarkGroupingThroughput(b *testing.B) {
 	base := kb.Default(1)
 	s := benchEvidenceStore(base, 11, 200_000)

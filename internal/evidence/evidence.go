@@ -4,20 +4,19 @@
 //
 // The Store supports concurrent writers (the parallel extraction phase)
 // and shard merging (the reduce step of the pipeline); its binary form,
-// for shipping a shard between processes, is internal/wire's.
+// for shipping a shard between processes, is internal/wire's. Grouping
+// has one implementation, the GroupAccumulator (delta.go): a batch reduce
+// is a fresh accumulator absorbing the whole store, an incremental epoch
+// the cumulative one absorbing the epoch's delta.
 package evidence
 
 import (
-	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/extract"
 	"repro/internal/kb"
-	"repro/internal/obs"
 )
 
 // Key identifies one entity-property pair.
@@ -37,7 +36,7 @@ func (c Counts) Total() int64 { return c.Pos + c.Neg }
 
 // Store is a concurrent counter map. Writers call AddCounts, directly or
 // through a worker's Local; after all writers finish, readers use
-// Snapshot/Group.
+// Snapshot or a GroupAccumulator.
 type Store struct {
 	shards [storeShards]storeShard
 }
@@ -234,119 +233,4 @@ type Group struct {
 	Key        GroupKey
 	Entities   []EntityCounts // one per KB entity of the type, in KB order
 	Statements int64          // total extracted statements for this group
-}
-
-func compareGroups(a, b Group) int { return a.Key.Compare(b.Key) }
-
-type groupAgg struct {
-	counts map[kb.EntityID]Counts
-	total  int64
-}
-
-// expand materialises the aggregate as the Group shape the EM phase
-// consumes: every KB entity of the type in KB order, zero-evidence
-// entities included.
-func (g *groupAgg) expand(base *kb.KB, k GroupKey) Group {
-	ids := base.OfType(k.Type)
-	ents := make([]EntityCounts, len(ids))
-	for i, id := range ids {
-		c := g.counts[id]
-		ents[i] = EntityCounts{Entity: id, Pos: c.Pos, Neg: c.Neg}
-	}
-	return Group{Key: k, Entities: ents, Statements: g.total}
-}
-
-// ParallelGroup groups the store by (most notable type, property), keeps
-// groups with at least rho statements (the paper used ρ = 100 and kept
-// 380k of 7M groups), expands each kept group to all entities of the type,
-// zero-evidence ones included, and counts the distinct (type, property)
-// pairs regardless of ρ — the "7 million property-type pairs before
-// filtering" statistic of Section 7.1. It is one parallel pass over the
-// store's shards, without materialising a sorted snapshot: workers claim
-// shards, build partial (type, property) aggregates, and the partials merge
-// conflict-free because each (entity, property) key lives in exactly one
-// shard. Only the final kept-group list is sorted. The results are
-// identical to the two-snapshot reference in grouping_test.go — the
-// grouping property tests prove it.
-func ParallelGroup(s *Store, base *kb.KB, rho int64, workers int) (groups []Group, pairsBeforeFilter int) {
-	return ParallelGroupObserved(s, base, rho, workers, nil)
-}
-
-// ParallelGroupObserved is ParallelGroup with write-only phase counters:
-// keys scanned per shard, groups kept/filtered at the ρ threshold. A nil
-// o disables them; the returned groups are identical either way (the
-// counters are never read here — the obsflow analyzer enforces it).
-func ParallelGroupObserved(s *Store, base *kb.KB, rho int64, workers int, o *obs.GroupingObs) (groups []Group, pairsBeforeFilter int) {
-	if o == nil {
-		o = &obs.GroupingObs{} // nil handles: every record call no-ops
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > storeShards {
-		workers = storeShards
-	}
-	partials := make([]map[GroupKey]*groupAgg, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part := map[GroupKey]*groupAgg{}
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= storeShards {
-					break
-				}
-				sh := &s.shards[si]
-				sh.mu.Lock()
-				o.PairsScanned.Add(int64(len(sh.m)))
-				//lint:allow detmap per-shard aggregation is commutative; the kept groups are sorted below
-				for k, c := range sh.m {
-					gk := GroupKey{Type: base.Get(k.Entity).Type, Property: k.Property}
-					g := part[gk]
-					if g == nil {
-						g = &groupAgg{counts: map[kb.EntityID]Counts{}}
-						part[gk] = g
-					}
-					g.counts[k.Entity] = c
-					g.total += c.Total()
-				}
-				sh.mu.Unlock()
-			}
-			partials[w] = part
-		}(w)
-	}
-	wg.Wait()
-
-	merged := map[GroupKey]*groupAgg{}
-	for _, part := range partials {
-		//lint:allow detmap partial merge is commutative; the kept groups are sorted below
-		for gk, g := range part {
-			m := merged[gk]
-			if m == nil {
-				merged[gk] = g
-				continue
-			}
-			// Disjoint at the entity level: one (entity, property) key maps
-			// to one shard, claimed by one worker.
-			//lint:allow detmap disjoint entity keys; assignment order immaterial
-			for e, c := range g.counts {
-				m.counts[e] = c
-			}
-			m.total += g.total
-		}
-	}
-	pairsBeforeFilter = len(merged)
-
-	for gk, g := range merged {
-		if g.total >= rho {
-			groups = append(groups, g.expand(base, gk))
-		}
-	}
-	slices.SortFunc(groups, compareGroups)
-	o.GroupsKept.Add(int64(len(groups)))
-	o.GroupsFiltered.Add(int64(pairsBeforeFilter - len(groups)))
-	return groups, pairsBeforeFilter
 }

@@ -35,10 +35,66 @@ func randomStore(rng *stats.RNG, base *kb.KB) (*Store, []extract.Statement) {
 	return s, stmts
 }
 
-// TestParallelGroupMatchesTwoSnapshot is the grouping property test: on
-// random stores, the single-pass parallel grouping must return exactly the
-// groups and before-ρ pair count of the two-snapshot implementation
-// (GroupByTypeProperty + CountGroups), for every worker count.
+// TestAccumulatorMatchesBatchGrouping is the grouping property test: a
+// random store absorbed into one accumulator in 1, 2, 3 or 7 delta slices
+// must give exactly the groups and before-ρ pair count of the two-snapshot reference
+// (GroupByTypeProperty + CountGroups), and each absorb must report exactly
+// the sorted (type, property) keys of its delta as dirty.
+func TestAccumulatorMatchesBatchGrouping(t *testing.T) {
+	base := testKB()
+	modelled := 0
+	for seed := uint64(1); seed <= 25; seed++ {
+		rng := stats.NewRNG(seed)
+		s, stmts := randomStore(rng, base)
+		rho := int64(rng.Intn(30))
+		want, wantBefore := GroupByTypeProperty(s, base, rho), CountGroups(s, base)
+		modelled += len(want)
+
+		for _, n := range []int{1, 2, 3, 7} {
+			acc := NewGroupAccumulator(base)
+			var seen []GroupKey
+			for d := 0; d < n; d++ {
+				delta := NewStore()
+				for _, st := range stmts[d*len(stmts)/n : (d+1)*len(stmts)/n] {
+					delta.Add(st)
+				}
+				dirty := acc.AbsorbDelta(delta)
+				if dk := GroupKeys(delta, base); !reflect.DeepEqual(dirty, dk) {
+					t.Fatalf("seed %d slice %d/%d: dirty %v, delta keys %v", seed, d, n, dirty, dk)
+				}
+				seen = append(seen, dirty...)
+			}
+			slices.SortFunc(seen, GroupKey.Compare)
+			got := acc.Kept(slices.Compact(seen), rho)
+			if !reflect.DeepEqual(got, want) || acc.Pairs() != wantBefore {
+				t.Fatalf("seed %d, %d slices, rho %d: %d pairs, want %d\ngot  %+v\nwant %+v",
+					seed, n, rho, acc.Pairs(), wantBefore, got, want)
+			}
+			if got := acc.Kept([]GroupKey{{"city", "no-such-property"}}, 0); got != nil {
+				t.Errorf("seed %d: untouched key kept: %+v", seed, got)
+			}
+			for _, w := range want {
+				if got := acc.Kept([]GroupKey{w.Key}, w.Statements+1); got != nil {
+					t.Errorf("seed %d: group kept at rho above its own total: %+v", seed, got)
+				}
+			}
+		}
+
+		// The fold reads map order; the output must not.
+		a, b := NewGroupAccumulator(base), NewGroupAccumulator(base)
+		if ga, gb := a.Kept(a.AbsorbDelta(s), rho), b.Kept(b.AbsorbDelta(s), rho); !reflect.DeepEqual(ga, gb) {
+			t.Fatalf("seed %d: two absorbs of one store disagree", seed)
+		}
+	}
+	if modelled == 0 {
+		t.Fatal("vacuous fixture: no seed kept a group")
+	}
+}
+
+// TestParallelGroupMatchesTwoSnapshot checks the whole-store wrapper: on
+// random stores, ParallelGroup must return exactly the groups and before-ρ
+// pair count of the two-snapshot reference (GroupByTypeProperty +
+// CountGroups), whatever worker count it is given.
 func TestParallelGroupMatchesTwoSnapshot(t *testing.T) {
 	base := testKB()
 	for seed := uint64(1); seed <= 25; seed++ {
@@ -47,7 +103,7 @@ func TestParallelGroupMatchesTwoSnapshot(t *testing.T) {
 		rho := int64(rng.Intn(30))
 		wantGroups := GroupByTypeProperty(s, base, rho)
 		wantBefore := CountGroups(s, base)
-		for _, workers := range []int{1, 3, 8, 100} {
+		for _, workers := range []int{0, 1, 3, 8, 100} {
 			gotGroups, gotBefore := ParallelGroup(s, base, rho, workers)
 			if gotBefore != wantBefore {
 				t.Fatalf("seed %d workers %d: pairsBeforeFilter = %d, want %d",
@@ -131,7 +187,7 @@ func TestLocalInternsProperties(t *testing.T) {
 	}
 }
 
-// GroupByTypeProperty is the two-snapshot reference ParallelGroup is
+// GroupByTypeProperty is the two-snapshot reference the accumulator is
 // tested against: group the store by (most notable type, property), keep
 // groups with at least rho statements, and expand each kept group to all
 // entities of the type, including zero-evidence ones.
@@ -166,16 +222,21 @@ func GroupByTypeProperty(s *Store, base *kb.KB, rho int64) []Group {
 		}
 		out = append(out, Group{Key: gk, Entities: ents, Statements: g.total})
 	}
-	slices.SortFunc(out, compareGroups)
+	slices.SortFunc(out, func(a, b Group) int { return a.Key.Compare(b.Key) })
 	return out
 }
 
-// CountGroups is the reference for ParallelGroup's second result: the
-// number of distinct (type, property) pairs in the store regardless of ρ.
-func CountGroups(s *Store, base *kb.KB) int {
-	seen := map[GroupKey]bool{}
+// GroupKeys is the reference for a dirty set: the distinct (type,
+// property) keys of the store, sorted.
+func GroupKeys(s *Store, base *kb.KB) []GroupKey {
+	var keys []GroupKey
 	for _, e := range s.Snapshot() {
-		seen[GroupKey{Type: base.Get(e.Entity).Type, Property: e.Property}] = true
+		keys = append(keys, GroupKey{Type: base.Get(e.Entity).Type, Property: e.Property})
 	}
-	return len(seen)
+	slices.SortFunc(keys, GroupKey.Compare)
+	return slices.Compact(keys)
 }
+
+// CountGroups is the reference for the before-ρ pair count: the number of
+// distinct (type, property) pairs in the store regardless of ρ.
+func CountGroups(s *Store, base *kb.KB) int { return len(GroupKeys(s, base)) }

@@ -39,7 +39,6 @@ package incremental
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -84,8 +83,7 @@ type Miner struct {
 	mu   sync.Mutex
 	base *kb.KB
 	lex  *lexicon.Lexicon
-	cfg  pipeline.Config
-	rho  int64
+	cfg  pipeline.Config // defaults resolved
 
 	store *evidence.Store
 	acc   *evidence.GroupAccumulator
@@ -102,15 +100,10 @@ type Miner struct {
 // cfg.Fault applies per document inside each epoch's quarantine boundary,
 // with document indices global across epochs.
 func New(base *kb.KB, lex *lexicon.Lexicon, cfg pipeline.Config) *Miner {
-	rho := cfg.Rho
-	if rho == 0 {
-		rho = 100
-	}
 	m := &Miner{
 		base:  base,
 		lex:   lex,
-		cfg:   cfg,
-		rho:   rho,
+		cfg:   cfg.WithDefaults(),
 		store: evidence.NewStore(),
 		acc:   evidence.NewGroupAccumulator(base),
 	}
@@ -144,7 +137,7 @@ func (m *Miner) Ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats, error) {
 	o := m.cfg.Obs
 	io := o.Incremental()
-	o.StartRun(len(docs), m.extractWorkers(len(docs)))
+	o.StartRun(len(docs), min(m.cfg.Workers, len(docs)))
 	span := o.Phase("epoch")
 
 	// Extract the epoch's evidence delta, with document indices offset so
@@ -167,13 +160,7 @@ func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 	// Re-fit only the dirty groups at or above ρ, over their *cumulative*
 	// counters — from scratch, exactly as a batch run would, so the fit is
 	// bit-identical to the batch fit of the same counters.
-	groups := make([]evidence.Group, 0, len(dirty))
-	for _, k := range dirty {
-		if g, ok := m.acc.Materialize(k, m.rho); ok {
-			groups = append(groups, g)
-		}
-	}
-	refit := pipeline.FitGroups(groups, m.cfg)
+	refit := pipeline.FitGroups(m.acc.Kept(dirty, m.cfg.Rho), m.cfg)
 	var refitTuples int64
 	for i := range refit {
 		refitTuples += int64(len(refit[i].Entities))
@@ -235,14 +222,4 @@ func (m *Miner) publish(prev *pipeline.Result, refit []pipeline.GroupResult, ext
 	})
 	m.published.Store(res)
 	return res
-}
-
-// extractWorkers mirrors the pipeline's worker-count resolution for the
-// progress display.
-func (m *Miner) extractWorkers(docs int) int {
-	w := m.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return min(w, docs)
 }

@@ -281,8 +281,8 @@ func (kb *KB) RegisterLexicon(lex *lexicon.Lexicon) {
 	}
 	// Sorted, not in map order: new words take their ids in call order.
 	for _, t := range kb.Types() {
-		lex.AddTypeNoun(t)
-		lex.AddTypeNoun(Pluralize(t))
+		lex.AddNoun(t, false)
+		lex.AddNoun(Pluralize(t), false)
 	}
 	kb.registered = kb.AliasTable(lex)
 }

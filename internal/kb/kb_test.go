@@ -482,7 +482,7 @@ func TestAliasTable(t *testing.T) {
 		t.Errorf("TypeNoun of a type the KB does not have = %+v", got)
 	}
 
-	lex.AddAdjective("spiffy", true) // a new word id the table has no slot for
+	lex.AddAdjective("spiffy") // a new word id the table has no slot for
 	grown := k.AliasTable(lex)
 	if grown == table || grown.Span(lex.Word("spiffy")) != 0 || grown.Span(lex.Word("san")) != 3 {
 		t.Fatal("a lexicon grown after registration must get a rebuilt table")

@@ -6,10 +6,9 @@ package lexicon
 // load time via AddNoun.
 func Default() *Lexicon {
 	l := &Lexicon{
-		words:      map[string]Word{},
-		forms:      make([]form, 1), // id 0: the unknown word
-		subjective: map[string]bool{},
-		antonyms:   map[string][]string{},
+		words:    map[string]Word{},
+		forms:    make([]form, 1), // id 0: the unknown word
+		antonyms: map[string][]string{},
 	}
 
 	add := func(tag Tag, words ...string) {
@@ -51,13 +50,7 @@ func Default() *Lexicon {
 
 	// Copulas: forms of "to be" plus the broad copula class used by
 	// extraction pattern versions 1-2 (Appendix B).
-	copula := func(lemma string, bits uint8, forms ...string) {
-		class(Verb, bits, forms...)
-		for _, w := range forms {
-			l.forms[l.words[w].ID].lemma = lemma
-		}
-	}
-	copula("be", classCopula|classToBe, "is", "are", "was", "were", "be", "been", "being", "'s", "'re")
+	class(Verb, classCopula|classToBe, "is", "are", "was", "were", "be", "been", "being", "'s", "'re")
 	// A slice, not a map: word ids follow the order of these calls.
 	for _, v := range [][3]string{
 		{"seem", "seems", "seemed"}, {"look", "looks", "looked"},
@@ -66,7 +59,7 @@ func Default() *Lexicon {
 		{"feel", "feels", "felt"}, {"sound", "sounds", "sounded"},
 		{"get", "gets", "got"},
 	} {
-		copula(v[0], classCopula, v[:]...)
+		class(Verb, classCopula, v[:]...)
 	}
 
 	// Auxiliaries.
@@ -74,7 +67,7 @@ func Default() *Lexicon {
 		"can", "could", "may", "might", "must", "should", "shall")
 
 	// Opinion verbs introducing complement clauses.
-	class(Verb, classOpinionVerb, "think", "thinks", "thought", "believe",
+	add(Verb, "think", "thinks", "thought", "believe",
 		"believes", "believed", "consider", "considers", "considered",
 		"find", "finds", "found", "say", "says", "said", "feel", "feels",
 		"felt", "agree", "agrees", "agreed", "doubt", "doubts", "doubted",
@@ -106,220 +99,218 @@ func Default() *Lexicon {
 		"again", "already", "actually", "simply", "overall")
 
 	// --- Adjectives -------------------------------------------------------
-	// subj marks membership in the subjective inventory; pairs wire
-	// antonyms symmetrically.
-	subj := func(word string, antonyms ...string) { l.AddAdjective(word, true, antonyms...) }
-	obj := func(word string, antonyms ...string) { l.AddAdjective(word, false, antonyms...) }
+	// Antonym pairs are wired symmetrically.
+	adj := l.AddAdjective
 
 	// Table 2 properties.
-	subj("dangerous", "safe", "harmless")
-	subj("cute", "ugly")
-	subj("big", "small", "tiny")
-	subj("friendly", "hostile", "unfriendly")
-	subj("deadly", "harmless")
-	subj("cool", "lame")
-	subj("crazy", "sane")
-	subj("pretty", "ugly", "plain")
-	subj("quiet", "loud", "noisy")
-	subj("young", "old")
-	subj("calm", "hectic", "chaotic")
-	subj("cheap", "expensive", "pricey")
-	subj("hectic", "calm")
-	subj("multicultural", "homogeneous")
-	subj("exciting", "boring", "dull")
-	subj("rare", "common", "ubiquitous")
-	subj("solid", "flimsy", "unstable")
-	subj("vital", "trivial", "unimportant")
-	subj("addictive")
-	subj("boring", "exciting", "thrilling")
-	subj("fast", "slow")
-	subj("popular", "obscure", "unpopular")
+	adj("dangerous", "safe", "harmless")
+	adj("cute", "ugly")
+	adj("big", "small", "tiny")
+	adj("friendly", "hostile", "unfriendly")
+	adj("deadly", "harmless")
+	adj("cool", "lame")
+	adj("crazy", "sane")
+	adj("pretty", "ugly", "plain")
+	adj("quiet", "loud", "noisy")
+	adj("young", "old")
+	adj("calm", "hectic", "chaotic")
+	adj("cheap", "expensive", "pricey")
+	adj("hectic", "calm")
+	adj("multicultural", "homogeneous")
+	adj("exciting", "boring", "dull")
+	adj("rare", "common", "ubiquitous")
+	adj("solid", "flimsy", "unstable")
+	adj("vital", "trivial", "unimportant")
+	adj("addictive")
+	adj("boring", "exciting", "thrilling")
+	adj("fast", "slow")
+	adj("popular", "obscure", "unpopular")
 
 	// Empirical-study properties (Section 2, Appendix A).
-	subj("safe", "dangerous", "unsafe")
-	subj("wealthy", "poor")
-	subj("high", "low")
-	subj("warm", "cold", "chilly")
-	subj("major", "minor")
-	subj("populated")
+	adj("safe", "dangerous", "unsafe")
+	adj("wealthy", "poor")
+	adj("high", "low")
+	adj("warm", "cold", "chilly")
+	adj("major", "minor")
+	adj("populated")
 
 	// Antonym side of the pairs above plus general opinion adjectives.
-	subj("small", "big", "large")
-	subj("tiny", "huge")
-	subj("ugly", "beautiful")
-	subj("harmless", "deadly")
-	subj("hostile")
-	subj("unfriendly")
-	subj("lame")
-	subj("sane")
-	subj("plain")
-	subj("loud", "quiet")
-	subj("noisy", "quiet")
-	subj("old", "young", "new")
-	subj("chaotic", "orderly")
-	subj("expensive", "cheap")
-	subj("pricey")
-	subj("homogeneous")
-	subj("dull", "vivid")
-	subj("common", "rare")
-	subj("ubiquitous")
-	subj("flimsy")
-	subj("unstable", "stable")
-	subj("trivial", "vital")
-	subj("unimportant", "important")
-	subj("thrilling")
-	subj("slow", "fast")
-	subj("obscure", "famous")
-	subj("unpopular")
-	subj("poor", "wealthy", "rich")
-	subj("rich", "poor")
-	subj("low", "high")
-	subj("cold", "warm", "hot")
-	subj("chilly")
-	subj("hot", "cold")
-	subj("minor", "major")
-	subj("unsafe", "safe")
-	subj("beautiful", "ugly")
-	subj("huge", "tiny")
-	subj("large", "small")
-	subj("famous", "obscure")
-	subj("important", "unimportant")
-	subj("new", "old")
-	subj("stable", "unstable")
-	subj("orderly", "chaotic")
-	subj("vivid", "dull")
-	subj("nice", "nasty")
-	subj("nasty", "nice")
-	subj("good", "bad")
-	subj("bad", "good")
-	subj("great", "terrible")
-	subj("terrible", "great")
-	subj("amazing", "awful")
-	subj("awful", "amazing")
-	subj("wonderful", "dreadful")
-	subj("dreadful")
-	subj("lovely")
-	subj("charming")
-	subj("scary", "reassuring")
-	subj("reassuring")
-	subj("crowded", "empty")
-	subj("empty", "crowded")
-	subj("lively", "sleepy")
-	subj("sleepy", "lively")
-	subj("clean", "dirty")
-	subj("dirty", "clean")
-	subj("modern", "ancient")
-	subj("ancient", "modern")
-	subj("vibrant")
-	subj("touristy")
-	subj("walkable")
-	subj("affordable", "unaffordable")
-	subj("unaffordable")
-	subj("competitive")
-	subj("demanding", "easy")
-	subj("easy", "hard")
-	subj("hard", "easy")
-	subj("stressful", "relaxing")
-	subj("relaxing", "stressful")
-	subj("rewarding")
-	subj("lucrative")
-	subj("risky", "safe")
-	subj("tough", "gentle")
-	subj("gentle", "tough")
-	subj("fierce", "docile")
-	subj("docile", "fierce")
-	subj("adorable", "repulsive")
-	subj("repulsive")
-	subj("fluffy")
-	subj("majestic")
-	subj("venomous", "harmless")
-	subj("aggressive", "passive")
-	subj("passive")
-	subj("smart", "stupid")
-	subj("stupid", "smart")
-	subj("clever", "dim")
-	subj("dim")
-	subj("funny", "humorless")
-	subj("humorless")
-	subj("talented", "talentless")
-	subj("talentless")
-	subj("arrogant", "humble")
-	subj("humble", "arrogant")
-	subj("generous", "stingy")
-	subj("stingy")
-	subj("glamorous", "drab")
-	subj("drab")
-	subj("controversial", "uncontroversial")
-	subj("uncontroversial")
-	subj("deep", "shallow")
-	subj("shallow", "deep")
-	subj("wide", "narrow")
-	subj("narrow", "wide")
-	subj("tall", "short")
-	subj("short", "tall")
-	subj("steep", "gradual")
-	subj("gradual")
-	subj("remote", "accessible")
-	subj("accessible", "remote")
-	subj("scenic")
-	subj("healthy", "unhealthy")
-	subj("unhealthy", "healthy")
-	subj("strong", "weak")
-	subj("weak", "strong")
-	subj("strict", "lenient")
-	subj("lenient")
-	subj("brutal", "merciful")
-	subj("merciful")
-	subj("elegant", "clumsy")
-	subj("clumsy")
-	subj("graceful", "awkward")
-	subj("awkward", "graceful")
-	subj("intense", "mild")
-	subj("mild", "intense")
-	subj("technical")
-	subj("physical")
-	subj("athletic")
+	adj("small", "big", "large")
+	adj("tiny", "huge")
+	adj("ugly", "beautiful")
+	adj("harmless", "deadly")
+	adj("hostile")
+	adj("unfriendly")
+	adj("lame")
+	adj("sane")
+	adj("plain")
+	adj("loud", "quiet")
+	adj("noisy", "quiet")
+	adj("old", "young", "new")
+	adj("chaotic", "orderly")
+	adj("expensive", "cheap")
+	adj("pricey")
+	adj("homogeneous")
+	adj("dull", "vivid")
+	adj("common", "rare")
+	adj("ubiquitous")
+	adj("flimsy")
+	adj("unstable", "stable")
+	adj("trivial", "vital")
+	adj("unimportant", "important")
+	adj("thrilling")
+	adj("slow", "fast")
+	adj("obscure", "famous")
+	adj("unpopular")
+	adj("poor", "wealthy", "rich")
+	adj("rich", "poor")
+	adj("low", "high")
+	adj("cold", "warm", "hot")
+	adj("chilly")
+	adj("hot", "cold")
+	adj("minor", "major")
+	adj("unsafe", "safe")
+	adj("beautiful", "ugly")
+	adj("huge", "tiny")
+	adj("large", "small")
+	adj("famous", "obscure")
+	adj("important", "unimportant")
+	adj("new", "old")
+	adj("stable", "unstable")
+	adj("orderly", "chaotic")
+	adj("vivid", "dull")
+	adj("nice", "nasty")
+	adj("nasty", "nice")
+	adj("good", "bad")
+	adj("bad", "good")
+	adj("great", "terrible")
+	adj("terrible", "great")
+	adj("amazing", "awful")
+	adj("awful", "amazing")
+	adj("wonderful", "dreadful")
+	adj("dreadful")
+	adj("lovely")
+	adj("charming")
+	adj("scary", "reassuring")
+	adj("reassuring")
+	adj("crowded", "empty")
+	adj("empty", "crowded")
+	adj("lively", "sleepy")
+	adj("sleepy", "lively")
+	adj("clean", "dirty")
+	adj("dirty", "clean")
+	adj("modern", "ancient")
+	adj("ancient", "modern")
+	adj("vibrant")
+	adj("touristy")
+	adj("walkable")
+	adj("affordable", "unaffordable")
+	adj("unaffordable")
+	adj("competitive")
+	adj("demanding", "easy")
+	adj("easy", "hard")
+	adj("hard", "easy")
+	adj("stressful", "relaxing")
+	adj("relaxing", "stressful")
+	adj("rewarding")
+	adj("lucrative")
+	adj("risky", "safe")
+	adj("tough", "gentle")
+	adj("gentle", "tough")
+	adj("fierce", "docile")
+	adj("docile", "fierce")
+	adj("adorable", "repulsive")
+	adj("repulsive")
+	adj("fluffy")
+	adj("majestic")
+	adj("venomous", "harmless")
+	adj("aggressive", "passive")
+	adj("passive")
+	adj("smart", "stupid")
+	adj("stupid", "smart")
+	adj("clever", "dim")
+	adj("dim")
+	adj("funny", "humorless")
+	adj("humorless")
+	adj("talented", "talentless")
+	adj("talentless")
+	adj("arrogant", "humble")
+	adj("humble", "arrogant")
+	adj("generous", "stingy")
+	adj("stingy")
+	adj("glamorous", "drab")
+	adj("drab")
+	adj("controversial", "uncontroversial")
+	adj("uncontroversial")
+	adj("deep", "shallow")
+	adj("shallow", "deep")
+	adj("wide", "narrow")
+	adj("narrow", "wide")
+	adj("tall", "short")
+	adj("short", "tall")
+	adj("steep", "gradual")
+	adj("gradual")
+	adj("remote", "accessible")
+	adj("accessible", "remote")
+	adj("scenic")
+	adj("healthy", "unhealthy")
+	adj("unhealthy", "healthy")
+	adj("strong", "weak")
+	adj("weak", "strong")
+	adj("strict", "lenient")
+	adj("lenient")
+	adj("brutal", "merciful")
+	adj("merciful")
+	adj("elegant", "clumsy")
+	adj("clumsy")
+	adj("graceful", "awkward")
+	adj("awkward", "graceful")
+	adj("intense", "mild")
+	adj("mild", "intense")
+	adj("technical")
+	adj("physical")
+	adj("athletic")
 
 	// Objective adjectives (the patterns extract these too; the paper notes
 	// most extractions end up subjective in practice).
-	obj("american")
-	obj("european")
-	obj("asian")
-	obj("african")
-	obj("californian")
-	obj("swiss")
-	obj("british")
-	obj("portuguese")
-	obj("chinese")
-	obj("southern", "northern")
-	obj("northern", "southern")
-	obj("eastern", "western")
-	obj("western", "eastern")
-	obj("coastal", "inland")
-	obj("inland")
-	obj("urban", "rural")
-	obj("rural", "urban")
-	obj("national")
-	obj("international")
-	obj("local")
-	obj("annual")
-	obj("olympic")
-	obj("professional", "amateur")
-	obj("amateur")
-	obj("medical")
-	obj("industrial")
-	obj("alpine")
-	obj("freshwater")
-	obj("orange")
-	obj("green")
-	obj("blue")
-	obj("red")
-	obj("white")
-	obj("black")
+	adj("american")
+	adj("european")
+	adj("asian")
+	adj("african")
+	adj("californian")
+	adj("swiss")
+	adj("british")
+	adj("portuguese")
+	adj("chinese")
+	adj("southern", "northern")
+	adj("northern", "southern")
+	adj("eastern", "western")
+	adj("western", "eastern")
+	adj("coastal", "inland")
+	adj("inland")
+	adj("urban", "rural")
+	adj("rural", "urban")
+	adj("national")
+	adj("international")
+	adj("local")
+	adj("annual")
+	adj("olympic")
+	adj("professional", "amateur")
+	adj("amateur")
+	adj("medical")
+	adj("industrial")
+	adj("alpine")
+	adj("freshwater")
+	adj("orange")
+	adj("green")
+	adj("blue")
+	adj("red")
+	adj("white")
+	adj("black")
 
 	// --- Common and type nouns --------------------------------------------
 
-	class(Noun, classTypeNoun, "city", "cities", "town", "towns", "animal",
+	add(Noun, "city", "cities", "town", "towns", "animal",
 		"animals", "celebrity", "celebrities", "profession", "professions",
 		"sport", "sports", "country", "countries", "lake", "lakes",
 		"mountain", "mountains", "place", "places", "creature", "creatures",

@@ -1,6 +1,6 @@
 // Package lexicon provides the word knowledge used by the Surveyor NLP
-// substrate: part-of-speech entries, copula and negation word classes, a
-// subjective-adjective inventory, and a WordNet-lite antonym table.
+// substrate: part-of-speech entries, copula and negation word classes, an
+// adjective inventory, and a WordNet-lite antonym table.
 //
 // The paper's pipeline consumed a web snapshot annotated by a Stanford-style
 // parser backed by large lexical resources; this package is the from-scratch
@@ -69,8 +69,6 @@ const (
 	classCopula uint8 = 1 << iota
 	classToBe
 	classNegation
-	classTypeNoun
-	classOpinionVerb
 )
 
 // Known reports whether the lexicon has the form at all.
@@ -93,8 +91,7 @@ func (w Word) in(class uint8) bool { return w.class&class != 0 }
 // form is the part of a word's record too big to travel with each token,
 // kept in one slab indexed by Word.ID.
 type form struct {
-	tags  []Tag  // possible tags, most preferred first
-	lemma string // of a copular verb form
+	tags []Tag // possible tags, most preferred first
 }
 
 // Lexicon maps word forms to their possible parts of speech (in preference
@@ -112,8 +109,7 @@ type Lexicon struct {
 	words map[string]Word // lower-cased form -> record
 	forms []form          // indexed by Word.ID; forms[0] is the unknown word
 
-	subjective map[string]bool
-	antonyms   map[string][]string
+	antonyms map[string][]string
 }
 
 // Word returns the record of an already lower-cased form — the one lexicon
@@ -198,21 +194,12 @@ func (l *Lexicon) AddNoun(word string, proper bool) {
 	}
 }
 
-// AddTypeNoun registers a noun as naming an entity type.
-func (l *Lexicon) AddTypeNoun(word string) {
-	l.AddNoun(word, false)
-	l.mark(strings.ToLower(word), classTypeNoun)
-}
-
-// AddAdjective registers an extra adjective, optionally marking it
-// subjective and wiring antonym pairs symmetrically.
-func (l *Lexicon) AddAdjective(word string, subjective bool, antonyms ...string) {
+// AddAdjective registers an extra adjective, wiring antonym pairs
+// symmetrically.
+func (l *Lexicon) AddAdjective(word string, antonyms ...string) {
 	key := strings.ToLower(word)
 	if !l.Word(key).HasTag(Adj) {
 		l.add(key, Adj, false)
-	}
-	if subjective {
-		l.subjective[key] = true
 	}
 	for _, a := range antonyms {
 		a = strings.ToLower(a)

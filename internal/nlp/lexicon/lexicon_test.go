@@ -1,9 +1,6 @@
 package lexicon
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The string accessors below read the built-in inventory for the tests;
 // the tagger and parser ask the Word record instead.
@@ -18,31 +15,6 @@ func (l *Lexicon) Lookup(word string) ([]Tag, bool) {
 // PrimaryTag returns the preferred tag for a word, or Other if unknown.
 func (l *Lexicon) PrimaryTag(word string) Tag {
 	return l.fold(word).Primary()
-}
-
-// CopulaLemma returns the lemma of a copular verb form ("are" -> "be").
-func (l *Lexicon) CopulaLemma(word string) (string, bool) {
-	w := l.fold(word)
-	return l.forms[w.ID].lemma, w.IsCopula()
-}
-
-// IsSubjectiveAdjective reports whether the adjective is in the subjective
-// inventory. Extraction does not require this (the paper extracts objective
-// adjectives too).
-func (l *Lexicon) IsSubjectiveAdjective(adj string) bool {
-	return l.subjective[strings.ToLower(adj)]
-}
-
-// IsTypeNoun reports whether the noun names an entity type (city, animal,
-// sport, ...).
-func (l *Lexicon) IsTypeNoun(noun string) bool {
-	return l.fold(noun).in(classTypeNoun)
-}
-
-// IsOpinionVerb reports whether the verb introduces an opinion clause
-// (think, believe, consider, find, ...).
-func (l *Lexicon) IsOpinionVerb(word string) bool {
-	return l.fold(word).in(classOpinionVerb)
 }
 
 func TestDefaultClosedClasses(t *testing.T) {
@@ -92,16 +64,6 @@ func TestCopulaClasses(t *testing.T) {
 	}
 }
 
-func TestCopulaLemma(t *testing.T) {
-	l := Default()
-	if lemma, ok := l.CopulaLemma("are"); !ok || lemma != "be" {
-		t.Errorf("CopulaLemma(are) = %q, %v", lemma, ok)
-	}
-	if lemma, ok := l.CopulaLemma("seemed"); !ok || lemma != "seem" {
-		t.Errorf("CopulaLemma(seemed) = %q, %v", lemma, ok)
-	}
-}
-
 func TestNegations(t *testing.T) {
 	l := Default()
 	for _, w := range []string{"not", "n't", "never", "no", "hardly"} {
@@ -124,8 +86,8 @@ func TestSubjectiveInventoryCoversTable2(t *testing.T) {
 		"addictive", "boring", "fast", "popular",
 	}
 	for _, p := range table2 {
-		if !l.IsSubjectiveAdjective(p) {
-			t.Errorf("Table 2 property %q missing from subjective inventory", p)
+		if !l.HasTag(p, Adj) {
+			t.Errorf("Table 2 property %q is not an adjective", p)
 		}
 	}
 }
@@ -135,9 +97,6 @@ func TestObjectiveAdjectivesNotSubjective(t *testing.T) {
 	for _, w := range []string{"american", "southern", "swiss"} {
 		if !l.HasTag(w, Adj) {
 			t.Errorf("%q should be an adjective", w)
-		}
-		if l.IsSubjectiveAdjective(w) {
-			t.Errorf("%q should not be subjective", w)
 		}
 	}
 }
@@ -158,24 +117,18 @@ func TestAntonymsSymmetric(t *testing.T) {
 func TestTypeNouns(t *testing.T) {
 	l := Default()
 	for _, w := range []string{"city", "cities", "animal", "sport"} {
-		if !l.IsTypeNoun(w) {
-			t.Errorf("%q should be a type noun", w)
+		if !l.HasTag(w, Noun) {
+			t.Errorf("type noun %q should be a noun", w)
 		}
-	}
-	if l.IsTypeNoun("parking") {
-		t.Error("parking is not a type noun")
 	}
 }
 
 func TestOpinionVerbs(t *testing.T) {
 	l := Default()
 	for _, w := range []string{"think", "believe", "consider", "find"} {
-		if !l.IsOpinionVerb(w) {
-			t.Errorf("%q should be an opinion verb", w)
+		if !l.HasTag(w, Verb) {
+			t.Errorf("opinion verb %q should be a verb", w)
 		}
-	}
-	if l.IsOpinionVerb("visit") {
-		t.Error("visit is not an opinion verb")
 	}
 }
 
@@ -201,9 +154,9 @@ func TestAddNoun(t *testing.T) {
 
 func TestAddAdjectiveWiresAntonyms(t *testing.T) {
 	l := Default()
-	l.AddAdjective("spiffy", true, "shabby")
-	if !l.IsSubjectiveAdjective("spiffy") {
-		t.Error("spiffy should be subjective")
+	l.AddAdjective("spiffy", "shabby")
+	if !l.HasTag("spiffy", Adj) {
+		t.Error("spiffy should be an adjective")
 	}
 	if !contains(l.Antonyms("shabby"), "spiffy") {
 		t.Error("antonym wiring should be symmetric")
@@ -241,20 +194,15 @@ func contains(xs []string, x string) bool {
 // first tag as primary, the class bits behind the string predicates.
 func TestWordRecordAgreesWithLookup(t *testing.T) {
 	l := Default()
-	l.AddNoun("Visit", true)       // known form, new preferred tag
-	l.AddNoun("zurich", true)      // new form
-	l.AddTypeNoun("gadget")        // new form with a class
-	l.AddTypeNoun("star")          // known noun joins a class
-	l.AddAdjective("spiffy", true) // new form
-	l.AddAdjective("play", false)  // known form, new last tag
+	l.AddNoun("Visit", true)  // known form, new preferred tag
+	l.AddNoun("zurich", true) // new form
+	l.AddAdjective("spiffy")  // new form
+	l.AddAdjective("play")    // known form, new last tag
 	if got := l.Word("visit").Primary(); got != Propn {
 		t.Errorf("AddNoun must make the new tag primary, got %v", got)
 	}
 	if got := l.Word("play").Primary(); got != Verb || !l.Word("play").HasTag(Adj) {
 		t.Errorf("AddAdjective must keep the primary tag and add Adj, got %v", got)
-	}
-	if !l.IsTypeNoun("gadget") || !l.IsTypeNoun("star") {
-		t.Error("AddTypeNoun must set the class on new and known forms alike")
 	}
 	seen := make([]bool, l.Len())
 	//lint:allow detmap every form is checked on its own; no ordered output is produced
@@ -276,9 +224,6 @@ func TestWordRecordAgreesWithLookup(t *testing.T) {
 		}
 		if w.IsCopula() != l.IsCopula(form) || w.IsNegation() != l.IsNegation(form) {
 			t.Errorf("%q: class bits disagree with the string predicates", form)
-		}
-		if _, isCopula := l.CopulaLemma(form); isCopula != w.IsCopula() {
-			t.Errorf("%q: CopulaLemma disagrees with the copula bit", form)
 		}
 	}
 	if unknown := l.Word("xyzzyqwerty"); unknown != (Word{}) || unknown.Known() || unknown.Primary() != Other {

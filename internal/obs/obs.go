@@ -240,33 +240,6 @@ func (o *RunObs) PipelineMetrics() PipelineMetrics {
 	}
 }
 
-// GroupingObs is the write-only counter set the evidence grouping phase
-// reports through. The zero value and nil are inert.
-type GroupingObs struct {
-	// PairsScanned counts (entity, property) keys folded during grouping.
-	PairsScanned *Counter
-	// GroupsKept and GroupsFiltered count (type, property) groups that
-	// passed / failed the rho threshold.
-	GroupsKept     *Counter
-	GroupsFiltered *Counter
-}
-
-// Grouping resolves the grouping-phase counters. Nil when o (or its
-// registry) is nil, which the evidence package treats as disabled.
-func (o *RunObs) Grouping() *GroupingObs {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	return &GroupingObs{
-		PairsScanned: o.Metrics.Counter("surveyor_grouping_pairs_scanned_total",
-			"(entity, property) keys folded by the grouping phase"),
-		GroupsKept: o.Metrics.Counter("surveyor_grouping_groups_kept_total",
-			"(type, property) groups at or above rho"),
-		GroupsFiltered: o.Metrics.Counter("surveyor_grouping_groups_filtered_total",
-			"(type, property) groups below rho"),
-	}
-}
-
 // EMGroup starts convergence telemetry for one (type, property) fit. Nil
 // (inert) when o or its recorder is nil.
 func (o *RunObs) EMGroup(typ, property string, entities int) *EMGroupObs {

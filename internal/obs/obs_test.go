@@ -19,9 +19,6 @@ func TestNilRunObsStillMeasures(t *testing.T) {
 	pm := o.PipelineMetrics()
 	pm.Documents.Add(1)
 	pm.DocSentences.Observe(3)
-	if g := o.Grouping(); g != nil {
-		t.Error("nil RunObs Grouping() must be nil")
-	}
 	if eg := o.EMGroup("t", "p", 1); eg != nil {
 		t.Error("nil RunObs EMGroup() must be nil")
 	}
@@ -63,21 +60,5 @@ func TestPipelineMetricsIdempotent(t *testing.T) {
 	a.Documents.Add(2)
 	if b.Documents.Value() != 2 {
 		t.Error("PipelineMetrics resolved different counter handles")
-	}
-}
-
-// TestGroupingCounters: the grouping handles register and count.
-func TestGroupingCounters(t *testing.T) {
-	o := &RunObs{Metrics: NewRegistry()}
-	g := o.Grouping()
-	if g == nil {
-		t.Fatal("Grouping() = nil with a live registry")
-	}
-	g.PairsScanned.Add(5)
-	g.GroupsKept.Inc()
-	g.GroupsFiltered.Add(2)
-	if g.PairsScanned.Value() != 5 || g.GroupsKept.Value() != 1 || g.GroupsFiltered.Value() != 2 {
-		t.Errorf("grouping counters = %d/%d/%d",
-			g.PairsScanned.Value(), g.GroupsKept.Value(), g.GroupsFiltered.Value())
 	}
 }

@@ -73,7 +73,10 @@ type Config struct {
 	Fault func(index int, doc *corpus.Document)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field resolved to the value a run
+// uses: GOMAXPROCS workers, ρ = 100, pattern version V4, the default EM
+// configuration.
+func (c Config) WithDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -268,7 +271,7 @@ func Run(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) 
 // *PartialError. Panicking documents are quarantined, not fatal; see
 // Result.Quarantined and the contract in fault.go.
 func RunContext(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return run(cfg, base, lex, len(docs), min(cfg.Workers, len(docs)), &sliceSource{ctx: ctx, docs: docs})
 }
 
@@ -285,7 +288,7 @@ func RunContext(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *l
 // partial result inside a *PartialError. Lines a lenient iterator skipped
 // are surfaced on Result.SkippedLines.
 func RunStream(ctx context.Context, it *corpus.Iterator, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return run(cfg, base, lex, 0, cfg.Workers, &iterSource{ctx: ctx, it: it}) // total unknown up front
 }
 

@@ -48,7 +48,7 @@ type Extraction struct {
 // together with ctx.Err(); callers with atomic-epoch semantics (the
 // incremental miner) discard it.
 func ExtractEvidence(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config, docOffset int) (*Extraction, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	ext, _, err := extractFrom(cfg, base, lex, min(cfg.Workers, len(docs)),
 		&sliceSource{ctx: ctx, docs: docs, offset: docOffset})
 	return ext, err
@@ -119,7 +119,7 @@ func extractFrom(cfg Config, base *kb.KB, lex *lexicon.Lexicon, workers int, src
 // one reduce would produce for the same group — both run the same worker
 // pool over the same deterministic per-group computation.
 func FitGroups(groups []evidence.Group, cfg Config) []GroupResult {
-	return fitGroups(groups, cfg.withDefaults())
+	return fitGroups(groups, cfg.WithDefaults())
 }
 
 // fitGroups is the EM worker pool shared by reduce and FitGroups: a
@@ -212,7 +212,7 @@ type ReduceStats struct {
 // run-lifecycle telemetry (obs StartRun/EndRun) and the extraction/total
 // timings.
 func ReduceStore(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *Result {
-	return reduce(store, base, cfg.withDefaults(), stats)
+	return reduce(store, base, cfg.WithDefaults(), stats)
 }
 
 // reduce is the one reduce behind every entry point: group, then fit. The
@@ -229,11 +229,12 @@ func reduce(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *
 	}
 	o := cfg.Obs
 
-	// Grouping: one parallel per-shard pass computes both the before-ρ pair
-	// count and the grouped aggregates.
+	// Grouping: a fresh accumulator absorbs the whole store, exactly as the
+	// incremental miner's first epoch would, and counts the before-ρ pairs.
 	span := o.Phase("group")
-	groups, before := evidence.ParallelGroupObserved(store, base, cfg.Rho, cfg.Workers, o.Grouping())
-	res.PairsBeforeFilter = before
+	acc := evidence.NewGroupAccumulator(base)
+	groups := acc.Kept(acc.AbsorbDelta(store), cfg.Rho)
+	res.PairsBeforeFilter = acc.Pairs()
 	res.Timings.Grouping = span.End()
 
 	// EM: the shared worker pool of fitGroups — also the re-fit entry point

@@ -128,7 +128,7 @@ func TestNewDoesNotWalkAliases(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() { New(base, lex) }); got > 1 {
 		t.Fatalf("New allocates %v times on a registered 100k-alias knowledge base, want 1", got)
 	}
-	lex.AddAdjective("spiffy", true) // the registered table is stale now: New rebuilds it
+	lex.AddAdjective("spiffy") // the registered table is stale now: New rebuilds it
 	if got, limit := testing.AllocsPerRun(10, func() { New(base, lex) }), float64(8+4*len(types)); got > limit {
 		t.Fatalf("New allocates %v times rebuilding the table for %d types, want at most %v", got, len(types), limit)
 	}

@@ -62,15 +62,15 @@ func TestObsInvariance(t *testing.T) {
 			if len(o.Tracer.Events()) == 0 {
 				t.Errorf("seed %d workers %d: tracer recorded no spans", seed, workers)
 			}
-			var pairsScanned int64
+			var pairsBefore int64
 			for _, m := range o.Metrics.Snapshot() {
-				if m.Name == "surveyor_grouping_pairs_scanned_total" {
-					pairsScanned = int64(m.Value)
+				if m.Name == "surveyor_pairs_before_filter" {
+					pairsBefore = int64(m.Value)
 				}
 			}
-			if pairsScanned != int64(observed.DistinctPairs) {
-				t.Errorf("seed %d workers %d: grouping scanned %d pairs, store had %d",
-					seed, workers, pairsScanned, observed.DistinctPairs)
+			if pairsBefore != int64(observed.PairsBeforeFilter) {
+				t.Errorf("seed %d workers %d: sink saw %d pairs before filter, run had %d",
+					seed, workers, pairsBefore, observed.PairsBeforeFilter)
 			}
 		}
 	}

@@ -110,7 +110,7 @@ func (s *System) AddEntity(name, typ string, proper bool, attrs map[string]float
 // AddSubjectiveAdjective extends the lexicon with an adjective unknown to
 // the built-in inventory, optionally wiring antonyms.
 func (s *System) AddSubjectiveAdjective(adj string, antonyms ...string) {
-	s.lex.AddAdjective(adj, true, antonyms...)
+	s.lex.AddAdjective(adj, antonyms...)
 }
 
 // EntityCount returns the number of registered entities.
