@@ -1,11 +1,12 @@
 // Command surveyorlint runs the repository's custom determinism,
 // concurrency, and safety-contract analyzers (detmap, detrand, obsflow,
-// lockflow, allocbound, ctxflow, errflow) over package patterns, mirroring
-// a golang.org/x/tools multichecker on the standard library only.
+// lockflow, ctxflow, errflow) over package patterns, mirroring a
+// golang.org/x/tools multichecker on the standard library only.
 //
-// It is a vet tool (unit-checker protocol): the go command loads and
-// type-checks the packages, _test.go files included, caches per-package
-// results, and carries facts between packages.
+// It is a vet tool (unit-checker protocol): the go command loads the
+// packages, _test.go files included, and caches per-package results.
+// Each package is analyzed on its own; dependencies are only
+// type-checked (from export data), never analyzed.
 //
 //	go build -o /tmp/surveyorlint ./cmd/surveyorlint
 //	go vet -vettool=/tmp/surveyorlint ./...
@@ -33,7 +34,6 @@ import (
 	"os/exec"
 	"strings"
 
-	"repro/internal/analysis/allocbound"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/detmap"
 	"repro/internal/analysis/detrand"
@@ -48,7 +48,6 @@ var analyzers = []*framework.Analyzer{
 	detrand.Analyzer,
 	obsflow.Analyzer,
 	lockflow.Analyzer,
-	allocbound.Analyzer,
 	ctxflow.Analyzer,
 	errflow.Analyzer,
 }

@@ -71,8 +71,7 @@ func TestStandaloneListsAnalyzers(t *testing.T) {
 		t.Fatalf("surveyorlint -list: %v\n%s", err, out)
 	}
 	for _, name := range []string{
-		"detmap", "detrand", "obsflow", "lockflow",
-		"allocbound", "ctxflow", "errflow",
+		"detmap", "detrand", "obsflow", "lockflow", "ctxflow", "errflow",
 	} {
 		if !bytes.Contains(out, []byte(name)) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
@@ -88,9 +87,6 @@ func TestVetTool(t *testing.T) {
 	}
 	root := moduleRoot(t)
 	bin := buildTool(t, root)
-	// framing, wire and dist exercise the cross-package fact path over the
-	// real tree: dist's decode guards are only provable through the
-	// DecodedSource/ValidatesParam facts framing's analysis leaves in .vetx.
 	cmd := exec.Command("go", "vet", "-vettool="+bin,
 		"./internal/evidence", "./internal/core", "./internal/wire/...", "./internal/dist")
 	cmd.Dir = root
@@ -104,39 +100,15 @@ func TestVetTool(t *testing.T) {
 }
 
 // writeFixtureModule lays out a scratch module with one injected violation
-// per dataflow analyzer. The allocbound violation lives in a package that
-// only imports the decoder — catching it requires wire's DecodedSource
-// fact to cross the package and process boundary. internal/evidence holds
-// the seeded detmap violation (detmap's findings carry a suggested fix) and
-// a _test.go file, which the go command hands over in the package's test
-// variant only: one more violation, one justified allow, one unused allow.
+// per dataflow analyzer. internal/evidence holds the seeded detmap
+// violation (detmap's findings carry a suggested fix) and a _test.go file,
+// which the go command hands over in the package's test variant only: one
+// more violation, one justified allow, one unused allow.
 func writeFixtureModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module fixturemod\n\ngo 1.22\n",
-		"internal/wire/wire.go": `// Package wire is the clean decoder half of the fixture.
-package wire
-
-import "encoding/binary"
-
-// DecodeCount decodes a count prefix; callers must bound-check it.
-func DecodeCount(b []byte) uint64 {
-	v, _ := binary.Uvarint(b)
-	return v
-}
-`,
-		"internal/dist/dist.go": `// Package dist holds the cross-package allocbound violation.
-package dist
-
-import "fixturemod/internal/wire"
-
-// Alloc sizes a slice straight from the decoded count, unguarded.
-func Alloc(b []byte) []int {
-	n := wire.DecodeCount(b)
-	return make([]int, n)
-}
-`,
 		"internal/ctxbad/ctxbad.go": `// Package ctxbad holds the ctxflow violation.
 package ctxbad
 
@@ -207,7 +179,6 @@ func AtEOF(err error) bool {
 // fixtureWants is every finding the fixture module must produce, by the
 // file:line it is reported at and a fragment of its message.
 var fixtureWants = []struct{ loc, msg string }{
-	{"internal/dist/dist.go:9:", "derives from decoded input"},
 	{"internal/ctxbad/ctxbad.go:8:", "context.Background in a library package"},
 	{"internal/corpus/corpus.go:8:", "compared against a sentinel with =="},
 	{"internal/evidence/evidence.go:7:", "[detmap]"},
@@ -242,9 +213,7 @@ func checkFixtureOutput(t *testing.T, out string) {
 }
 
 // TestVetToolFixtureViolations drives the injected violations through
-// `go vet -vettool`: each analyzer must fire, and the allocbound finding
-// in dist proves a DecodedSource fact travelled from wire's analysis
-// process to dist's through the .vetx files.
+// `go vet -vettool`: each analyzer must fire.
 func TestVetToolFixtureViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and runs go vet")

@@ -10,7 +10,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"sort"
 
 	"repro/internal/analysis/framework"
 )
@@ -24,7 +23,6 @@ type vetConfig struct {
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -45,55 +43,20 @@ func vetMode(cfgFile string) int {
 		return 1
 	}
 
-	// The go command threads each dependency's serialized facts file in
-	// through PackageVetx and expects this package's accumulated facts
-	// (imported ∪ newly exported) back at VetxOutput, caching the file
-	// keyed by the tool fingerprint. Even a VetxOnly run (a package
-	// analyzed solely as a dependency) must therefore run the analyzers
-	// for their fact side effects; only the diagnostics are discarded.
-	facts := framework.NewFactStore(analyzers)
-	for _, path := range sortedKeys(cfg.PackageVetx) {
-		data, err := os.ReadFile(cfg.PackageVetx[path])
-		if err != nil {
+	// The go command caches each package's VetxOutput as its facts file
+	// and hands it to dependents; no analyzer exports facts, so the file
+	// is always empty. It must still be written: without it the go
+	// command caches nothing and re-runs the tool on every dependency of
+	// every later vet. A VetxOnly package (a dependency only, the whole
+	// standard library included) needs nothing else.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			fmt.Fprintln(os.Stderr, "surveyorlint:", err)
-			return 1
-		}
-		if err := facts.Decode(data); err != nil {
-			fmt.Fprintf(os.Stderr, "surveyorlint: facts of %s: %v\n", path, err)
 			return 1
 		}
 	}
-	writeVetx := func() int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		data, err := facts.Encode()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "surveyorlint:", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "surveyorlint:", err)
-			return 1
-		}
-		return 0
-	}
-
-	// Dependency-only packages (VetxOnly, including the whole standard
-	// library) are analyzed purely for their fact side effects — skip
-	// the analyzers that produce none, and skip the type check entirely
-	// when no analyzer produces facts at all.
-	torun := analyzers
 	if cfg.VetxOnly {
-		torun = nil
-		for _, a := range analyzers {
-			if len(a.FactTypes) > 0 {
-				torun = append(torun, a)
-			}
-		}
-		if len(torun) == 0 {
-			return writeVetx()
-		}
+		return 0
 	}
 
 	fset := token.NewFileSet()
@@ -116,9 +79,7 @@ func vetMode(cfgFile string) int {
 	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			// Pass the imported facts through so dependents still see
-			// them; this package contributes none.
-			return writeVetx()
+			return 0
 		}
 		fmt.Fprintf(os.Stderr, "surveyorlint: type-checking %s: %v\n", cfg.ImportPath, err)
 		return 1
@@ -131,16 +92,10 @@ func vetMode(cfgFile string) int {
 		Types:     tpkg,
 		TypesInfo: info,
 	}
-	findings, err := framework.Run(pkg, torun, facts)
+	findings, err := framework.Run(pkg, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "surveyorlint:", err)
 		return 1
-	}
-	if code := writeVetx(); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly {
-		return 0
 	}
 	allows, malformed := framework.CollectAllows(pkg, knownAnalyzers())
 	kept, unused := framework.Suppress(findings, allows)
@@ -156,16 +111,6 @@ func vetMode(cfgFile string) int {
 		return 2
 	}
 	return 0
-}
-
-// sortedKeys returns m's keys sorted, for deterministic fact loading.
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // buildFingerprint hashes the executable so `go vet` can cache results

@@ -42,20 +42,6 @@ var determinismLintExtra = []string{
 	"internal/kb",
 }
 
-// allocBound lists the packages where every allocation sized from
-// decoded input must be dominated by a bound check against a named
-// limit (the allocbound analyzer): the wire codec and its framing
-// primitives, the dist protocol layer that consumes framing's decoders
-// cross-package (the job, result and heartbeat codecs all read sizes
-// straight off the network), and the obs telemetry codec (the
-// coordinator decodes worker frames with the same discipline).
-var allocBound = []string{
-	"internal/wire",
-	"internal/wire/framing",
-	"internal/dist",
-	"internal/obs",
-}
-
 // errContract lists the packages whose exported functions must return
 // wrapped or typed errors and compare sentinels with errors.Is (the
 // errflow analyzer) — the decode and transport paths where a swallowed
@@ -93,10 +79,6 @@ func Determinism(pkgPath string) bool { return matches(pkgPath, determinism) }
 func DeterminismLint(pkgPath string) bool {
 	return Determinism(pkgPath) || matches(pkgPath, determinismLintExtra)
 }
-
-// AllocBound reports whether the package is under the decoded-input
-// allocation-bounding contract.
-func AllocBound(pkgPath string) bool { return matches(pkgPath, allocBound) }
 
 // ErrContract reports whether the package is under the wrapped-typed-
 // error contract.

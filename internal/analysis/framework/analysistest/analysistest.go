@@ -47,47 +47,26 @@ func TestData() string {
 
 // Run loads each fixture package from testdata/src, applies the analyzer,
 // and reports mismatches against the // want expectations through t.
-//
-// Fact-producing analyzers work across fixture packages: every fixture
-// package the requested ones (transitively) import is analyzed first, in
-// dependency order, sharing one fact store — so a fact exported while
-// analyzing fixture package "internal/wire" is visible when its importer
-// "internal/dist" is checked. Only the requested packages' // want
-// expectations are verified.
+// Fixture packages the requested ones import are type-checked but not
+// analyzed.
 func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	ld, err := newLoader(filepath.Join(testdata, "src"))
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	requested := map[string]bool{}
 	for _, path := range pkgpaths {
-		if _, err := ld.load(path); err != nil {
-			t.Errorf("analysistest: loading %s: %v", path, err)
-			return
-		}
-		requested[path] = true
-	}
-	// ld.order lists every loaded fixture package, dependencies before
-	// dependents (the type-checker finishes imports first).
-	facts := framework.NewFactStore([]*framework.Analyzer{a})
-	byPath := map[string][]framework.Finding{}
-	for _, path := range ld.order {
 		pkg, err := ld.load(path)
 		if err != nil {
 			t.Errorf("analysistest: loading %s: %v", path, err)
 			return
 		}
-		findings, err := framework.Run(pkg, []*framework.Analyzer{a}, facts)
+		findings, err := framework.Run(pkg, []*framework.Analyzer{a})
 		if err != nil {
 			t.Errorf("analysistest: running %s on %s: %v", a.Name, path, err)
 			return
 		}
-		byPath[path] = findings
-	}
-	for _, path := range pkgpaths {
-		pkg, _ := ld.load(path)
-		check(t, pkg, byPath[path])
+		check(t, pkg, findings)
 	}
 }
 
@@ -177,10 +156,6 @@ type loader struct {
 	fset    *token.FileSet
 	std     types.Importer
 	cache   map[string]*entry
-	// order records fixture package paths in load-completion order:
-	// because imports are resolved before a package's own type check
-	// completes, dependencies always precede dependents.
-	order []string
 }
 
 type entry struct {
@@ -292,9 +267,6 @@ func (ld *loader) load(path string) (*framework.Package, error) {
 	ld.cache[path] = e
 	e.pkg, e.err = ld.loadUncached(path)
 	e.busy = false
-	if e.err == nil {
-		ld.order = append(ld.order, path)
-	}
 	return e.pkg, e.err
 }
 

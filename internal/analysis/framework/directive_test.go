@@ -99,7 +99,7 @@ var reported = 2
 			return nil, nil
 		},
 	}
-	findings, err := Run(&Package{Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files}, []*Analyzer{toy}, nil)
+	findings, err := Run(&Package{Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files}, []*Analyzer{toy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,11 @@
 // changing one import path.
 //
 // Type information comes from the standard library alone: packages are
-// enumerated with `go list -export -deps -json`, parsed with go/parser, and
-// type-checked with go/types using the gc export data the go command
-// already produced for every dependency. No source re-typechecking of
-// dependencies, no downloads.
+// parsed with go/parser and type-checked with go/types against the gc
+// export data the go command already produced for every dependency (the
+// vet driver receives those files in its package config; analysistest
+// asks `go list -export` for the standard library's). No source
+// re-typechecking of dependencies, no downloads.
 package framework
 
 import (
@@ -34,11 +35,6 @@ type Analyzer struct {
 	// through pass.Report. The returned value is ignored by the driver
 	// (kept for x/tools API parity).
 	Run func(*Pass) (any, error)
-
-	// FactTypes lists a prototype value for each Fact type the analyzer
-	// produces or consumes. Analyzers with no FactTypes neither see nor
-	// emit cross-package facts.
-	FactTypes []Fact
 }
 
 // A Pass is the interface an analyzer's Run function uses to inspect one
@@ -52,26 +48,6 @@ type Pass struct {
 
 	// Report delivers one diagnostic. Set by the driver.
 	Report func(Diagnostic)
-
-	// facts is the run-wide store, set by the driver; nil when the
-	// driver carries no facts (both methods degrade gracefully).
-	facts *FactStore
-}
-
-// ExportObjectFact records a fact about obj (a package-level function,
-// method, or variable) for consumption when analyzing packages that
-// import this one.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.facts != nil {
-		p.facts.export(p.Analyzer.Name, obj, f)
-	}
-}
-
-// ImportObjectFact copies the fact of f's type previously exported for
-// obj into *f and reports whether one existed. Facts exported earlier in
-// the same package's pass are visible too.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	return p.facts != nil && p.facts.importFact(p.Analyzer.Name, obj, f)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -135,12 +111,9 @@ type Finding struct {
 }
 
 // Run applies each analyzer to the package and returns the findings in
-// reported order. facts, when non-nil, carries object facts across
-// packages: analyzers read facts exported while analyzing the package's
-// dependencies and add their own for dependents — the driver is
-// responsible for analyzing packages in dependency order (or, in vet
-// mode, for loading the dependencies' serialized fact files first).
-func Run(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Finding, error) {
+// reported order. Each package is analyzed on its own: no analyzer
+// carries state from one package to another.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -149,7 +122,6 @@ func Run(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Finding, erro
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			facts:     facts,
 		}
 		pass.Report = func(d Diagnostic) {
 			out = append(out, Finding{

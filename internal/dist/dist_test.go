@@ -188,6 +188,53 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestReadResultRejectsCorruption: each forged result or heartbeat frame
+// is rejected by the check named in its row, before anything is sized
+// from the forged value.
+func TestReadResultRejectsCorruption(t *testing.T) {
+	uvarints := func(vs ...uint64) func(e *framing.Encoder) {
+		return func(e *framing.Encoder) {
+			for _, v := range vs {
+				e.Uvarint(v)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		magic string
+		body  func(e *framing.Encoder)
+		want  string
+	}{
+		{"wrong magic", "SVJB", uvarints(0, 0, 0, 0), "bad frame magic"},
+		{"implausible heartbeat shard", "SVHB", uvarints(1 << 31), "implausible heartbeat shard"},
+		{"implausible shard", "SVSR", uvarints(1<<31, 0, 0, 0), "implausible result header"},
+		// shard, consumed, sentences, quarantine count; an empty record
+		// still takes two bytes, so three records cannot fit in none.
+		{"quarantine count just over capacity", "SVSR", uvarints(0, 0, 0, 3), "quarantine count 3 exceeds body capacity"},
+		{"forged quarantine count", "SVSR", uvarints(0, 0, 0, 1<<40), "exceeds body capacity"},
+		{"implausible quarantine document", "SVSR", func(e *framing.Encoder) {
+			uvarints(0, 0, 0, 1, 1<<31)(e)
+			e.String("")
+		}, "implausible document"},
+		{"trailing bytes", "SVSR", uvarints(0, 0, 0, 0, 7), "trailing bytes in result header"},
+		{"missing store frame", "SVSR", uvarints(0, 0, 0, 0), "store frame"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := framing.NewEncoder(16)
+			tc.body(e)
+			var buf bytes.Buffer
+			if _, err := framing.WriteFrame(&buf, tc.magic, e.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := dist.ReadShardResult(&buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestMineMatchesBatch is the quick in-package differential check; the
 // full matrix (worker counts, chaos, cancellation) lives in
 // internal/testkit's distributed suite.

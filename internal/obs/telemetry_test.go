@@ -119,6 +119,18 @@ func TestTelemetryDecodeRejections(t *testing.T) {
 		e.Uvarint(0) // jobReceived
 		e.Uvarint(0) // captured
 	}
+	histogram := func(buckets uint64) func(e *framing.Encoder) {
+		return func(e *framing.Encoder) {
+			header(e)
+			e.Uvarint(1)
+			e.Uvarint(uint64(KindHistogram))
+			e.String("h")
+			e.String("")
+			e.Uvarint(1)                   // count
+			e.Uvarint(math.Float64bits(1)) // sum
+			e.Uvarint(buckets)
+		}
+	}
 	cases := []struct {
 		name string
 		body func(e *framing.Encoder)
@@ -137,6 +149,25 @@ func TestTelemetryDecodeRejections(t *testing.T) {
 			e.Uvarint(0)
 			e.Uvarint(maxTelemetrySpans + 1)
 		}, "exceeds limit"},
+		{"span count over capacity", func(e *framing.Encoder) {
+			header(e)
+			e.Uvarint(0)
+			e.Uvarint(1 << 10)
+		}, "span count 1024 exceeds body capacity"},
+		{"span arg count over limit", func(e *framing.Encoder) {
+			header(e)
+			e.Uvarint(0)
+			e.Uvarint(1)
+			e.String("s")
+			e.String("c")
+			e.Uvarint(0) // tid
+			e.Uvarint(0) // start
+			e.Uvarint(0) // dur
+			e.Uvarint(maxSpanArgs + 1)
+		}, "span arg count 65 exceeds limit"},
+		{"histogram bucket count zero", histogram(0), "histogram bucket count 0 outside"},
+		{"histogram bucket count over limit", histogram(maxTelemetryBuckets + 1), "histogram bucket count 513 outside"},
+		{"histogram bucket count over capacity", histogram(maxTelemetryBuckets), "bucket count 512 exceeds body capacity"},
 		{"unknown metric kind", func(e *framing.Encoder) {
 			header(e)
 			e.Uvarint(1)
@@ -147,27 +178,13 @@ func TestTelemetryDecodeRejections(t *testing.T) {
 			e.Uvarint(0)
 		}, "unknown metric kind"},
 		{"histogram without +Inf", func(e *framing.Encoder) {
-			header(e)
-			e.Uvarint(1)
-			e.Uvarint(uint64(KindHistogram))
-			e.String("h")
-			e.String("")
-			e.Uvarint(1)                   // count
-			e.Uvarint(math.Float64bits(1)) // sum
-			e.Uvarint(1)                   // buckets
+			histogram(1)(e)
 			e.Uvarint(math.Float64bits(5)) // bound: finite, must be +Inf
 			e.Uvarint(1)                   // bucket count
 			e.Uvarint(0)                   // spans
 		}, "not +Inf"},
 		{"histogram bounds not ascending", func(e *framing.Encoder) {
-			header(e)
-			e.Uvarint(1)
-			e.Uvarint(uint64(KindHistogram))
-			e.String("h")
-			e.String("")
-			e.Uvarint(1)
-			e.Uvarint(math.Float64bits(1))
-			e.Uvarint(3)
+			histogram(3)(e)
 			e.Uvarint(math.Float64bits(5))
 			e.Uvarint(0)
 			e.Uvarint(math.Float64bits(2)) // below previous bound
