@@ -1,7 +1,8 @@
-// Package repro's benchmark harness: one benchmark per table and figure of
-// the paper (regenerating the experiment end to end), per-phase pipeline
-// benchmarks for the Section-7.1 analysis, and the ablations called out in
-// DESIGN.md. Run with:
+// Package repro's benchmark harness: per-phase pipeline benchmarks for the
+// Section-7.1 analysis, the hot paths, the distributed and incremental
+// paths, and the timing side of two DESIGN.md ablations. Every quality
+// figure (each table, figure and ablation) is `cmd/experiments` output,
+// kept in EXPERIMENTS.md. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -15,7 +16,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -41,8 +41,7 @@ import (
 	"repro/internal/wire"
 )
 
-// benchScale keeps the experiment benchmarks fast enough to iterate on
-// while preserving every qualitative shape.
+// benchScale sizes the snapshots the pipeline benchmarks run on.
 const benchScale = 0.4
 
 var benchWorld *experiments.World
@@ -53,117 +52,6 @@ func world(b *testing.B) *experiments.World {
 		benchWorld = experiments.BuildEvalWorld(experiments.WorldConfig{Seed: 1, Scale: benchScale})
 	}
 	return benchWorld
-}
-
-// --- One benchmark per table/figure -----------------------------------------
-
-func BenchmarkTable1Extractions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table1(); len(rows) < 4 {
-			b.Fatalf("table1 rows = %d", len(rows))
-		}
-	}
-}
-
-func BenchmarkTable3Methods(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table3(w)
-		if len(res.Rows) != 4 {
-			b.Fatal("table3 incomplete")
-		}
-	}
-}
-
-func BenchmarkTable4PatternVersions(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table4(w, int64(40*benchScale))
-		if len(rows) != 4 {
-			b.Fatal("table4 incomplete")
-		}
-	}
-}
-
-func BenchmarkTable5RandomSample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Table5(experiments.Table5Config{
-			Seed: 1, Combos: 40, EntitiesPerType: 40, Rho: 25,
-		})
-		if len(res.Rows) != 4 {
-			b.Fatal("table5 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig3BigCities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3(experiments.WorldConfig{Seed: 1, Scale: benchScale, Rho: 20})
-		if len(r.Rows) != 461 {
-			b.Fatal("fig3 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig6Distributions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6()
-		if r.Example1Posterior <= 0.5 {
-			b.Fatal("fig6 posterior wrong")
-		}
-	}
-}
-
-func BenchmarkFig9ExtractionStats(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig9(w, int64(40*benchScale))
-		if len(r.StatementsPerEntity) == 0 {
-			b.Fatal("fig9 empty")
-		}
-	}
-}
-
-func BenchmarkFig10CuteAnimals(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig10(1); len(rows) != 20 {
-			b.Fatal("fig10 incomplete")
-		}
-	}
-}
-
-func BenchmarkFig11AgreementHistogram(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig11(w)
-		if len(r.Cases) == 0 {
-			b.Fatal("fig11 empty")
-		}
-	}
-}
-
-func BenchmarkFig12AgreementSweep(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig12(w)
-		if len(r.Points) == 0 {
-			b.Fatal("fig12 empty")
-		}
-	}
-}
-
-func BenchmarkFig13AttributeCorrelation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rs := experiments.Fig13(experiments.WorldConfig{Seed: 1, Scale: benchScale, Rho: 10})
-		if len(rs) != 3 {
-			b.Fatal("fig13 incomplete")
-		}
-	}
 }
 
 // --- Section 7.1: pipeline phases -------------------------------------------
@@ -477,103 +365,9 @@ func BenchmarkAblationPoissonVsMultinomial(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGlobalParams contrasts per-(type,property) models (the
-// paper's choice) against a single global model fitted across all groups.
-// The metric of interest is the reported accuracy delta, not time.
-func BenchmarkAblationGlobalParams(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		perGroup, global := perGroupVsGlobalAccuracy(w)
-		b.ReportMetric(perGroup, "acc-per-group")
-		b.ReportMetric(global, "acc-global")
-		if perGroup <= global {
-			b.Logf("warning: per-group (%v) did not beat global (%v) this run", perGroup, global)
-		}
-	}
-}
-
-func perGroupVsGlobalAccuracy(w *experiments.World) (perGroup, global float64) {
-	// Collect all tuples with their latent truths.
-	var all []core.Tuple
-	var truths []bool
-	var groupOf []int
-	for gi := range w.Result.Groups {
-		g := &w.Result.Groups[gi]
-		si := slices.IndexFunc(w.Snapshot.Specs, func(s corpus.Spec) bool {
-			return s.Type == g.Key.Type && s.Property == g.Key.Property
-		})
-		if si < 0 {
-			continue
-		}
-		spec := &w.Snapshot.Specs[si]
-		for _, eo := range g.Entities {
-			all = append(all, core.Tuple{Pos: int(eo.Pos), Neg: int(eo.Neg)})
-			truths = append(truths, spec.LatentTruth(w.KB.Get(eo.Entity), "com"))
-			groupOf = append(groupOf, gi)
-		}
-	}
-	if len(all) == 0 {
-		return 0, 0
-	}
-	// Global: one model for everything.
-	gm, _ := core.FitEM(all, core.DefaultEMConfig())
-	correctG := 0
-	for i, c := range all {
-		if (core.Decide(gm.PosteriorPositive(c)) == core.OpinionPositive) == truths[i] {
-			correctG++
-		}
-	}
-	// Per-group: the pipeline's own fitted models.
-	correctP := 0
-	for i, c := range all {
-		g := &w.Result.Groups[groupOf[i]]
-		if (core.Decide(g.Model.PosteriorPositive(c)) == core.OpinionPositive) == truths[i] {
-			correctP++
-		}
-	}
-	n := float64(len(all))
-	return float64(correctP) / n, float64(correctG) / n
-}
-
-// BenchmarkAblationPAGrid measures EM quality/cost against the pA grid
-// resolution.
-func BenchmarkAblationPAGrid(b *testing.B) {
-	rng := stats.NewRNG(7)
-	opinions := make([]bool, 2000)
-	for i := range opinions {
-		opinions[i] = rng.Bernoulli(0.3)
-	}
-	tuples := core.GenerateTuples(core.Params{PA: 0.88, NpPlus: 40, NpMinus: 3}, opinions, rng)
-	grids := map[string][]float64{
-		"grid-3":  {0.6, 0.8, 0.95},
-		"grid-16": core.DefaultPAGrid(),
-		"grid-45": denseGrid(),
-	}
-	for name, grid := range grids {
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultEMConfig()
-			cfg.PAGrid = grid
-			var ll float64
-			for i := 0; i < b.N; i++ {
-				m, _ := core.FitEM(tuples, cfg)
-				ll = m.LogLikelihood(tuples)
-			}
-			b.ReportMetric(ll/float64(len(tuples)), "loglik/entity")
-		})
-	}
-}
-
-func denseGrid() []float64 {
-	var g []float64
-	for pa := 0.51; pa < 0.999; pa += 0.011 {
-		g = append(g, pa)
-	}
-	return g
-}
-
-// BenchmarkAblationChecksOnOff measures the intrinsicness filter's cost
-// and volume effect (the Table-4 delta at the extractor level).
+// BenchmarkAblationChecksOnOff measures the intrinsicness filter's cost at
+// the extractor level; its effect on volume is a row of `cmd/experiments
+// ablations`.
 func BenchmarkAblationChecksOnOff(b *testing.B) {
 	base := kb.Default(1)
 	lex := lexicon.Default()
@@ -603,32 +397,11 @@ func BenchmarkAblationChecksOnOff(b *testing.B) {
 	} {
 		ex := extract.New(lex, cfg)
 		b.Run(name, func(b *testing.B) {
-			n := 0
 			for i := 0; i < b.N; i++ {
 				p := prep[i%len(prep)]
-				n += len(ex.ExtractInto(nil, p.tree, p.mentions))
+				ex.ExtractInto(nil, p.tree, p.mentions)
 			}
-			b.ReportMetric(float64(n)/float64(b.N), "stmts/sentence")
 		})
-	}
-}
-
-// BenchmarkAblationZeroEvidence quantifies the coverage value of
-// classifying zero-evidence entities (Figure 3d vs 3c).
-func BenchmarkAblationZeroEvidence(b *testing.B) {
-	w := world(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total, zero := 0, 0
-		for gi := range w.Result.Groups {
-			for _, eo := range w.Result.Groups[gi].Entities {
-				total++
-				if eo.Pos == 0 && eo.Neg == 0 && eo.Opinion != core.OpinionUnsolved {
-					zero++
-				}
-			}
-		}
-		b.ReportMetric(float64(zero)/float64(total), "zero-evidence-share")
 	}
 }
 
@@ -853,33 +626,6 @@ func BenchmarkDistObsOverhead(b *testing.B) {
 			reduceCfg.Obs = &obs.RunObs{Metrics: obs.NewRegistry()}
 			run(telemetry, reduceCfg)
 		})
-}
-
-// BenchmarkAblationAntonymFolding regenerates the Section-4 antonym
-// decision: F1 per interpretation mode.
-func BenchmarkAblationAntonymFolding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AntonymAblation(
-			experiments.WorldConfig{Seed: 1, Scale: benchScale}, 0.35)
-		slugs := map[experiments.AntonymMode]string{
-			experiments.AntonymIgnore: "F1-ignore",
-			experiments.AntonymStrict: "F1-fold-strict",
-			experiments.AntonymNaive:  "F1-fold-naive",
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.F1, slugs[r.Mode])
-		}
-	}
-}
-
-// BenchmarkFutureWorkBounds regenerates the Section-9 outlook experiment.
-func BenchmarkFutureWorkBounds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.FutureWork(experiments.WorldConfig{Seed: 1, Scale: benchScale, Rho: 20})
-		if len(rows) != 3 {
-			b.Fatal("futurework incomplete")
-		}
-	}
 }
 
 // BenchmarkQueryEngine measures subjective-query answering over a mined

@@ -7,7 +7,7 @@
 //	experiments [flags] [experiment...]
 //
 // Experiments: table1 table3 table4 table5 fig3 fig6 fig9 fig10 fig11
-// fig12 fig13 scale antonyms futurework all (default: all).
+// fig12 fig13 scale antonyms futurework ablations all (default: all).
 //
 // Flags:
 //
@@ -16,7 +16,7 @@
 //
 // Stdout is a function of the seed and the scale alone. Wall-clock
 // readings (Section 7.1's phase times, Table 4's extraction time) and
-// progress go to stderr.
+// progress go to stderr. EXPERIMENTS.md holds the -seed 1 -scale 1 stdout.
 package main
 
 import (
@@ -41,6 +41,9 @@ type experiment struct {
 	text        func() string
 }
 
+// header is the line run prints before the section's text.
+func (e experiment) header() string { return "\n=== " + e.title + " ===\n" }
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -50,22 +53,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := experiments.WorldConfig{Seed: *seed, Scale: *scale}
-	rho := int64(40 * *scale)
+	all := sections(*seed, *scale, stderr)
+	var names []string
+	for _, e := range all {
+		names = append(names, e.name)
+	}
+	want := map[string]bool{}
+	for _, w := range fs.Args() {
+		if w != "all" && !slices.Contains(names, w) {
+			fmt.Fprintf(stderr, "unknown experiment %q; known: %s all\n", w, strings.Join(names, " "))
+			return 2
+		}
+		want[w] = true
+	}
+	for _, e := range all {
+		if len(want) == 0 || want["all"] || want[e.name] {
+			fmt.Fprint(stdout, e.header(), e.text())
+		}
+	}
+	return 0
+}
+
+// sections lists the experiments in print order. Each text function
+// computes its section's stdout; wall-clock readings go to stderr.
+func sections(seed uint64, scale float64, stderr io.Writer) []experiment {
+	cfg := experiments.WorldConfig{Seed: seed, Scale: scale}
+	rho := int64(40 * scale)
 
 	// The Section-7 experiments share one world; build it lazily.
 	var world *experiments.World
 	getWorld := func() *experiments.World {
 		if world == nil {
-			fmt.Fprintf(stderr, "building evaluation world (seed=%d scale=%g)...\n", *seed, *scale)
+			fmt.Fprintf(stderr, "building evaluation world (seed=%d scale=%g)...\n", seed, scale)
 			world = experiments.BuildEvalWorld(cfg)
 		}
 		return world
 	}
 
-	// In print order. Each returns its section's stdout text; wall-clock
-	// readings go to stderr.
-	all := []experiment{
+	return []experiment{
 		{"table1", "Table 1 — example extractions", func() string {
 			return experiments.FormatTable1(experiments.Table1())
 		}},
@@ -92,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return experiments.Fig9(getWorld(), rho).Format()
 		}},
 		{"fig10", "Figure 10 — cute animals: paper AMT votes vs simulated panel", func() string {
-			return experiments.FormatFig10(experiments.Fig10(*seed))
+			return experiments.FormatFig10(experiments.Fig10(seed))
 		}},
 		{"fig11", "Figure 11 — worker agreement distribution", func() string {
 			return experiments.Fig11(getWorld()).Format()
@@ -111,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return experiments.FormatTable4(rows)
 		}},
 		{"table5", "Table 5 — random-sample comparison (Appendix D)", func() string {
-			return experiments.Table5(experiments.Table5Config{Seed: *seed, Scale: *scale}).Format()
+			return experiments.Table5(experiments.Table5Config{Seed: seed, Scale: scale}).Format()
 		}},
 		{"antonyms", "Section 4 ablation — antonym folding vs ignoring", func() string {
 			return experiments.FormatAntonymAblation(experiments.AntonymAblation(cfg, 0.35))
@@ -119,20 +144,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"futurework", "Section 9 outlook — learned subjective-to-objective bounds", func() string {
 			return experiments.FormatFutureWork(experiments.FutureWork(cfg))
 		}},
+		{"ablations", "Ablations — the design choices of DESIGN.md", func() string {
+			return experiments.Ablations(getWorld()).Format()
+		}},
 	}
-
-	want := map[string]bool{}
-	for _, w := range fs.Args() {
-		if w != "all" && !slices.ContainsFunc(all, func(e experiment) bool { return e.name == w }) {
-			fmt.Fprintf(stderr, "unknown experiment %q; known: table1 table3 table4 table5 fig3 fig6 fig9 fig10 fig11 fig12 fig13 scale antonyms futurework all\n", w)
-			return 2
-		}
-		want[w] = true
-	}
-	for _, e := range all {
-		if len(want) == 0 || want["all"] || want[e.name] {
-			fmt.Fprintf(stdout, "\n=== %s ===\n%s", e.title, e.text())
-		}
-	}
-	return 0
 }

@@ -2,44 +2,118 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// TestExperimentsGolden pins every number `experiments -scale 1 -seed 1
-// all` prints against a committed file: the tables EXPERIMENTS.md quotes
-// are program output, so a change that moves one shows up as a reviewed
-// diff of the file. Wall-clock readings go to stderr and are not compared.
-func TestExperimentsGolden(t *testing.T) {
+// TestExperimentsDoc: EXPERIMENTS.md is the golden. Every section of
+// `experiments -scale 1 -seed 1 all` is a marked block there, and the
+// blocks in program order, each under its heading, must rebuild the
+// whole stdout byte for byte. Wall-clock readings go to stderr and are
+// not compared. On a mismatch each differing block is printed to stdout
+// as it should read, ready to paste in.
+func TestExperimentsDoc(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-scale", "1", "-seed", "1", "all"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("run exited %d\n%s", code, stderr.String())
 	}
-	const path = "testdata/experiments_scale1.golden"
-	want, err := os.ReadFile(path)
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stdout.String() != string(want) {
-		t.Errorf("experiments output differs from %s; got:\n%s", path, stdout.String())
+	secs := sections(1, 1, io.Discard)
+	blocks, err := docBlocks(string(doc), secs)
+	if err != nil {
+		t.Fatalf("EXPERIMENTS.md: %v", err)
+	}
+	got := stdout.String()
+	var want strings.Builder
+	for _, e := range secs {
+		want.WriteString(e.header() + blocks[e.name])
+	}
+	if got == want.String() {
+		return
+	}
+	// Print each differing block as it should read: to stdout, unlike
+	// t.Errorf's indented lines, so that it pastes as it is.
+	for i, e := range secs {
+		end := len(got)
+		if i+1 < len(secs) {
+			end = strings.Index(got, secs[i+1].header())
+		}
+		text := got[strings.Index(got, e.header())+len(e.header()) : end]
+		if block, ok := blocks[e.name]; !ok || text != block {
+			t.Errorf("EXPERIMENTS.md block %q is missing or differs from the program's output; stdout shows it as it should read", e.name)
+			fmt.Print("<!-- experiments: " + e.name + " -->\n```text\n" + text + "```\n")
+		}
 	}
 }
 
+// docBlocks reads EXPERIMENTS.md's marked blocks: a line "<!-- experiments:
+// NAME -->", then a ```text fence whose lines, each with its newline, are
+// section NAME's stdout. A name that is not a section, or appears twice,
+// is an error.
+func docBlocks(doc string, secs []experiment) (map[string]string, error) {
+	blocks := map[string]string{}
+	lines := strings.Split(doc, "\n")
+	for i := 0; i < len(lines); i++ {
+		name, ok := strings.CutPrefix(lines[i], "<!-- experiments: ")
+		if !ok {
+			continue
+		}
+		name, ok = strings.CutSuffix(name, " -->")
+		_, dup := blocks[name]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("line %d: malformed marker %q", i+1, lines[i])
+		case !slices.ContainsFunc(secs, func(e experiment) bool { return e.name == name }):
+			return nil, fmt.Errorf("line %d: unknown block name %q", i+1, name)
+		case dup:
+			return nil, fmt.Errorf("line %d: block %q appears twice", i+1, name)
+		case i+1 == len(lines) || lines[i+1] != "```text":
+			return nil, fmt.Errorf("line %d: block %q is not followed by a ```text fence", i+1, name)
+		}
+		var b strings.Builder
+		j := i + 2
+		for ; j < len(lines) && lines[j] != "```"; j++ {
+			b.WriteString(lines[j] + "\n")
+		}
+		if j == len(lines) {
+			return nil, fmt.Errorf("line %d: block %q has no closing fence", i+1, name)
+		}
+		blocks[name] = b.String()
+		i = j
+	}
+	return blocks, nil
+}
+
 // TestUnknownExperiment: a name outside the list is a usage error that
-// prints nothing on stdout.
+// prints nothing on stdout and names every section.
 func TestUnknownExperiment(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"table9"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
 		t.Fatalf("run(table9) = %d with %d bytes of stdout, want 2 and none\n%s", code, stdout.Len(), stderr.String())
 	}
+	_, list, _ := strings.Cut(stderr.String(), "known:")
+	known := strings.Fields(list)
+	for _, e := range sections(1, 1, io.Discard) {
+		if !slices.Contains(known, e.name) {
+			t.Errorf("the usage error does not name %q: %s", e.name, stderr.String())
+		}
+	}
 }
 
 // TestExperimentsVerdicts asserts every verdict EXPERIMENTS.md draws from
 // the `-scale 1 -seed 1` run, each against a literal bound beside it
-// (today's numbers in the comment). The golden pins the digits; this pins
-// the conclusions, by name. A win must show in the printed table, so
+// (today's numbers in the comment). TestExperimentsDoc pins the digits;
+// this pins the conclusions, by name. A win must show in the printed table, so
 // "beats" means by at least 0.01.
 func TestExperimentsVerdicts(t *testing.T) {
 	cfg := experiments.WorldConfig{Seed: 1, Scale: 1}
@@ -124,5 +198,27 @@ func TestExperimentsVerdicts(t *testing.T) {
 		if r.Rule.Agreement < 0.85 {
 			t.Errorf("Section 9: %s %s bound agrees with %.0f%%", r.Property, r.Type, 100*r.Rule.Agreement)
 		}
+	}
+
+	// Ablations. Per-(type, property) parameters beat one global model by
+	// ≥ 0.05 (0.79 vs 0.67).
+	ab := experiments.Ablations(w)
+	if ab.PerGroupAccuracy < ab.GlobalAccuracy+0.05 {
+		t.Errorf("ablations: per-group accuracy %.4f does not beat global %.4f by 0.05", ab.PerGroupAccuracy, ab.GlobalAccuracy)
+	}
+	// The default 16-point pA grid is within 0.01/entity of the 45-point
+	// grid and ≥ 0.1 above the 3-point one (−4.722 / −4.725 / −5.226).
+	coarse, def, dense := ab.GridLogLik[0], ab.GridLogLik[1], ab.GridLogLik[2]
+	if math.Abs(def-dense) > 0.01 || def < coarse+0.1 {
+		t.Errorf("ablations: pA grid log-likelihood/entity %.3f (16 points) vs %.3f (3) and %.3f (45)", def, coarse, dense)
+	}
+	// The intrinsicness checks lower statements per sentence (0.70 vs 0.93).
+	if ab.ChecksOn >= ab.ChecksOff {
+		t.Errorf("ablations: %.2f statements/sentence with the checks on, %.2f off", ab.ChecksOn, ab.ChecksOff)
+	}
+	// The Poisson posterior is within 1e-3 of the exact trinomial at
+	// n = 10⁶ (3.9e-36).
+	if ab.PoissonGap >= 1e-3 {
+		t.Errorf("ablations: Poisson vs exact posterior gap %.1e", ab.PoissonGap)
 	}
 }

@@ -142,50 +142,36 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 			}
 		}
 	})
-	t.Run("forged doc count", func(t *testing.T) {
-		// A tiny body claiming 2^40 documents must be rejected before any
-		// allocation of that order.
-		e := framing.NewEncoder(16)
-		for _, v := range []uint64{0, 0, 0, 0, 1 << 40} { // shard, offset, version, telemetry, count
-			e.Uvarint(v)
-		}
-		var buf bytes.Buffer
-		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err := dist.ReadJob(&buf)
-		if err == nil || !strings.Contains(err.Error(), "exceeds body capacity") {
-			t.Fatalf("got %v, want count bound error", err)
-		}
-	})
-	t.Run("trailing bytes", func(t *testing.T) {
-		e := framing.NewEncoder(16)
-		for _, v := range []uint64{0, 0, 0, 0, 0, 99} { // no documents, then junk
-			e.Uvarint(v)
-		}
-		var buf bytes.Buffer
-		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err := dist.ReadJob(&buf)
-		if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
-			t.Fatalf("got %v, want trailing-bytes error", err)
-		}
-	})
-	t.Run("pattern version out of range", func(t *testing.T) {
-		e := framing.NewEncoder(16)
-		for _, v := range []uint64{0, 0, uint64(extract.V4) + 1, 0, 0} {
-			e.Uvarint(v)
-		}
-		var buf bytes.Buffer
-		if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err := dist.ReadJob(&buf)
-		if err == nil || !strings.Contains(err.Error(), "pattern version 5") {
-			t.Fatalf("got %v, want version rejection", err)
-		}
-	})
+	// Forged bodies: shard, offset, version, telemetry and document count,
+	// then whatever follows.
+	for _, tc := range []struct {
+		name string
+		body []uint64
+		want string
+	}{
+		// No bytes follow the count, so the capacity guard (a quarter of the
+		// remaining bytes, plus one) admits one document; two must be
+		// rejected by it, not by a later truncation error.
+		{"doc count just over capacity", []uint64{0, 0, 0, 0, 2}, "document count 2 exceeds body capacity"},
+		// 2^40 documents must be rejected before any allocation of that order.
+		{"forged doc count", []uint64{0, 0, 0, 0, 1 << 40}, "exceeds body capacity"},
+		{"trailing bytes", []uint64{0, 0, 0, 0, 0, 99}, "trailing bytes"},
+		{"pattern version out of range", []uint64{0, 0, uint64(extract.V4) + 1, 0, 0}, "pattern version 5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := framing.NewEncoder(16)
+			for _, v := range tc.body {
+				e.Uvarint(v)
+			}
+			var buf bytes.Buffer
+			if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := dist.ReadJob(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
 }
 
 // TestReadResultRejectsCorruption: each forged result or heartbeat frame

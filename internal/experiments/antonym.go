@@ -61,7 +61,7 @@ func AntonymAblation(cfg WorldConfig, antonymFrac float64) []AntonymRow {
 	}).Generate()
 
 	baseRun := pipeline.Run(snap.Documents, base, lex, pipeline.Config{Rho: cfg.Rho})
-	cases := crowd.CollectCases(base, specs, cfg.EntitiesPerCombo, cfg.WorkerPanel, cfg.Seed+200)
+	cases := crowd.CollectCases(base, specs, cfg.EntitiesPerCombo, workerPanel, cfg.Seed+200)
 	w := &World{KB: base, Lex: lex, Snapshot: snap, Result: baseRun, Cases: cases}
 
 	score := func(res *pipeline.Result) AntonymRow {

@@ -95,13 +95,13 @@ type Table5Result struct {
 // Table5Config sizes the random-sample experiment. The paper sampled 803
 // combinations with 7 entities each (5500+ cases).
 type Table5Config struct {
-	Seed            uint64
-	Combos          int // number of random (type, property) combinations
-	EntitiesPerType int
-	CasesPerCombo   int
-	Scale           float64
-	Rho             int64
+	Seed   uint64
+	Combos int // number of random (type, property) combinations
+	Scale  float64
+	Rho    int64
 }
+
+const table5EntitiesPerType, table5CasesPerCombo = 40, 7 // per random type; per combination
 
 func (c Table5Config) withDefaults() Table5Config {
 	if c.Seed == 0 {
@@ -109,12 +109,6 @@ func (c Table5Config) withDefaults() Table5Config {
 	}
 	if c.Combos == 0 {
 		c.Combos = 803
-	}
-	if c.EntitiesPerType == 0 {
-		c.EntitiesPerType = 40
-	}
-	if c.CasesPerCombo == 0 {
-		c.CasesPerCombo = 7
 	}
 	if c.Scale == 0 {
 		c.Scale = 1
@@ -131,13 +125,13 @@ func (c Table5Config) withDefaults() Table5Config {
 func Table5(cfg Table5Config) Table5Result {
 	cfg = cfg.withDefaults()
 	builder := kb.NewBuilder(cfg.Seed)
-	types := builder.RandomDomains(cfg.Combos, cfg.EntitiesPerType)
+	types := builder.RandomDomains(cfg.Combos, table5EntitiesPerType)
 	base := builder.KB()
 	specs := corpus.RandomSpecs(types, propertyPool, cfg.Seed)
 
 	w := BuildWorld(WorldConfig{
 		Seed: cfg.Seed, Scale: cfg.Scale, Rho: cfg.Rho,
-		EntitiesPerCombo: cfg.CasesPerCombo,
+		EntitiesPerCombo: table5CasesPerCombo,
 		UniformCases:     true, // Appendix D samples entities randomly
 	}, base, specs)
 

@@ -38,7 +38,7 @@ func BuildWorld(cfg WorldConfig, base *kb.KB, specs []corpus.Spec) *World {
 	if cfg.UniformCases {
 		collect = crowd.CollectCasesUniform
 	}
-	cases := collect(base, specs, cfg.EntitiesPerCombo, cfg.WorkerPanel, cfg.Seed+200)
+	cases := collect(base, specs, cfg.EntitiesPerCombo, workerPanel, cfg.Seed+200)
 	return &World{KB: base, Lex: lex, Snapshot: snap, Result: res, Cases: cases}
 }
 
@@ -258,7 +258,7 @@ type Fig6Result struct {
 
 // Fig6 computes the grids.
 func Fig6() Fig6Result {
-	params := core.Params{PA: 0.9, NpPlus: 100, NpMinus: 5}
+	params := example3
 	m := core.Model{Params: params}
 	lpp, lnp, lpn, lnn := params.Lambdas()
 	const step, maxPos, maxNeg = 10, 120, 10

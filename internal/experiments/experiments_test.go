@@ -331,7 +331,7 @@ func TestTable4Shape(t *testing.T) {
 // TestTable5Shape verifies the Appendix-D collapse: baseline coverage
 // falls to a fraction while Surveyor stays ≈ 1.
 func TestTable5Shape(t *testing.T) {
-	res := Table5(Table5Config{Seed: 1, Combos: 60, EntitiesPerType: 40, Rho: 25})
+	res := Table5(Table5Config{Seed: 1, Combos: 60, Rho: 25})
 	mv := metricsOf(t, res.Rows, "Majority Vote")
 	sv := metricsOf(t, res.Rows, "Surveyor")
 	wc := metricsOf(t, res.Rows, "WebChild")

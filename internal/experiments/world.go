@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7 plus the empirical studies of Section 2 and
-// Appendices A, B, D) on the synthetic web snapshot. Each experiment
-// returns a structured result that cmd/experiments renders and
-// bench_test.go wraps in benchmarks.
+// Appendices A, B, D) and the design ablations on the synthetic web
+// snapshot. Each experiment returns a structured result that
+// cmd/experiments renders.
 package experiments
 
 import (
@@ -18,6 +18,9 @@ import (
 	"repro/internal/pipeline"
 )
 
+// workerPanel is the paper's number of AMT workers per test case.
+const workerPanel = 20
+
 // MethodNames in report order.
 var MethodNames = []string{"Majority Vote", "Scaled Majority Vote", "WebChild", "Surveyor"}
 
@@ -30,7 +33,6 @@ type World struct {
 	Snapshot *corpus.Snapshot
 	Result   *pipeline.Result
 	Cases    []crowd.TestCase
-	Workers  int
 }
 
 // WorldConfig controls world construction.
@@ -39,10 +41,9 @@ type WorldConfig struct {
 	Scale float64 // corpus volume multiplier (1 = experiment scale)
 	// Rho is the modelling threshold; 0 uses a scale-adjusted default.
 	Rho int64
-	// EntitiesPerCombo and WorkerPanel control the AMT simulation
-	// (the paper used 20 and 20: 500 test cases).
+	// EntitiesPerCombo is how many test entities the AMT simulation
+	// draws per combination (the paper used 20: 500 test cases).
 	EntitiesPerCombo int
-	WorkerPanel      int
 	// UniformCases samples test entities uniformly (the Appendix-D random
 	// protocol) instead of prominence-weighted (the Section-7.3 curated
 	// protocol).
@@ -65,9 +66,6 @@ func (c WorldConfig) withDefaults() WorldConfig {
 	if c.EntitiesPerCombo == 0 {
 		c.EntitiesPerCombo = 20
 	}
-	if c.WorkerPanel == 0 {
-		c.WorkerPanel = 20
-	}
 	return c
 }
 
@@ -85,7 +83,7 @@ func BuildEvalWorld(cfg WorldConfig) *World {
 		Scale: cfg.Scale,
 	}).Generate()
 	res := pipeline.Run(snap.Documents, base, lex, pipeline.Config{Rho: cfg.Rho})
-	cases := crowd.CollectCases(base, specs, cfg.EntitiesPerCombo, cfg.WorkerPanel, cfg.Seed+200)
+	cases := crowd.CollectCases(base, specs, cfg.EntitiesPerCombo, workerPanel, cfg.Seed+200)
 	return &World{KB: base, Lex: lex, Snapshot: snap, Result: res, Cases: cases}
 }
 
