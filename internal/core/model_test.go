@@ -103,7 +103,9 @@ func TestPosteriorMonotoneInPositives(t *testing.T) {
 func TestPosteriorExactMatchesPoissonForLargeN(t *testing.T) {
 	m := Model{Params: paperParams}
 	n := 1_000_000
-	for _, c := range []Tuple{{0, 0}, {60, 3}, {10, 10}, {90, 1}} {
+	// ⟨35,0⟩ and ⟨40,5⟩ sit near the decision boundary, where neither
+	// posterior saturates to 0 or 1 and both branches of the exact form count.
+	for _, c := range []Tuple{{0, 0}, {60, 3}, {10, 10}, {90, 1}, {35, 0}, {40, 5}} {
 		approx := m.PosteriorPositive(c)
 		exact := m.PosteriorPositiveExact(c, n)
 		if math.Abs(approx-exact) > 1e-3 {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/testkit"
+	"repro/internal/wire"
 	"repro/internal/wire/framing"
 )
 
@@ -124,22 +125,22 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 	t.Run("wrong magic", func(t *testing.T) {
 		raw := append([]byte(nil), healthy.Bytes()...)
 		raw[0] ^= 0xff
-		if _, _, err := dist.ReadJob(bytes.NewReader(raw)); !errors.Is(err, framing.ErrBadMagic) {
+		_, _, err := dist.ReadJob(bytes.NewReader(raw))
+		if !errors.Is(err, framing.ErrBadMagic) {
 			t.Fatalf("got %v, want ErrBadMagic", err)
 		}
+		wantLayer(t, err, "dist: read job frame: ")
 	})
 	t.Run("flipped body bit", func(t *testing.T) {
 		raw := append([]byte(nil), healthy.Bytes()...)
 		raw[len(raw)/2] ^= 0x04
-		if _, _, err := dist.ReadJob(bytes.NewReader(raw)); err == nil {
-			t.Fatal("corrupted frame decoded cleanly")
-		}
+		_, _, err := dist.ReadJob(bytes.NewReader(raw))
+		wantLayer(t, err, "dist: read job frame: ")
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 1; cut < healthy.Len(); cut += 7 {
-			if _, _, err := dist.ReadJob(bytes.NewReader(healthy.Bytes()[:cut])); err == nil {
-				t.Fatalf("truncation at %d decoded cleanly", cut)
-			}
+			_, _, err := dist.ReadJob(bytes.NewReader(healthy.Bytes()[:cut]))
+			wantLayer(t, err, "dist: read job frame: ")
 		}
 	})
 	// Forged bodies: shard, offset, version, telemetry and document count,
@@ -156,6 +157,8 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 		// 2^40 documents must be rejected before any allocation of that order.
 		{"forged doc count", []uint64{0, 0, 0, 0, 1 << 40}, "exceeds body capacity"},
 		{"trailing bytes", []uint64{0, 0, 0, 0, 0, 99}, "trailing bytes"},
+		// One document whose URL claims 9 bytes, with none after it.
+		{"truncated document", []uint64{0, 0, 0, 0, 1, 9}, "job document 0: wire: "},
 		{"pattern version out of range", []uint64{0, 0, uint64(extract.V4) + 1, 0, 0}, "pattern version 5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,9 +170,11 @@ func TestReadJobRejectsCorruption(t *testing.T) {
 			if _, err := framing.WriteFrame(&buf, "SVJB", e.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := dist.ReadJob(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			_, _, err := dist.ReadJob(&buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
+			wantLayer(t, err, "dist: ")
 		})
 	}
 }
@@ -216,6 +221,72 @@ func TestReadResultRejectsCorruption(t *testing.T) {
 			_, _, err := dist.ReadShardResult(&buf)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+			wantLayer(t, err, "dist: ")
+		})
+	}
+}
+
+// wantLayer fails unless err reads prefix first: every error a decoder
+// returns names the layer that returned it.
+func wantLayer(t *testing.T, err error, prefix string) {
+	t.Helper()
+	if err == nil || !strings.HasPrefix(err.Error(), prefix) {
+		t.Fatalf("err = %v, want prefix %q", err, prefix)
+	}
+}
+
+// errShortWrite is what a shortWriter returns once its budget is spent.
+var errShortWrite = errors.New("short write")
+
+// shortWriter accepts n bytes, then fails.
+type shortWriter struct{ n int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.n {
+		w.n -= len(p)
+		return len(p), nil
+	}
+	m := w.n
+	w.n = 0
+	return m, errShortWrite
+}
+
+// TestFrameWritersReportShortWrites: every writer of a frame that crosses
+// a process boundary, given a destination that fails at any byte offset,
+// returns the failure (wrapped, not replaced) and counts exactly the bytes
+// that went out. A writer that drops an error ships a torn frame as a
+// whole one.
+func TestFrameWritersReportShortWrites(t *testing.T) {
+	store := evidence.NewStore()
+	store.AddCounts(evidence.Key{Entity: kb.EntityID(7), Property: "cute"}, evidence.Counts{Pos: 41, Neg: 3})
+	store.AddCounts(evidence.Key{Entity: kb.EntityID(2), Property: "scary"}, evidence.Counts{Pos: 1, Neg: 17})
+	result := &dist.ShardResult{Shard: 2, Consumed: 57, Sentences: 421, Store: store,
+		Quarantined: []pipeline.Quarantined{{Doc: 1210, Reason: "panic: boom"}}}
+	tel := &obs.Telemetry{
+		Metrics: []obs.Metric{{Kind: obs.KindCounter, Name: "surveyor_documents_total", Value: 41}},
+		Spans:   []obs.SpanEvent{{Name: "extract", Cat: "phase", Dur: 5, Args: []obs.SpanArg{{Key: "docs", Value: 3}}}},
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(w io.Writer) (int64, error)
+	}{
+		{"job", func(w io.Writer) (int64, error) { return dist.WriteJob(w, testJob()) }},
+		{"shard result", func(w io.Writer) (int64, error) { return dist.WriteShardResult(w, result) }},
+		{"heartbeat", func(w io.Writer) (int64, error) { return dist.WriteHeartbeat(w, 3) }},
+		{"store", func(w io.Writer) (int64, error) { return wire.EncodeStore(w, store) }},
+		{"telemetry", func(w io.Writer) (int64, error) { return obs.EncodeTelemetry(w, tel) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var full bytes.Buffer
+			if n, err := tc.write(&full); err != nil || n != int64(full.Len()) {
+				t.Fatalf("healthy write: %d bytes counted, %d written, err %v", n, full.Len(), err)
+			}
+			for cut := 0; cut < full.Len(); cut++ {
+				n, err := tc.write(&shortWriter{n: cut})
+				if !errors.Is(err, errShortWrite) || n != int64(cut) {
+					t.Fatalf("destination failing at byte %d of %d: %d bytes counted, err %v", cut, full.Len(), n, err)
+				}
 			}
 		})
 	}
@@ -349,6 +420,72 @@ func TestRunWorkerOverPipes(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("entry %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// ctxRecorder is a Transport that remembers the context of every attempt
+// it starts.
+type ctxRecorder struct {
+	dist.Transport
+	mu   sync.Mutex
+	ctxs []context.Context
+}
+
+func (r *ctxRecorder) Start(ctx context.Context, shard, attempt int) (dist.Conn, error) {
+	r.mu.Lock()
+	r.ctxs = append(r.ctxs, ctx)
+	r.mu.Unlock()
+	return r.Transport.Start(ctx, shard, attempt)
+}
+
+// TestAttemptContextsEndWithTheRun: each attempt runs under a context of
+// its own, derived from the run's and cancelled when the attempt ends, so
+// no transport keeps a worker alive on the run's context after the
+// attempt is over.
+func TestAttemptContextsEndWithTheRun(t *testing.T) {
+	w := testkit.NewTinyWorld(8, 0.05)
+	rec := &ctxRecorder{Transport: &dist.LocalTransport{Base: w.KB, Lex: w.Lex}}
+	if _, failed, err := dist.Mine(context.Background(), w.Docs(), w.KB, dist.Config{Shards: 3, Transport: rec}); err != nil || len(failed) != 0 {
+		t.Fatalf("err=%v failed=%v", err, failed)
+	}
+	if len(rec.ctxs) != 3 {
+		t.Fatalf("%d attempts started, want 3", len(rec.ctxs))
+	}
+	for i, ctx := range rec.ctxs {
+		if ctx.Err() == nil {
+			t.Errorf("attempt %d's context is still live after the run", i)
+		}
+	}
+}
+
+// TestServeReportsWriteFailures: a worker whose output fails anywhere,
+// in its result frames or in the telemetry frame after them, returns the
+// failure, never nil: its exit status is what tells the coordinator that
+// the attempt did not ship everything its job asked for.
+func TestServeReportsWriteFailures(t *testing.T) {
+	w := testkit.NewTinyWorld(7, 0.05)
+	job := &dist.Job{Telemetry: true, Docs: w.Docs()}
+	serve := func(out io.Writer) error {
+		in, jobW := io.Pipe()
+		defer jobW.Close()
+		go dist.WriteJob(jobW, job)
+		rw := struct {
+			io.Reader
+			io.Writer
+		}{in, out}
+		return dist.Serve(context.Background(), rw, w.KB, w.Lex, pipeline.Config{Workers: 1}, time.Hour)
+	}
+	var full bytes.Buffer
+	if err := serve(&full); err != nil {
+		t.Fatalf("healthy serve: %v", err)
+	}
+	// The telemetry frame carries wall-clock spans, so its length varies by
+	// a few bytes from run to run: stay clear of the last ones.
+	last := full.Len() - 32
+	for cut := 0; cut < last; cut += max(1, last/40) {
+		if err := serve(&shortWriter{n: cut}); !errors.Is(err, errShortWrite) {
+			t.Fatalf("output failing at byte %d of %d: err = %v", cut, full.Len(), err)
 		}
 	}
 }

@@ -159,7 +159,7 @@ func (sc *scheduler) untrack(h *attemptHandle) {
 // the run.
 func (sc *scheduler) drain() {
 	sc.mu.Lock()
-	//lint:allow detmap teardown kill order; every live attempt is killed and nothing is merged here
+	// Map order is fine: every live attempt is killed and nothing is merged here.
 	for h := range sc.live {
 		h.cancel()
 		h.conn.Kill()

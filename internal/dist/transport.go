@@ -93,8 +93,7 @@ func (l *link) Kill()       { l.kill() }
 // liveness — it can decide that a retry happens, never what any shard's
 // evidence contains, so mining output stays bit-reproducible.
 func deadlineIn(d time.Duration) time.Time {
-	//lint:allow obsflow liveness deadline for the kernel's poller, not a telemetry read
-	return time.Now().Add(d) //lint:allow detrand link liveness deadline; never reaches mining output
+	return time.Now().Add(d)
 }
 
 // --- child processes -------------------------------------------------------

@@ -109,7 +109,7 @@ func (l *Local) Len() int { return len(l.m) }
 // FlushTo folds the accumulated counts into s and clears the accumulator
 // for reuse. The interning table is kept — its strings stay valid.
 func (l *Local) FlushTo(s *Store) {
-	//lint:allow detmap commutative fold into the sharded store; iteration order cannot reach results
+	// A commutative fold into the sharded store: map order cannot reach results.
 	for k, c := range l.m {
 		s.AddCounts(k, c)
 		delete(l.m, k)
@@ -132,7 +132,7 @@ func (s *Store) Merge(other *Store) {
 	for i := range other.shards {
 		sh := &other.shards[i]
 		sh.mu.Lock()
-		//lint:allow detmap commutative fold into the sharded store; iteration order cannot reach results
+		// A commutative fold, as in FlushTo.
 		for k, c := range sh.m {
 			s.AddCounts(k, c)
 		}
@@ -166,7 +166,6 @@ func (s *Store) TotalStatements() int64 {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		//lint:allow detmap commutative sum over counters
 		for _, c := range sh.m {
 			n += c.Total()
 		}

@@ -179,7 +179,6 @@ func TestLocalInternsProperties(t *testing.T) {
 	if !ok {
 		t.Fatal("property not interned")
 	}
-	//lint:allow detmap order-independent assertion over every key; nothing ordered is produced
 	for k := range l.m {
 		if unsafe.StringData(k.Property) != unsafe.StringData(canon) {
 			t.Fatalf("key property %q does not share the canonical interned backing", k.Property)

@@ -59,7 +59,6 @@ func (e *Entity) Attrs() map[string]float64 {
 	if e.attrs == nil {
 		return out
 	}
-	//lint:allow detmap builds a map: the result is the same in any order
 	for name := range e.attrs.cols {
 		if v := e.Attr(name, math.NaN()); !math.IsNaN(v) {
 			out[name] = v
@@ -249,7 +248,7 @@ func (kb *KB) AliasTable(lex *lexicon.Lexicon) *AliasTable {
 		s, p := strings.ToLower(typ), strings.ToLower(Pluralize(typ))
 		t.typeNouns[typ] = TypeNoun{lex.Word(s).ID, lex.Word(p).ID, s, p}
 	}
-	//lint:allow detmap a max per id and one slice per distinct id: the table is the same in any order
+	// Map order is fine: a max per id, and one slice per distinct id.
 	for first, n := range kb.firstSpan {
 		w := lex.Word(first)
 		t.span[w.ID] = max(t.span[w.ID], int32(n))

@@ -76,7 +76,6 @@ func TestPluralize(t *testing.T) {
 		"grizzly bear": "grizzly bears",
 		"profession":   "professions",
 	}
-	//lint:allow detmap a table of independent assertions; no ordered output is produced
 	for in, want := range cases {
 		if got := Pluralize(in); got != want {
 			t.Errorf("Pluralize(%q) = %q, want %q", in, got, want)
@@ -380,7 +379,6 @@ func TestBuildersDomainsNonEmptyAndTyped(t *testing.T) {
 		"country": "gdp_per_capita", "lake": "area_km2",
 		"mountain": "height_m", "profession": "risk", "sport": "speed",
 	}
-	//lint:allow detmap a table of independent assertions; no ordered output is produced
 	for typ, attr := range cases {
 		ids := base.OfType(typ)
 		if len(ids) < 10 {
@@ -499,25 +497,32 @@ func TestAliasTable(t *testing.T) {
 
 // TestRegisterLexiconAssignsIDsInCallOrder registers the same KB with two
 // fresh lexicons: every word must get the same id in both — ids follow the
-// order of the Add calls, never a map's.
+// order of the Add calls, never a map's. The default KB's type nouns are
+// mostly built-in words already, so a KB of RandomDomains types, each noun
+// new to the lexicon, is registered too.
 func TestRegisterLexiconAssignsIDsInCallOrder(t *testing.T) {
-	k := Default(1)
-	a, b := lexicon.Default(), lexicon.Default()
-	k.RegisterLexicon(a)
-	k.RegisterLexicon(b)
-	if a.Len() != b.Len() {
-		t.Fatalf("lexicons differ in size: %d vs %d", a.Len(), b.Len())
-	}
-	for i := range k.entities {
-		for _, w := range strings.Fields(strings.ToLower(k.entities[i].Name)) {
-			if a.Word(w) != b.Word(w) || !a.Word(w).Known() {
-				t.Fatalf("%q: record %+v vs %+v", w, a.Word(w), b.Word(w))
+	random := NewBuilder(1)
+	random.RandomDomains(20, 2)
+	for _, k := range []*KB{Default(1), random.KB()} {
+		a, b := lexicon.Default(), lexicon.Default()
+		k.RegisterLexicon(a)
+		k.RegisterLexicon(b)
+		if a.Len() != b.Len() {
+			t.Fatalf("lexicons differ in size: %d vs %d", a.Len(), b.Len())
+		}
+		for i := range k.entities {
+			for _, w := range strings.Fields(strings.ToLower(k.entities[i].Name)) {
+				if a.Word(w) != b.Word(w) || !a.Word(w).Known() {
+					t.Fatalf("%q: record %+v vs %+v", w, a.Word(w), b.Word(w))
+				}
 			}
 		}
-	}
-	for _, typ := range k.Types() {
-		if w := strings.ToLower(Pluralize(typ)); a.Word(w) != b.Word(w) || !a.Word(w).Known() {
-			t.Fatalf("%q: record %+v vs %+v", w, a.Word(w), b.Word(w))
+		for _, typ := range k.Types() {
+			for _, w := range []string{strings.ToLower(typ), strings.ToLower(Pluralize(typ))} {
+				if a.Word(w) != b.Word(w) || !a.Word(w).Known() {
+					t.Fatalf("%q: record %+v vs %+v", w, a.Word(w), b.Word(w))
+				}
+			}
 		}
 	}
 }
@@ -578,7 +583,6 @@ func load(r io.Reader) (*KB, error) {
 		for _, a := range rec.Aliases {
 			kb.index(a, added)
 		}
-		//lint:allow detmap each SetAttr writes its own column: the table is the same in any order
 		for n, v := range rec.Attributes {
 			kb.SetAttr(added, n, v)
 		}

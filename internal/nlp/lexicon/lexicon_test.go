@@ -205,7 +205,6 @@ func TestWordRecordAgreesWithLookup(t *testing.T) {
 		t.Errorf("AddAdjective must keep the primary tag and add Adj, got %v", got)
 	}
 	seen := make([]bool, l.Len())
-	//lint:allow detmap every form is checked on its own; no ordered output is produced
 	for form, w := range l.words {
 		if w.ID <= 0 || int(w.ID) >= l.Len() || seen[w.ID] {
 			t.Fatalf("%q: id %d out of range or given twice", form, w.ID)
@@ -239,7 +238,6 @@ func TestWordIDsFollowCallOrder(t *testing.T) {
 	if a.Len() != b.Len() || a.Len() != len(a.words)+1 {
 		t.Fatalf("Len %d vs %d, %d forms", a.Len(), b.Len(), len(a.words))
 	}
-	//lint:allow detmap every form is checked on its own; no ordered output is produced
 	for form, w := range a.words {
 		if b.words[form] != w {
 			t.Fatalf("%q: %+v in one lexicon, %+v in the other", form, w, b.words[form])

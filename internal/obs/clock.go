@@ -11,9 +11,9 @@ import (
 // meaning. Implementations must be safe for concurrent use.
 //
 // The clock lives here — and only here — so the rest of the system never
-// reads time directly: determinism-critical packages are forbidden from
-// calling time.Now by the detrand and obsflow analyzers, and the pipeline
-// obtains durations exclusively through Span.End.
+// reads time directly (testkit's TestNoAmbientSources lists the few
+// library sites that may), and the pipeline obtains durations exclusively
+// through Span.End.
 type Clock interface {
 	Now() time.Duration
 }
@@ -26,9 +26,8 @@ type systemClock struct {
 func (c *systemClock) Now() time.Duration { return time.Since(c.base) }
 
 // NewSystemClock returns a Clock backed by the runtime's monotonic clock,
-// with its origin at the call.
-//
-//lint:allow detrand this is the injectable Clock's one real wall-clock source; tests substitute ManualClock
+// with its origin at the call. It is the one real wall-clock source
+// behind Clock; tests substitute ManualClock.
 func NewSystemClock() Clock { return &systemClock{base: time.Now()} }
 
 // defaultClock serves every component that was not given an explicit

@@ -10,13 +10,12 @@
 //
 // Determinism contract: telemetry is strictly write-only from the
 // pipeline's perspective. Instrumented code records counts, spans, and
-// trajectories but never reads them back — the obsflow analyzer enforces
-// this statically, and the testkit differential suite proves that runs
-// with a live RunObs are bit-identical to runs with a nil one. All
-// timestamps flow through the Clock owned by this package; the only
-// timing value that escapes into results is Span.End's duration, which
-// feeds the Timings fields that the determinism contract explicitly
-// excludes.
+// trajectories but never reads them back — the testkit differential suite
+// proves that runs with a live RunObs are bit-identical to runs with a
+// nil one. All timestamps flow through the Clock owned by this package;
+// the only timing value that escapes into results is Span.End's
+// duration, which feeds the Timings fields that the determinism contract
+// explicitly excludes.
 //
 // Every recording method is safe on a nil receiver, so a disabled
 // observability path costs a single branch per call site.
@@ -94,7 +93,7 @@ func (o *RunObs) Phase(name string) *Span {
 // End closes the span and returns its duration. The duration feeds
 // Result.Timings — the one schedule-dependent output the determinism
 // contract excludes; reading any other obs state from instrumented code
-// is forbidden (see the obsflow analyzer).
+// is forbidden (testkit's TestObsInvariance fails on such a read).
 func (s *Span) End() time.Duration {
 	d := s.clock.Now() - s.start
 	if s.tracer != nil {

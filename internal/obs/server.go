@@ -148,7 +148,7 @@ func (s *DebugServer) Close() error {
 	if s == nil || s.srv == nil {
 		return nil
 	}
-	//lint:allow ctxflow Close owns shutdown: the parent request context is already gone when the server stops
+	// Close owns shutdown: the request contexts are already gone when the server stops.
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {

@@ -215,8 +215,8 @@ func TestTelemetryDecodeRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			frame := encodeBody(t, tc.body)
 			_, _, err := DecodeTelemetry(bytes.NewReader(frame))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "obs: ") {
+				t.Fatalf("err = %v, want prefix %q and substring %q", err, "obs: ", tc.want)
 			}
 		})
 	}
@@ -233,8 +233,8 @@ func TestTelemetryTruncated(t *testing.T) {
 	frame := buf.Bytes()
 	for cut := 0; cut < len(frame); cut++ {
 		_, _, err := DecodeTelemetry(bytes.NewReader(frame[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d/%d decoded successfully", cut, len(frame))
+		if err == nil || !strings.HasPrefix(err.Error(), "obs: ") {
+			t.Fatalf("truncation at %d/%d: err = %v, want prefix %q", cut, len(frame), err, "obs: ")
 		}
 		if cut == 0 && (!errors.Is(err, io.EOF) || err == io.EOF) {
 			t.Fatalf("empty stream: err = %v, want a wrapped io.EOF", err)

@@ -152,7 +152,7 @@ type SpanArg struct {
 
 // Events returns the collected spans in collection order, args sorted by
 // key. This is a read-side API: it serves the telemetry exporter and
-// tests, never instrumented pipeline code (the obsflow contract).
+// tests, never instrumented pipeline code (the write-only contract).
 func (t *Tracer) Events() []SpanEvent {
 	if t == nil {
 		return nil

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +77,26 @@ func TestTracerPhaseAndWorkerSpans(t *testing.T) {
 	}
 	if _, ok := byName["extract/worker"]; !ok {
 		t.Error("missing the worker covering span")
+	}
+}
+
+// TestEventsArgsSorted: Events hands out every span's args sorted by key,
+// whatever order the span's map yields them in. Telemetry frames encode
+// them in this order, so it is part of a frame's bytes. One span could
+// come out sorted by chance; 32 cannot.
+func TestEventsArgsSorted(t *testing.T) {
+	clock := &ManualClock{}
+	o := &RunObs{Tracer: NewTracer(clock), Clock: clock}
+	wt := o.Worker(0)
+	for doc := 0; doc < 32; doc++ {
+		wt.DocStart()
+		wt.DocEnd(doc, 3, 2)
+	}
+	wt.Close("extract")
+	for _, e := range o.Tracer.Events() {
+		if !slices.IsSortedFunc(e.Args, func(a, b SpanArg) int { return strings.Compare(a.Key, b.Key) }) {
+			t.Fatalf("span %q args out of key order: %+v", e.Name, e.Args)
+		}
 	}
 }
 

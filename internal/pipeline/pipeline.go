@@ -258,7 +258,6 @@ func (p *docProcessor) process(index int, doc *corpus.Document) ([]extract.State
 // cancellation is the business of RunContext, to which Run delegates with
 // a background context.
 func Run(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) *Result {
-	//lint:allow ctxflow documented non-cancellable entry point; callers wanting cancellation use RunContext
 	res, _ := RunContext(context.Background(), docs, base, lex, cfg)
 	return res
 }

@@ -171,3 +171,37 @@ func TestPipelineCancelNoDoubleCount(t *testing.T) {
 		}
 	}
 }
+
+// TestClaimChecksCtxOnlyBeforeClaiming: a worker consults ctx before it
+// claims a document and never after, so every index the counter gave out
+// reached a worker, and the consumed prefix stopped() reports was all
+// processed. The context turns cancelled on its second Err call, the
+// worst moment: right after the first check passed.
+func TestClaimChecksCtxOnlyBeforeClaiming(t *testing.T) {
+	src := &sliceSource{ctx: &cancelsAfter{Context: context.Background(), checks: 1},
+		docs: make([]corpus.Document, 3)}
+	handed := 0
+	for claim := src.worker(); ; handed++ {
+		if _, _, ok := claim(); !ok {
+			break
+		}
+	}
+	if consumed, _, err := src.stopped(); consumed != handed || !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped() reports %d consumed (err %v); %d documents were handed out", consumed, err, handed)
+	}
+}
+
+// cancelsAfter is a context that reads as live for its first checks Err
+// calls and as cancelled from then on.
+type cancelsAfter struct {
+	context.Context
+	checks int
+}
+
+func (c *cancelsAfter) Err() error {
+	if c.checks > 0 {
+		c.checks--
+		return nil
+	}
+	return context.Canceled
+}

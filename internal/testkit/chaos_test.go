@@ -77,8 +77,7 @@ func TestQuarantineDeterminism(t *testing.T) {
 // does — the leak detector for the cancellation paths.
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
-	// ~5s budget as a poll count, not a wall-clock deadline (detrand
-	// forbids time.Now in this package, tests included).
+	// ~5s budget as a poll count, not a wall-clock deadline.
 	for tries := 0; tries < 500; tries++ {
 		if n := runtime.NumGoroutine(); n <= baseline {
 			return

@@ -54,7 +54,7 @@ func RunEpochs(epochs [][]corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cf
 	m := incremental.New(base, lex, cfg)
 	stats := make([]incremental.EpochStats, 0, len(epochs))
 	for i, docs := range epochs {
-		st, err := m.Ingest(context.Background(), docs) //lint:allow ctxflow test harness drives epochs to completion; nothing cancels a unit test run
+		st, err := m.Ingest(context.Background(), docs)
 		if err != nil {
 			return nil, stats, fmt.Errorf("epoch %d: %w", i, err)
 		}

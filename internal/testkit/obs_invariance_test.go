@@ -25,8 +25,7 @@ func fullRunObs() *obs.RunObs {
 // TestObsInvariance is the observability half of the determinism contract:
 // a run with every telemetry sink attached must be bit-identical to a run
 // with none. Telemetry is write-only — if any instrumented code path read
-// obs state back into the computation, this test (and the obsflow
-// analyzer) would catch it.
+// obs state back into the computation, this test would catch it.
 func TestObsInvariance(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		w := NewWorld(seed, diffScale)

@@ -12,7 +12,8 @@ package tools
 
 const (
 	// Staticcheck is honnef.co's checker suite; its findings gate the
-	// lint job alongside the in-tree surveyorlint analyzers.
+	// lint job alongside gofmt. The repository's own code contracts are
+	// carried by its tests (DESIGN.md, "Static analysis").
 	Staticcheck = "honnef.co/go/tools/cmd/staticcheck@2024.1.1"
 
 	// Govulncheck scans the (empty) dependency graph and the standard

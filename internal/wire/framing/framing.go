@@ -220,8 +220,8 @@ func readFrame(r io.Reader, want string) (magic string, body []byte, n int64, er
 	if err != nil {
 		if errors.Is(err, io.EOF) && m == 0 {
 			// Bare io.EOF is the documented clean end-of-stream: callers
-			// iterate frames by matching it. (errflow binds to the exported
-			// wrappers, which pass it through untouched.)
+			// iterate frames by matching it, and the exported wrappers
+			// pass it through untouched.
 			return "", nil, 0, io.EOF
 		}
 		return "", nil, n, fmt.Errorf("wire: read frame header: %w", err)

@@ -107,7 +107,7 @@ func decodeStoreBody(body []byte) (*evidence.Store, error) {
 func DecodeStore(r io.Reader) (*evidence.Store, int64, error) {
 	body, n, frameErr := framing.ReadFrame(r, StoreMagic)
 	if frameErr != nil {
-		return nil, n, frameErr //lint:allow errflow framing is this format's lower half: its errors already read "wire: …" and its bare io.EOF is the contract
+		return nil, n, frameErr
 	}
 	s, err := decodeStoreBody(body)
 	return s, n, err

@@ -139,9 +139,14 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	frame := good.Bytes()
 
+	// Every rejection names this layer: framing's errors already read
+	// "wire: ", and DecodeStore passes them through.
 	corrupt := func(mutate func(b []byte) []byte) error {
 		b := mutate(append([]byte(nil), frame...))
 		_, _, err := DecodeStore(bytes.NewReader(b))
+		if err != nil && !strings.HasPrefix(err.Error(), "wire: ") {
+			t.Errorf("err = %v, want prefix %q", err, "wire: ")
+		}
 		return err
 	}
 
