@@ -56,7 +56,12 @@
 // Observability: -debug-addr starts a live debug server (Prometheus
 // /metrics, /progress, /trace for Perfetto, /em, /cluster, expvar, pprof);
 // -linger keeps it serving after the run finishes so the final state can
-// be scraped. -report writes a machine-readable JSON run report. Combined
+// be scraped. -report writes a machine-readable JSON run report. EM
+// telemetry is re-derived from the run's result, for every group, with no
+// caps and no sampling: /em and the report's "em" section are the
+// convergence summary, and /em?type=T&property=P replays that group's
+// per-iteration trajectory (404 for a group that was not modelled). Before
+// the result exists /em serves the zero summary. Combined
 // with -distribute, forked and socket workers alike record each shard
 // attempt's observability and ship it back as a telemetry frame:
 // /metrics grows federated surveyor_fleet_* series, /trace stitches every
@@ -67,17 +72,20 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -163,14 +171,18 @@ func run() int {
 		o = obs.New()
 		o.RegisterBuildInfo()
 	}
+	// /em reads the run's result once it exists.
+	var final atomic.Pointer[surveyor.Result]
 	if *debugAddr != "" {
-		ds, err := obs.StartDebugServer(*debugAddr, o)
+		mux := obs.Handler(o)
+		mux.HandleFunc("/em", serveEM(&final))
+		ds, err := obs.StartDebugServer(*debugAddr, mux)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 		defer ds.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/ (metrics, progress, trace, em, pprof)\n", ds.Addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s/ (metrics, progress, trace, em, em?type=&property=, pprof)\n", ds.Addr)
 	}
 
 	// SIGINT/SIGTERM cancel the mining run. The first signal cancels the
@@ -311,6 +323,7 @@ func run() int {
 		res, mineErr = mine(ctx, sys, docs, cfg, *epochs, distOpts)
 	}
 	stopSignals()
+	final.Store(res)
 
 	// A partial run (signal, corpus read failure) still carries a
 	// consistent result: report it, flush everything, exit non-zero.
@@ -338,7 +351,7 @@ func run() int {
 	}
 
 	if *reportPath != "" {
-		if err := writeReport(*reportPath, stats, o, *workers, *rho, *version, loadSkipped, partialCause); err != nil {
+		if err := writeReport(*reportPath, res, o, *workers, *rho, *version, loadSkipped, partialCause); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -439,9 +452,37 @@ func mine(ctx context.Context, sys *surveyor.System, docs []surveyor.Document, c
 	return m.Snapshot(), nil
 }
 
-// writeReport fills an obs.Report from the run statistics and telemetry
-// and writes it as indented JSON.
-func writeReport(path string, stats surveyor.Stats, o *obs.RunObs, workers int, rho int64, version int, loadSkipped int64, partialCause string) error {
+// serveEM answers /em from the run's result: the EM summary, or with
+// ?type=&property= that group's row and its replayed trajectory (404 when
+// the group was not modelled). Before the result exists it serves the zero
+// summary, and every group is unknown.
+func serveEM(final *atomic.Pointer[surveyor.Result]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		res, q := final.Load(), r.URL.Query()
+		var body any = obs.EMSnapshot{}
+		if q.Has("type") || q.Has("property") {
+			var ok bool
+			if res != nil {
+				body, ok = res.EMTrajectory(q.Get("type"), q.Get("property"))
+			}
+			if !ok {
+				http.NotFound(w, r)
+				return
+			}
+		} else if res != nil {
+			body = res.EMSummary()
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(body)
+	}
+}
+
+// writeReport fills an obs.Report from the run's result and telemetry and
+// writes it as indented JSON.
+func writeReport(path string, res *surveyor.Result, o *obs.RunObs, workers int, rho int64, version int, loadSkipped int64, partialCause string) error {
+	stats := res.Stats()
 	rep := obs.NewReport()
 	rep.Workers = workers
 	rep.Rho = rho
@@ -462,6 +503,7 @@ func writeReport(path string, stats surveyor.Stats, o *obs.RunObs, workers int, 
 	rep.TimingsMillis["em"] = stats.EMMillis
 	rep.TimingsMillis["index"] = stats.IndexMillis
 	rep.TimingsMillis["total"] = stats.TotalMillis
+	rep.EM = res.EMSummary()
 	rep.Attach(o)
 
 	f, err := os.Create(path)

@@ -8,17 +8,21 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/kb"
 	"repro/internal/obs"
+	"repro/surveyor"
 )
 
 // buildSurveyor builds this package's binary into dir.
@@ -313,6 +317,45 @@ func TestLingerPrintsFirst(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz after the dump: %s", resp.Status)
 	}
+
+	// /em is re-derived from the result: a row for every printed group, and
+	// a trajectory for any of them — the last row is a sport group, which
+	// the first-64-to-finish recorder used to leave without one.
+	getJSON := func(path string, v any) int {
+		t.Helper()
+		resp, err := client.Get(addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	var sum obs.EMSnapshot
+	if code := getJSON("/em", &sum); code != http.StatusOK {
+		t.Fatalf("/em: status %d", code)
+	}
+	if groups := bytes.Count(want, []byte("  (pA=")); sum.Groups != groups || len(sum.Records) != groups {
+		t.Fatalf("/em: %d groups, %d rows; the run printed %d groups", sum.Groups, len(sum.Records), groups)
+	}
+	last := sum.Records[len(sum.Records)-1]
+	var rec obs.EMGroupRecord
+	q := url.Values{"type": {last.Type}, "property": {last.Property}}
+	if code := getJSON("/em?"+q.Encode(), &rec); code != http.StatusOK {
+		t.Fatalf("/em?%s: status %d", q.Encode(), code)
+	}
+	if n := len(rec.Trajectory); n != last.Iterations || n == 0 ||
+		rec.Trajectory[n-1].LogLikelihood != last.FinalLogLikelihood {
+		t.Errorf("/em?%s: %d trajectory rows for %d iterations (final log-likelihood %v)",
+			q.Encode(), n, last.Iterations, last.FinalLogLikelihood)
+	}
+	if code := getJSON("/em?type=city&property=no-such-property", &rec); code != http.StatusNotFound {
+		t.Errorf("/em for an unmodelled group: status %d, want 404", code)
+	}
 }
 
 // TestDistributeForkedMatchesBatch forks real -dist-worker children: their
@@ -423,5 +466,22 @@ func TestKilledCoordinatorReapsWorkers(t *testing.T) {
 	}
 	if n := strings.Count(log.String(), "context canceled"); n != 2 {
 		t.Errorf("%d workers reported a cancelled shard, want 2\n%s", n, log.String())
+	}
+}
+
+// TestEMBeforeResult: until the run's result exists, /em serves the zero
+// summary (CI's obs-smoke greps it for "groups") and knows no group.
+func TestEMBeforeResult(t *testing.T) {
+	var final atomic.Pointer[surveyor.Result]
+	h := serveEM(&final)
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest("GET", "/em", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"groups": 0`) {
+		t.Errorf("/em before the result: %d %q", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	h(rec, httptest.NewRequest("GET", "/em?type=city&property=big", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("/em?type=city&property=big before the result: status %d, want 404", rec.Code)
 	}
 }

@@ -18,12 +18,6 @@ type EMConfig struct {
 	PAGrid []float64
 	// Init seeds the first E-step. Zero value → heuristic init from data.
 	Init Params
-	// Observer, when non-nil, receives the model state after every
-	// iteration (0-based index, parameters after the M-step, observed-data
-	// log-likelihood). It is strictly write-only convergence telemetry:
-	// the fit never consults it, so a nil and a non-nil observer produce
-	// bit-identical models.
-	Observer func(iter int, p Params, logLikelihood float64)
 }
 
 // DefaultEMConfig returns the configuration used throughout the
@@ -82,9 +76,6 @@ func FitEM(tuples []Tuple, cfg EMConfig) (Model, Trace) {
 		ll := model.LogLikelihood(tuples)
 		trace.LogLikelihoods = append(trace.LogLikelihoods, ll)
 		trace.Iterations = iter + 1
-		if cfg.Observer != nil {
-			cfg.Observer(iter, model.Params, ll)
-		}
 		if ll-prevLL < cfg.Tolerance && iter > 0 {
 			trace.Converged = true
 			break

@@ -23,8 +23,8 @@ import (
 // under a coarse, the default and a dense pA grid; the share of modelled
 // entities decided without a statement; V4 statements per entity-linking
 // sentence with the intrinsicness checks on and off; and the largest
-// |Poisson − exact trinomial| posterior over the Example-3 tuples at
-// n = 10⁶.
+// |Poisson − exact trinomial| posterior over the Example-3 tuples and two
+// near the decision boundary at n = 10⁶.
 type AblationsResult struct {
 	PerGroupAccuracy, GlobalAccuracy float64
 	GridPoints                       [3]int
@@ -81,8 +81,11 @@ func Ablations(w *World) AblationsResult {
 	}
 	r.ChecksOn, r.ChecksOff = float64(nOn)/float64(r.LinkingSentences), float64(nOff)/float64(r.LinkingSentences)
 
+	// ⟨35,0⟩ and ⟨40,5⟩ sit near the decision boundary, where neither
+	// posterior saturates to 0 or 1 and both branches of the exact form count.
 	m := core.Model{Params: example3}
-	for _, c := range []core.Tuple{{Pos: 0, Neg: 0}, {Pos: 60, Neg: 3}, {Pos: 10, Neg: 10}, {Pos: 90, Neg: 1}} {
+	for _, c := range []core.Tuple{{Pos: 0, Neg: 0}, {Pos: 60, Neg: 3}, {Pos: 10, Neg: 10}, {Pos: 90, Neg: 1},
+		{Pos: 35, Neg: 0}, {Pos: 40, Neg: 5}} {
 		r.PoissonGap = max(r.PoissonGap, math.Abs(m.PosteriorPositive(c)-m.PosteriorPositiveExact(c, 1_000_000)))
 	}
 	return r

@@ -124,23 +124,26 @@ func (c Table5Config) withDefaults() Table5Config {
 // never mentioned) while Surveyor stays ≈ 1 with comparable precision.
 func Table5(cfg Table5Config) Table5Result {
 	cfg = cfg.withDefaults()
-	builder := kb.NewBuilder(cfg.Seed)
-	types := builder.RandomDomains(cfg.Combos, table5EntitiesPerType)
-	base := builder.KB()
-	specs := corpus.RandomSpecs(types, propertyPool, cfg.Seed)
-
-	w := BuildWorld(WorldConfig{
-		Seed: cfg.Seed, Scale: cfg.Scale, Rho: cfg.Rho,
-		EntitiesPerCombo: table5CasesPerCombo,
-		UniformCases:     true, // Appendix D samples entities randomly
-	}, base, specs)
-
-	cases := w.EvalCases()
+	cases := Table5World(cfg).EvalCases()
 	res := Table5Result{Combos: cfg.Combos, Cases: len(cases), PaperRow: paperTable5}
 	for _, m := range MethodNames {
 		res.Rows = append(res.Rows, MethodMetrics{Method: m, Metrics: eval.Score(cases, m)})
 	}
 	return res
+}
+
+// Table5World builds and mines the long-tail random world Table 5 scores.
+func Table5World(cfg Table5Config) *World {
+	cfg = cfg.withDefaults()
+	builder := kb.NewBuilder(cfg.Seed)
+	types := builder.RandomDomains(cfg.Combos, table5EntitiesPerType)
+	base := builder.KB()
+	specs := corpus.RandomSpecs(types, propertyPool, cfg.Seed)
+	return BuildWorld(WorldConfig{
+		Seed: cfg.Seed, Scale: cfg.Scale, Rho: cfg.Rho,
+		EntitiesPerCombo: table5CasesPerCombo,
+		UniformCases:     true, // Appendix D samples entities randomly
+	}, base, specs)
 }
 
 var paperTable5 = []MethodMetrics{

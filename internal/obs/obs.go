@@ -1,21 +1,27 @@
 // Package obs is the zero-dependency observability layer of the Surveyor
 // reproduction: a metrics registry with lock-free counters, gauges, and
 // fixed-bucket histograms; span tracing for pipeline phases and per-worker
-// document loops with Chrome trace-event export (Perfetto-loadable); EM
-// convergence telemetry; live run progress; the distributed coordinator's
-// fleet sink (Cluster: the records behind /cluster and the surveyor_dist_*
-// series move together) with worker telemetry federation; an optional debug
-// HTTP server (Prometheus text, expvar, pprof, progress); and profiling
-// helpers.
+// document loops with Chrome trace-event export (Perfetto-loadable); live
+// run progress; the distributed coordinator's fleet sink (Cluster: the
+// records behind /cluster and the surveyor_dist_* series move together)
+// with worker telemetry federation; an optional debug HTTP server
+// (Prometheus text, expvar, pprof, progress); the run report; and
+// profiling helpers.
+//
+// EM convergence telemetry is not recorded here. A fit is a deterministic
+// function of its group's counts, so the summary and any group's
+// per-iteration trajectory are re-derived from the run's result on demand
+// (pipeline.Result.EMSummary, GroupResult.Trajectory) — every group, no
+// caps, no sampling. This package only carries their JSON shapes
+// (EMSnapshot, EMGroupRecord, EMIteration).
 //
 // Determinism contract: telemetry is strictly write-only from the
-// pipeline's perspective. Instrumented code records counts, spans, and
-// trajectories but never reads them back — the testkit differential suite
-// proves that runs with a live RunObs are bit-identical to runs with a
-// nil one. All timestamps flow through the Clock owned by this package;
-// the only timing value that escapes into results is Span.End's
-// duration, which feeds the Timings fields that the determinism contract
-// explicitly excludes.
+// pipeline's perspective. Instrumented code records counts and spans but
+// never reads them back — the testkit differential suite proves that runs
+// with a live RunObs are bit-identical to runs with a nil one. All
+// timestamps flow through the Clock owned by this package; the only timing
+// value that escapes into results is Span.End's duration, which feeds the
+// Timings fields that the determinism contract explicitly excludes.
 //
 // Every recording method is safe on a nil receiver, so a disabled
 // observability path costs a single branch per call site.
@@ -25,15 +31,13 @@ import "time"
 
 // RunObs bundles the observability sinks of one pipeline run. Any field
 // may be nil to disable that aspect; a nil *RunObs disables everything.
-// The same RunObs may serve several consecutive runs (metrics and EM
-// telemetry accumulate; progress resets per run).
+// The same RunObs may serve several consecutive runs (metrics accumulate;
+// progress resets per run).
 type RunObs struct {
 	// Metrics receives pipeline counters, gauges, and histograms.
 	Metrics *Registry
 	// Tracer receives phase, worker, and document spans.
 	Tracer *Tracer
-	// EM receives per-group convergence telemetry.
-	EM *EMRecorder
 	// Progress is the live run view served by the debug server.
 	Progress *Progress
 	// Cluster is the distributed coordinator's fleet view, served by the
@@ -52,7 +56,6 @@ func New() *RunObs {
 	return &RunObs{
 		Metrics:  NewRegistry(),
 		Tracer:   NewTracer(clock),
-		EM:       NewEMRecorder(),
 		Progress: NewProgress(clock),
 		Cluster:  NewCluster(clock),
 		Clock:    clock,
@@ -237,13 +240,4 @@ func (o *RunObs) PipelineMetrics() PipelineMetrics {
 		DocSentences: r.Histogram("surveyor_doc_sentences",
 			"sentences per document (extraction skew)", defaultDocSentenceBounds),
 	}
-}
-
-// EMGroup starts convergence telemetry for one (type, property) fit. Nil
-// (inert) when o or its recorder is nil.
-func (o *RunObs) EMGroup(typ, property string, entities int) *EMGroupObs {
-	if o == nil {
-		return nil
-	}
-	return o.EM.Group(typ, property, entities)
 }

@@ -19,9 +19,6 @@ func TestNilRunObsStillMeasures(t *testing.T) {
 	pm := o.PipelineMetrics()
 	pm.Documents.Add(1)
 	pm.DocSentences.Observe(3)
-	if eg := o.EMGroup("t", "p", 1); eg != nil {
-		t.Error("nil RunObs EMGroup() must be nil")
-	}
 	if d := span.End(); d < 0 {
 		t.Errorf("span duration = %v", d)
 	}
@@ -43,7 +40,7 @@ func TestPhaseDurationUsesInjectedClock(t *testing.T) {
 // TestNewWiresSharedClock: New gives every component the same clock.
 func TestNewWiresSharedClock(t *testing.T) {
 	o := New()
-	if o.Metrics == nil || o.Tracer == nil || o.EM == nil || o.Progress == nil || o.Clock == nil {
+	if o.Metrics == nil || o.Tracer == nil || o.Progress == nil || o.Clock == nil {
 		t.Fatalf("New left components nil: %+v", o)
 	}
 	if o.Tracer.clock != o.Clock || o.Progress.clock != o.Clock {

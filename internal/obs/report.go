@@ -9,7 +9,7 @@ import (
 
 // Report is the machine-readable summary of one run, written by
 // cmd/surveyor's -report flag: run statistics, per-phase wall times, the
-// full metric snapshot, and the EM convergence telemetry.
+// full metric snapshot, and the EM convergence summary.
 type Report struct {
 	// Run identification.
 	GoVersion string    `json:"go_version"`
@@ -39,10 +39,41 @@ type Report struct {
 	// Per-phase wall times, milliseconds.
 	TimingsMillis map[string]int64 `json:"timings_ms"`
 
-	// Telemetry snapshots.
+	// Telemetry snapshots. EM is re-derived from the run's result by the
+	// caller, not recorded by the RunObs.
 	Metrics []Metric         `json:"metrics,omitempty"`
 	EM      EMSnapshot       `json:"em,omitempty"`
 	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
+}
+
+// EMSnapshot is the EM convergence summary of a result: one row per
+// modelled group, in the result's (type, property) order.
+type EMSnapshot struct {
+	Groups          int             `json:"groups"`
+	Converged       int             `json:"converged"`
+	TotalIterations int             `json:"total_iterations"`
+	MeanIterations  float64         `json:"mean_iterations"`
+	Records         []EMGroupRecord `json:"records,omitempty"`
+}
+
+// EMGroupRecord is the convergence summary of one (type, property) fit,
+// with its per-iteration trajectory when one was asked for.
+type EMGroupRecord struct {
+	Type               string        `json:"type"`
+	Property           string        `json:"property"`
+	Entities           int           `json:"entities"`
+	Iterations         int           `json:"iterations"`
+	Converged          bool          `json:"converged"`
+	FinalLogLikelihood JSONFloat     `json:"final_log_likelihood"`
+	Trajectory         []EMIteration `json:"trajectory,omitempty"`
+}
+
+// EMIteration is the model state after one EM iteration.
+type EMIteration struct {
+	LogLikelihood JSONFloat `json:"log_likelihood"`
+	PA            float64   `json:"pa"`
+	NpPlus        float64   `json:"np_plus"`
+	NpMinus       float64   `json:"np_minus"`
 }
 
 // NewReport returns a report pre-filled with toolchain and build
@@ -63,7 +94,6 @@ func (r *Report) Attach(o *RunObs) {
 		return
 	}
 	r.Metrics = o.Metrics.Snapshot()
-	r.EM = o.EM.Snapshot()
 	if cs := o.Cluster.Snapshot(); cs.Workers > 0 {
 		r.Cluster = &cs
 	}

@@ -25,10 +25,11 @@ type DebugServer struct {
 }
 
 // Handler returns the debug mux for o: /metrics (Prometheus text),
-// /progress (JSON), /trace (Chrome trace events), /em, /cluster (the
+// /progress (JSON), /trace (Chrome trace events), /cluster (the
 // distributed fleet view), /debug/vars (expvar), /debug/pprof/*,
-// /healthz, and an HTML index at /.
-func Handler(o *RunObs) http.Handler {
+// /healthz, and an HTML index at /. Callers mount routes of their own on
+// it (cmd/surveyor adds /em, re-derived from the run's result).
+func Handler(o *RunObs) *http.ServeMux {
 	if o == nil {
 		o = &RunObs{} // every sink nil: each endpoint serves its empty form
 	}
@@ -52,12 +53,6 @@ func Handler(o *RunObs) http.Handler {
 			// The scrape connection broke mid-write; nothing to salvage.
 			return
 		}
-	})
-	mux.HandleFunc("/em", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(o.EM.Snapshot())
 	})
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -99,7 +94,6 @@ func Handler(o *RunObs) http.Handler {
 <li><a href="/metrics">/metrics</a> — Prometheus text</li>
 <li><a href="/progress">/progress</a> — live run progress (JSON)</li>
 <li><a href="/trace">/trace</a> — Chrome trace events (load in Perfetto)</li>
-<li><a href="/em">/em</a> — EM convergence telemetry (JSON)</li>
 <li><a href="/cluster">/cluster</a> — distributed fleet view: per-shard status, telemetry, skew (JSON)</li>
 <li><a href="/debug/vars">/debug/vars</a> — expvar</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — pprof</li>
@@ -126,13 +120,13 @@ func expvarHandlerFor(o *RunObs) http.Handler {
 }
 
 // StartDebugServer binds addr (e.g. "localhost:8080" or ":0") and serves
-// the debug mux on it until Close.
-func StartDebugServer(addr string, o *RunObs) (*DebugServer, error) {
+// h — usually Handler's mux — on it until Close.
+func StartDebugServer(addr string, h http.Handler) (*DebugServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug server: %w", err)
 	}
-	srv := &http.Server{Handler: Handler(o), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	ds := &DebugServer{Addr: lis.Addr().String(), srv: srv, lis: lis}
 	go srv.Serve(lis)
 	return ds, nil

@@ -15,7 +15,6 @@ func populatedRunObs() *RunObs {
 	o := &RunObs{
 		Metrics:  NewRegistry(),
 		Tracer:   NewTracer(clock),
-		EM:       NewEMRecorder(),
 		Progress: NewProgress(clock),
 		Clock:    clock,
 	}
@@ -29,9 +28,6 @@ func populatedRunObs() *RunObs {
 	w.Close("extract")
 	pm.Documents.Add(4)
 	span.End()
-	g := o.EMGroup("city", "big", 3)
-	g.Iter(0.8, 1, 0.5, -10)
-	g.Done(1, true, -10)
 	pm.EMIterations.Observe(1)
 	o.EndRun()
 	return o
@@ -88,15 +84,6 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("/trace has %d events, want 3", len(tf.TraceEvents))
 	}
 
-	body, _ = get(t, srv, "/em")
-	var es EMSnapshot
-	if err := json.Unmarshal([]byte(body), &es); err != nil {
-		t.Fatalf("/em: %v", err)
-	}
-	if es.Groups != 1 || es.Converged != 1 {
-		t.Errorf("/em = %+v", es)
-	}
-
 	body, _ = get(t, srv, "/healthz")
 	if strings.TrimSpace(body) != "ok" {
 		t.Errorf("/healthz = %q", body)
@@ -127,7 +114,7 @@ func TestDebugEndpoints(t *testing.T) {
 
 func TestStartDebugServer(t *testing.T) {
 	o := populatedRunObs()
-	ds, err := StartDebugServer("127.0.0.1:0", o)
+	ds, err := StartDebugServer("127.0.0.1:0", Handler(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +237,7 @@ func TestBuildInfoMetric(t *testing.T) {
 // of dropping the connection: a pprof CPU profile held open across Close
 // must still complete with a full response.
 func TestCloseGraceful(t *testing.T) {
-	ds, err := StartDebugServer("127.0.0.1:0", populatedRunObs())
+	ds, err := StartDebugServer("127.0.0.1:0", Handler(populatedRunObs()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +269,7 @@ func TestCloseGraceful(t *testing.T) {
 func TestHandlerWithNilRunObs(t *testing.T) {
 	srv := httptest.NewServer(Handler(nil))
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/progress", "/trace", "/em", "/healthz"} {
+	for _, path := range []string{"/metrics", "/progress", "/trace", "/healthz"} {
 		_, resp := get(t, srv, path)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s with nil RunObs: status %d", path, resp.StatusCode)

@@ -20,12 +20,14 @@
 // fault.go for the contract).
 //
 // Observability: a Config.Obs sink receives write-only telemetry (metrics,
-// phase/worker spans, EM convergence trajectories, live progress). The
-// pipeline never reads obs state — timestamps flow through the obs-owned
-// clock and the only value that returns is each phase span's duration,
-// which feeds Result.Timings (explicitly outside the determinism
-// contract). Runs with a live sink are bit-identical to runs with a nil
-// one; the testkit differential suite proves it.
+// phase/worker spans, live progress). The pipeline never reads obs state —
+// timestamps flow through the obs-owned clock and the only value that
+// returns is each phase span's duration, which feeds Result.Timings
+// (explicitly outside the determinism contract). Runs with a live sink are
+// bit-identical to runs with a nil one; the testkit differential suite
+// proves it. EM convergence telemetry is not recorded at all:
+// Result.EMSummary and GroupResult.Trajectory re-derive it from the result,
+// for every group, when asked.
 package pipeline
 
 import (
@@ -184,6 +186,59 @@ func (r *Result) Opinions() int {
 		n += len(r.Groups[i].Entities)
 	}
 	return n
+}
+
+// EMSummary is the EM convergence summary of r, re-derived from each
+// group's Trace: one row per modelled group, in Groups' key order, with
+// no trajectories (GroupResult.Trajectory replays one on demand).
+func (r *Result) EMSummary() obs.EMSnapshot {
+	s := obs.EMSnapshot{Groups: len(r.Groups), Records: make([]obs.EMGroupRecord, len(r.Groups))}
+	for i := range r.Groups {
+		rec := r.Groups[i].EMRecord()
+		s.TotalIterations += rec.Iterations
+		if rec.Converged {
+			s.Converged++
+		}
+		s.Records[i] = rec
+	}
+	if s.Groups > 0 {
+		s.MeanIterations = float64(s.TotalIterations) / float64(s.Groups)
+	}
+	return s
+}
+
+// EMRecord is g's row of the EM summary: its key, size, iteration count,
+// convergence and last log-likelihood (0 for a fit that never iterated).
+func (g *GroupResult) EMRecord() obs.EMGroupRecord {
+	rec := obs.EMGroupRecord{Type: g.Key.Type, Property: g.Key.Property, Entities: len(g.Entities),
+		Iterations: g.Trace.Iterations, Converged: g.Trace.Converged}
+	if n := len(g.Trace.LogLikelihoods); n > 0 {
+		rec.FinalLogLikelihood = obs.JSONFloat(g.Trace.LogLikelihoods[n-1])
+	}
+	return rec
+}
+
+// Trajectory replays g's fit one EM iteration at a time and returns the
+// model state after each: step 1 is core.FitEM with MaxIterations 1 from
+// cfg.Init, step k+1 the same call from step k's parameters, stopping at
+// Trace.Iterations. FitEM is deterministic, so under the cfg the group was
+// fitted with, the rows are the fit's own iterates bit for bit and the last
+// one is Model.Params. It costs one more fit, paid only by the caller.
+func (g *GroupResult) Trajectory(cfg core.EMConfig) []obs.EMIteration {
+	tuples := make([]core.Tuple, len(g.Entities))
+	for i, eo := range g.Entities {
+		tuples[i] = core.Tuple{Pos: int(eo.Pos), Neg: int(eo.Neg)}
+	}
+	cfg.MaxIterations = 1
+	out := make([]obs.EMIteration, 0, g.Trace.Iterations)
+	for range g.Trace.Iterations {
+		m, tr := core.FitEM(tuples, cfg)
+		p := m.Params
+		out = append(out, obs.EMIteration{LogLikelihood: obs.JSONFloat(tr.LogLikelihoods[0]),
+			PA: p.PA, NpPlus: p.NpPlus, NpMinus: p.NpMinus})
+		cfg.Init = p
+	}
+	return out
 }
 
 // processor is one extraction worker's pure document → (statements,

@@ -125,12 +125,11 @@ func FitGroups(groups []evidence.Group, cfg Config) []GroupResult {
 // fitGroups is the EM worker pool shared by reduce and FitGroups: a
 // fixed set of workers claims groups through an atomic counter, so each
 // worker reuses one tuple buffer and one classification buffer instead of
-// allocating per group. Convergence telemetry flows through a write-only
-// per-group observer — it cannot alter the fit, so obs-on and obs-off
-// runs stay bit-identical.
+// allocating per group. Nothing here records EM telemetry beyond the
+// iteration histogram: each GroupResult keeps its Trace, from which
+// Result.EMSummary and GroupResult.Trajectory re-derive the rest on demand.
 func fitGroups(groups []evidence.Group, cfg Config) []GroupResult {
-	o := cfg.Obs
-	pm := o.PipelineMetrics()
+	pm := cfg.Obs.PipelineMetrics()
 	out := make([]GroupResult, len(groups))
 	var wg sync.WaitGroup
 	var nextGroup atomic.Int64
@@ -154,23 +153,9 @@ func fitGroups(groups []evidence.Group, cfg Config) []GroupResult {
 				for i, ec := range g.Entities {
 					tuples[i] = core.Tuple{Pos: int(ec.Pos), Neg: int(ec.Neg)}
 				}
-				emCfg := cfg.EM
-				gobs := o.EMGroup(g.Key.Type, g.Key.Property, len(g.Entities))
-				if gobs != nil {
-					emCfg.Observer = func(_ int, p core.Params, ll float64) {
-						gobs.Iter(p.PA, p.NpPlus, p.NpMinus, ll)
-					}
-				}
 				var model core.Model
 				var trace core.Trace
-				model, results, trace = core.FitAndClassifyInto(results[:0], tuples, emCfg)
-				if gobs != nil {
-					finalLL := 0.0
-					if n := len(trace.LogLikelihoods); n > 0 {
-						finalLL = trace.LogLikelihoods[n-1]
-					}
-					gobs.Done(trace.Iterations, trace.Converged, finalLL)
-				}
+				model, results, trace = core.FitAndClassifyInto(results[:0], tuples, cfg.EM)
 				pm.EMIterations.Observe(float64(trace.Iterations))
 				gr := GroupResult{Key: g.Key, Model: model, Trace: trace,
 					Entities: make([]EntityOpinion, len(g.Entities))}

@@ -16,7 +16,6 @@ func fullRunObs() *obs.RunObs {
 	return &obs.RunObs{
 		Metrics:  obs.NewRegistry(),
 		Tracer:   obs.NewTracer(clock),
-		EM:       obs.NewEMRecorder(),
 		Progress: obs.NewProgress(clock),
 		Clock:    clock,
 	}
@@ -53,10 +52,6 @@ func TestObsInvariance(t *testing.T) {
 			if snap.Sentences != observed.Sentences {
 				t.Errorf("seed %d workers %d: progress saw %d sentences, run had %d",
 					seed, workers, snap.Sentences, observed.Sentences)
-			}
-			if em := o.EM.Snapshot(); em.Groups != int64(len(observed.Groups)) {
-				t.Errorf("seed %d workers %d: EM telemetry saw %d groups, run had %d",
-					seed, workers, em.Groups, len(observed.Groups))
 			}
 			if len(o.Tracer.Events()) == 0 {
 				t.Errorf("seed %d workers %d: tracer recorded no spans", seed, workers)

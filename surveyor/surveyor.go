@@ -143,9 +143,10 @@ type Config struct {
 	PatternVersion int
 	// EMIterations caps the per-group EM loop (0 = default 50).
 	EMIterations int
-	// Obs is an optional observability sink (metrics, tracing, EM
-	// telemetry, live progress). Nil disables all telemetry; mined results
-	// are bit-identical either way.
+	// Obs is an optional observability sink (metrics, tracing, live
+	// progress). Nil disables all telemetry; mined results are
+	// bit-identical either way. EM telemetry needs no sink: Result's
+	// EMSummary and EMTrajectory re-derive it for every group, uncapped.
 	Obs *obs.RunObs
 }
 
@@ -392,6 +393,25 @@ func (r *Result) Stats() Stats {
 		IndexMillis:       r.res.Timings.Index.Milliseconds(),
 		TotalMillis:       r.res.Timings.Total.Milliseconds(),
 	}
+}
+
+// EMSummary is the EM convergence summary of the run: one row per
+// modelled group, in (type, property) order, re-derived from the result.
+func (r *Result) EMSummary() obs.EMSnapshot { return r.res.EMSummary() }
+
+// EMTrajectory returns one modelled group's summary row with its full
+// per-iteration trajectory, replayed from the group's counts on demand.
+// Every public run fits with the default pA grid and a data-driven start
+// (EMIterations only caps the iterations), so the replay is the fit's own
+// path bit for bit. The boolean is false when the group was not modelled.
+func (r *Result) EMTrajectory(typ, property string) (obs.EMGroupRecord, bool) {
+	g, ok := r.res.Group(typ, property)
+	if !ok {
+		return obs.EMGroupRecord{}, false
+	}
+	rec := g.EMRecord()
+	rec.Trajectory = g.Trajectory(core.DefaultEMConfig())
+	return rec, true
 }
 
 // SaveEvidence serialises the raw evidence counters as one checksummed
