@@ -230,7 +230,8 @@ func (c *Cluster) ShardFailed(s int, err error) {
 // Failures are absorbed here — the shard's evidence already committed, so
 // a frame that failed wire decoding (err) or federation degrades to a
 // rejection counter and a cluster note instead of an error the miner
-// could branch on (the write-only contract).
+// could branch on (the write-only contract). Federation is all or
+// nothing, so a rejected frame moves no fleet series and stitches no span.
 func (c *Cluster) ShardTelemetry(s int, t *Telemetry, err error) {
 	if c == nil {
 		return
@@ -241,8 +242,7 @@ func (c *Cluster) ShardTelemetry(s int, t *Telemetry, err error) {
 	}
 	switch {
 	case err != nil:
-		c.metrics.Counter(MetricTelemetryRejected,
-			"worker telemetry frames rejected by federation").Inc()
+		c.series.rejected.Inc()
 		c.TelemetryMissing(s, "rejected: "+err.Error())
 	case t == nil:
 		c.TelemetryMissing(s, "absent")

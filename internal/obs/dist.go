@@ -19,6 +19,7 @@ type fleetSeries struct {
 	shipped     *Counter   // shard deltas received and committed
 	failed      *Counter   // shards lost for good; /healthz degrades on it
 	frames      *Counter   // worker telemetry frames received
+	rejected    *Counter   // telemetry frames missing, undecodable or not federated
 	retries     *Counter   // attempts launched beyond each shard's first
 	reassigned  *Counter   // retries that reached a fresh worker
 	expired     *Counter   // attempts reclaimed by the shard deadline
@@ -43,6 +44,8 @@ func resolveFleetSeries(r *Registry) fleetSeries {
 			"shards lost to worker crashes or protocol errors"),
 		frames: r.Counter("surveyor_dist_telemetry_frames_total",
 			"worker telemetry frames received by the coordinator"),
+		rejected: r.Counter(MetricTelemetryRejected,
+			"worker telemetry frames that did not arrive, decode or federate"),
 		retries: r.Counter("surveyor_dist_shard_retries_total",
 			"shard attempts launched beyond the first (failed or expired workers replaced)"),
 		reassigned: r.Counter("surveyor_dist_shard_reassignments_total",
@@ -53,7 +56,8 @@ func resolveFleetSeries(r *Registry) fleetSeries {
 			"late shard results discarded after an earlier attempt committed"),
 		heartbeats: r.Counter("surveyor_dist_heartbeats_total",
 			"worker liveness frames received"),
-		encoded: r.wireBytesEncoded(),
+		encoded: r.Counter(metricWireBytesEncoded,
+			"wire-codec bytes encoded (job frames to workers)"),
 		decoded: r.Counter("surveyor_wire_bytes_decoded_total",
 			"wire-codec bytes decoded (result and telemetry frames from workers)"),
 		mergeMillis: r.Histogram("surveyor_dist_shard_merge_ms",
@@ -61,17 +65,18 @@ func resolveFleetSeries(r *Registry) fleetSeries {
 	}
 }
 
-func (r *Registry) wireBytesEncoded() *Counter {
-	return r.Counter("surveyor_wire_bytes_encoded_total",
-		"wire-codec bytes encoded (job frames to workers)")
-}
+// metricWireBytesEncoded is the one codec series both ends move, each
+// with the help that says what it counts there: the coordinator the job
+// frames it sends, a worker the result frame it ships.
+const metricWireBytesEncoded = "surveyor_wire_bytes_encoded_total"
 
-// WireBytesEncoded resolves the one fleet series a worker moves too: the
-// bytes of the result frame it ships (federated as
+// WireBytesEncoded resolves the worker's copy of the encoded-bytes series:
+// the bytes of the result frame it ships (federated as
 // surveyor_fleet_wire_bytes_encoded_total). Nil without a registry.
 func (o *RunObs) WireBytesEncoded() *Counter {
 	if o == nil {
 		return nil
 	}
-	return o.Metrics.wireBytesEncoded()
+	return o.Metrics.Counter(metricWireBytesEncoded,
+		"wire-codec bytes encoded (result frames shipped)")
 }

@@ -6,10 +6,16 @@
 // statement counters, and the fleet series are the sum of what the
 // workers themselves observed.
 //
+// Federation is the one judge of what a worker's snapshot means. The
+// telemetry decoder only bounds what it allocates; whether a counter is a
+// count, a histogram's bounds ascend to +Inf, a kind is known, a name
+// comes once, and each series matches the kind and bounds already
+// federated under its name is checked here, for the whole snapshot,
+// before any series moves. A snapshot is absorbed whole or not at all.
+//
 // Federation is deterministic: counters and gauges are summed (counter
 // values are integral, so addition is exact and order-invariant), and
-// histograms are merged bucket-wise, which requires identical bounds —
-// a mismatch fails clean instead of producing a silently wrong series.
+// histograms are merged bucket-wise, which requires identical bounds.
 // The coordinator absorbs shards in shard order, pinning even the
 // floating-point sums to one schedule-independent result.
 package obs
@@ -34,97 +40,115 @@ func FleetMetricName(name string) string {
 // AbsorbSnapshot folds one worker's metric snapshot into the registry
 // under the fleet namespace: counter and gauge values add into the
 // federated series, histogram buckets/count/sum merge into a federated
-// histogram with identical bounds. The first shape mismatch — a name
-// already registered as a different kind, or a histogram with different
-// bounds — aborts with an error and leaves the remaining metrics
-// unabsorbed; the caller treats the snapshot as rejected.
+// histogram with identical bounds. It is all or nothing: under one hold
+// of the registry lock every metric is checked first, and only a snapshot
+// that passes whole is applied. A rejected snapshot returns the first
+// fault and leaves the registry untouched; the caller treats it as
+// rejected.
 func (r *Registry) AbsorbSnapshot(metrics []Metric) error {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := make(map[string]bool, len(metrics))
 	for i := range metrics {
 		m := &metrics[i]
 		name := FleetMetricName(m.Name)
-		if err := r.absorbMetric(name, m); err != nil {
+		err := r.check(name, m)
+		if err == nil && seen[name] {
+			err = fmt.Errorf("series appears twice in one snapshot")
+		}
+		if err != nil {
 			return fmt.Errorf("obs: federate %s: %w", m.Name, err)
 		}
+		seen[name] = true
+	}
+	for i := range metrics {
+		r.apply(FleetMetricName(metrics[i].Name), &metrics[i])
 	}
 	return nil
 }
 
-// absorbMetric folds one snapshot metric into the series named name,
-// creating it on first use.
-func (r *Registry) absorbMetric(name string, m *Metric) error {
+// check reports why m cannot fold into the series named name: a counter
+// value that is not a count, a histogram that is not one (no buckets,
+// bounds not finite and strictly ascending, last bound not +Inf), an
+// unknown kind, or a kind or bounds that differ from the series already
+// federated there. Called with r.mu held; it moves nothing.
+func (r *Registry) check(name string, m *Metric) error {
 	switch m.Kind {
 	case KindCounter:
-		c, err := register(r, name, func() *Counter { return &Counter{helpText: m.Help} })
-		if err != nil {
-			return err
-		}
-		if m.Value != math.Trunc(m.Value) || m.Value < 0 || m.Value > math.MaxInt64 {
+		if m.Value != math.Trunc(m.Value) || m.Value < 0 || m.Value >= math.MaxInt64 {
 			return fmt.Errorf("counter value %v is not a plausible count", m.Value)
 		}
-		c.Add(int64(m.Value))
 	case KindGauge:
-		g, err := register(r, name, func() *Gauge { return &Gauge{helpText: m.Help} })
-		if err != nil {
-			return err
-		}
-		g.Add(m.Value)
 	case KindHistogram:
-		return r.absorbHistogram(name, m)
+		if len(m.Buckets) == 0 {
+			return fmt.Errorf("histogram snapshot has no buckets")
+		}
+		last := len(m.Buckets) - 1
+		for i, b := range m.Buckets[:last] {
+			v := float64(b.UpperBound)
+			if math.IsNaN(v) || math.IsInf(v, 0) || (i > 0 && v <= float64(m.Buckets[i-1].UpperBound)) {
+				return fmt.Errorf("histogram bounds not strictly ascending at bucket %d", i)
+			}
+		}
+		if !math.IsInf(float64(m.Buckets[last].UpperBound), 1) {
+			return fmt.Errorf("histogram last bound %v is not +Inf", float64(m.Buckets[last].UpperBound))
+		}
 	default:
 		return fmt.Errorf("unknown metric kind %d", m.Kind)
 	}
+	old, ok := r.metrics[name]
+	if !ok {
+		return nil
+	}
+	if old.kind() != m.Kind {
+		return fmt.Errorf("already registered as %s, snapshot says %s", old.kind(), m.Kind)
+	}
+	if h, ok := old.(*Histogram); ok {
+		if len(h.bounds) != len(m.Buckets)-1 {
+			return fmt.Errorf("snapshot has %d bounds, registered histogram has %d", len(m.Buckets)-1, len(h.bounds))
+		}
+		for i, bound := range h.bounds {
+			if v := float64(m.Buckets[i].UpperBound); v != bound {
+				return fmt.Errorf("bucket %d bound %v differs from registered bound %v", i, v, bound)
+			}
+		}
+	}
 	return nil
 }
 
-// absorb merges one histogram snapshot bucket-wise into h. The caller
-// has already proven the bucket counts match; the per-bucket bound
-// equality is checked here — a mismatch fails clean.
-func (h *Histogram) absorb(m *Metric) error {
-	// Validate every bound before touching any counter, so a mismatched
-	// snapshot rejects whole instead of half-merging.
-	for i, b := range m.Buckets[:len(m.Buckets)-1] {
-		if float64(b.UpperBound) != h.bounds[i] {
-			return fmt.Errorf("bucket %d bound %v differs from registered bound %v",
-				i, float64(b.UpperBound), h.bounds[i])
+// apply folds a checked metric into the series named name, creating the
+// series from the snapshot's help and bounds on first use. Called with
+// r.mu held.
+func (r *Registry) apply(name string, m *Metric) {
+	series, ok := r.metrics[name]
+	if !ok {
+		switch m.Kind {
+		case KindCounter:
+			series = &Counter{helpText: m.Help}
+		case KindGauge:
+			series = &Gauge{helpText: m.Help}
+		default:
+			bounds := make([]float64, len(m.Buckets)-1)
+			for i := range bounds {
+				bounds[i] = float64(m.Buckets[i].UpperBound)
+			}
+			series = newHistogram(m.Help, bounds)
 		}
+		r.metrics[name] = series
 	}
-	for i, b := range m.Buckets {
-		h.counts[i].Add(b.Count)
-	}
-	h.count.Add(m.Count)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + m.Sum)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return nil
+	switch s := series.(type) {
+	case *Counter:
+		s.Add(int64(m.Value))
+	case *Gauge:
+		s.Add(m.Value)
+	case *Histogram:
+		for i, b := range m.Buckets {
+			s.counts[i].Add(b.Count)
 		}
+		s.count.Add(m.Count)
+		addFloat(&s.sumBits, m.Sum)
 	}
-}
-
-func (r *Registry) absorbHistogram(name string, m *Metric) error {
-	if len(m.Buckets) == 0 {
-		return fmt.Errorf("histogram snapshot has no buckets")
-	}
-	if !math.IsInf(float64(m.Buckets[len(m.Buckets)-1].UpperBound), 1) {
-		return fmt.Errorf("last snapshot bucket bound is not +Inf")
-	}
-	bounds := make([]float64, len(m.Buckets)-1)
-	for i := range bounds {
-		bounds[i] = float64(m.Buckets[i].UpperBound)
-		if math.IsNaN(bounds[i]) || math.IsInf(bounds[i], 0) || (i > 0 && bounds[i] <= bounds[i-1]) {
-			return fmt.Errorf("snapshot bounds not strictly ascending at bucket %d", i)
-		}
-	}
-
-	h, err := register(r, name, func() *Histogram { return newHistogram(m.Help, bounds) })
-	if err != nil {
-		return err
-	}
-	if len(h.bounds) != len(bounds) {
-		return fmt.Errorf("snapshot has %d bounds, registered histogram has %d", len(bounds), len(h.bounds))
-	}
-	return h.absorb(m)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -152,25 +153,136 @@ func TestFederationRejectsNonIntegralCounter(t *testing.T) {
 	}
 }
 
-// TestAbsorbShardTelemetryRejectionKeepsTrace: a frame whose metrics are
-// rejected must contribute nothing — no fleet series, no spans — and
-// must tick the rejection counter and the cluster note.
+// TestFederationRejectsHistogramShape: a histogram whose bounds are not
+// finite and strictly ascending up to a last +Inf bucket decodes (the
+// decoder only bounds what it allocates) and is rejected by federation,
+// whether absorbed directly or shipped in a frame, with no series moved.
+func TestFederationRejectsHistogramShape(t *testing.T) {
+	histogram := func(bounds ...float64) Metric {
+		m := Metric{Name: "surveyor_h", Kind: KindHistogram, Count: 1, Sum: 1}
+		for _, b := range bounds {
+			m.Buckets = append(m.Buckets, Bucket{UpperBound: JSONFloat(b)})
+		}
+		m.Buckets[0].Count = 1
+		return m
+	}
+	cases := []struct {
+		name string
+		m    Metric
+		want string
+	}{
+		{"histogram without +Inf", histogram(5), "not +Inf"},
+		{"histogram bounds not ascending", histogram(5, 2, math.Inf(1)), "not strictly ascending"},
+		{"histogram NaN bound", histogram(math.NaN(), math.Inf(1)), "not strictly ascending"},
+		{"histogram -Inf bound", histogram(math.Inf(-1), 1, math.Inf(1)), "not strictly ascending"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			err := r.AbsorbSnapshot([]Metric{tc.m})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("AbsorbSnapshot err = %v, want %q", err, tc.want)
+			}
+			if snap := r.Snapshot(); len(snap) != 0 {
+				t.Fatalf("rejected snapshot registered %+v", snap)
+			}
+
+			var frame bytes.Buffer
+			if _, err := EncodeTelemetry(&frame, &Telemetry{Metrics: []Metric{tc.m}}); err != nil {
+				t.Fatal(err)
+			}
+			tel, _, err := DecodeTelemetry(&frame)
+			if err != nil {
+				t.Fatalf("decode: %v (shape is federation's to judge)", err)
+			}
+			o := New()
+			o.StartFleet(1).ShardTelemetry(0, tel, nil)
+			if note := o.Cluster.Snapshot().Shards[0].Telemetry; !strings.HasPrefix(note, "rejected: ") ||
+				!strings.Contains(note, tc.want) {
+				t.Fatalf("cluster note = %q, want rejected with %q", note, tc.want)
+			}
+			for _, m := range o.Metrics.Snapshot() {
+				if strings.HasPrefix(m.Name, fleetPrefix) {
+					t.Errorf("rejected frame registered %s", m.Name)
+				}
+			}
+		})
+	}
+}
+
+// TestAbsorbShardTelemetryRejection: a frame federation rejects moves
+// nothing — no fleet series, not even the ones before the bad metric, and
+// no spans. Only the frame counter and the rejection counter tick, and the
+// shard's cluster note says why.
 func TestAbsorbShardTelemetryRejection(t *testing.T) {
-	o := New()
-	fleet := o.StartFleet(2)
-	bad := &Telemetry{
-		Metrics: []Metric{{Name: "surveyor_x_total", Kind: KindCounter, Value: 0.5}},
-		Spans:   []SpanEvent{{Name: "extract", Cat: "phase"}},
+	counter := func(name string, v float64) Metric {
+		return Metric{Name: name, Kind: KindCounter, Value: v}
 	}
-	fleet.ShardTelemetry(1, bad, nil)
-	if got := o.Metrics.Counter(MetricTelemetryRejected, "").Value(); got != 1 {
-		t.Fatalf("rejected counter = %d, want 1", got)
+	histogram := func(bounds ...float64) Metric {
+		r := NewRegistry()
+		r.Histogram("surveyor_doc_sentences", "s", bounds).Observe(3)
+		return r.Snapshot()[0]
 	}
-	if n := len(o.Tracer.Events()); n != 0 {
-		t.Fatalf("rejected frame stitched %d spans", n)
+	cases := []struct {
+		name  string
+		prior []Metric // federated from shard 0 before the bad frame
+		bad   []Metric
+	}{
+		{"fractional counter", nil,
+			[]Metric{counter("surveyor_x_total", 0.5)}},
+		{"valid counter then fractional counter", nil,
+			[]Metric{counter("surveyor_a_total", 7), counter("surveyor_z_total", 0.5)}},
+		{"valid counter then histogram bounds conflict", []Metric{histogram(1, 4, 16)},
+			[]Metric{counter("surveyor_a_total", 7), histogram(1, 5, 16)}},
+		{"one name with two kinds", nil,
+			[]Metric{counter("surveyor_y_total", 1), {Name: "surveyor_y_total", Kind: KindGauge, Value: 1}}},
 	}
-	snap := o.Cluster.Snapshot()
-	if tel := snap.Shards[1].Telemetry; !strings.HasPrefix(tel, "rejected: ") {
-		t.Fatalf("cluster telemetry note = %q, want rejected", tel)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := New()
+			fleet := o.StartFleet(2)
+			if tc.prior != nil {
+				fleet.ShardTelemetry(0, &Telemetry{Metrics: tc.prior}, nil)
+				if tel := o.Cluster.Snapshot().Shards[0].Telemetry; tel != "ok" {
+					t.Fatalf("prior frame note = %q, want ok", tel)
+				}
+			}
+			before := o.Metrics.Snapshot()
+			spans := len(o.Tracer.Events())
+			fleet.ShardTelemetry(1, &Telemetry{
+				Metrics: tc.bad,
+				Spans:   []SpanEvent{{Name: "extract", Cat: "phase"}},
+			}, nil)
+
+			if tel := o.Cluster.Snapshot().Shards[1].Telemetry; !strings.HasPrefix(tel, "rejected: ") {
+				t.Fatalf("cluster telemetry note = %q, want rejected", tel)
+			}
+			if n := len(o.Tracer.Events()); n != spans {
+				t.Fatalf("rejected frame stitched %d spans", n-spans)
+			}
+			ticked := map[string]bool{"surveyor_dist_telemetry_frames_total": true, MetricTelemetryRejected: true}
+			was := map[string]Metric{}
+			for _, m := range before {
+				was[m.Name] = m
+			}
+			after := o.Metrics.Snapshot()
+			for _, m := range after {
+				prev, ok := was[m.Name]
+				delete(was, m.Name)
+				switch {
+				case ticked[m.Name]:
+					if m.Value != prev.Value+1 {
+						t.Errorf("%s = %v, want %v", m.Name, m.Value, prev.Value+1)
+					}
+				case !ok:
+					t.Errorf("rejected frame registered %s = %+v", m.Name, m)
+				case !reflect.DeepEqual(m, prev):
+					t.Errorf("rejected frame moved %s: %+v -> %+v", m.Name, prev, m)
+				}
+			}
+			for name := range was {
+				t.Errorf("rejected frame removed %s", name)
+			}
+		})
 	}
 }

@@ -1,12 +1,13 @@
 // Package obs is the zero-dependency observability layer of the Surveyor
 // reproduction: a metrics registry with lock-free counters, gauges, and
 // fixed-bucket histograms; span tracing for pipeline phases and per-worker
-// document loops with Chrome trace-event export (Perfetto-loadable); live
-// run progress; the distributed coordinator's fleet sink (Cluster: the
-// records behind /cluster and the surveyor_dist_* series move together)
-// with worker telemetry federation; an optional debug HTTP server
-// (Prometheus text, expvar, pprof, progress); the run report; and
-// profiling helpers.
+// document loops, one SpanEvent shape from record to Chrome trace-event
+// export (Perfetto-loadable); live run progress; the distributed
+// coordinator's fleet sink (Cluster: the records behind /cluster and the
+// surveyor_dist_* series move together) with worker telemetry federation,
+// which checks a worker's whole snapshot before any series moves; an
+// optional debug HTTP server (Prometheus text, expvar, pprof, progress);
+// the run report; and profiling helpers.
 //
 // EM convergence telemetry is not recorded here. A fit is a deterministic
 // function of its group's counts, so the summary and any group's
@@ -100,10 +101,7 @@ func (o *RunObs) Phase(name string) *Span {
 func (s *Span) End() time.Duration {
 	d := s.clock.Now() - s.start
 	if s.tracer != nil {
-		s.tracer.append(traceEvent{
-			name: s.name, cat: "phase", tid: phaseTid,
-			start: s.start, duration: d,
-		})
+		s.tracer.append(SpanEvent{Name: s.name, Cat: "phase", Tid: phaseTid, Start: s.start, Dur: d})
 	}
 	return d
 }

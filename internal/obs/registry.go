@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -105,10 +104,14 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
+	addFloat(&g.bits, delta)
+}
+
+// addFloat adds delta to the float64 held as IEEE 754 bits in b.
+func addFloat(b *atomic.Uint64, delta float64) {
 	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
+		old := b.Load()
+		if b.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
 			return
 		}
 	}
@@ -157,13 +160,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[lo].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	addFloat(&h.sumBits, v)
 }
 
 // Count returns the number of observations. Zero on a nil histogram.
@@ -263,7 +260,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return mustRegister(register(r, name, func() *Counter { return &Counter{helpText: help} }))
+	return register(r, name, func() *Counter { return &Counter{helpText: help} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -271,7 +268,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return mustRegister(register(r, name, func() *Gauge { return &Gauge{helpText: help} }))
+	return register(r, name, func() *Gauge { return &Gauge{helpText: help} })
 }
 
 // Histogram returns the histogram registered under name, creating it with
@@ -286,30 +283,19 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram %q bounds not ascending at %d", name, i))
 		}
 	}
-	return mustRegister(register(r, name, func() *Histogram {
+	return register(r, name, func() *Histogram {
 		return newHistogram(help, append([]float64(nil), bounds...))
-	}))
+	})
 }
 
 func newHistogram(help string, bounds []float64) *Histogram {
 	return &Histogram{helpText: help, bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// kindConflict is a name already registered as another metric kind. Its
-// text is federation's report; mustRegister words the registrars' panic.
-type kindConflict struct {
-	name      string
-	was, want MetricKind
-}
-
-func (e *kindConflict) Error() string {
-	return fmt.Sprintf("already registered as %s, snapshot says %s", e.was, e.want)
-}
-
-// register is the registry's one look-up-or-create path: the metric
+// register is the registrars' one look-up-or-create path: the metric
 // registered under name, or fresh() inserted there on first use. A name
-// holding another kind is a *kindConflict.
-func register[M metric](r *Registry, name string, fresh func() M) (M, error) {
+// holding another kind panics — code, not data, chose the name.
+func register[M metric](r *Registry, name string, fresh func() M) M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := r.metrics[name]
@@ -319,19 +305,9 @@ func register[M metric](r *Registry, name string, fresh func() M) (M, error) {
 	}
 	got, ok := m.(M)
 	if !ok { // got is M's nil pointer, whose kind() reads no field
-		return got, &kindConflict{name: name, was: m.kind(), want: got.kind()}
+		panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, got.kind(), m.kind()))
 	}
-	return got, nil
-}
-
-// mustRegister turns a registrar's kind conflict into the panic it is:
-// code, not data, chose the name.
-func mustRegister[M metric](m M, err error) M {
-	var c *kindConflict
-	if errors.As(err, &c) {
-		panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", c.name, c.want, c.was))
-	}
-	return m
+	return got
 }
 
 // Snapshot reads every registered metric, sorted by name. Each individual

@@ -18,8 +18,7 @@
 //	    help     string  ≤ maxTelemetryHelp
 //	    counter/gauge: valueBits uvarint (IEEE 754 bits)
 //	    histogram:     count uvarint, sumBits uvarint, buckets uvarint
-//	                   (≤ maxTelemetryBuckets, last bound must be +Inf,
-//	                   bounds strictly ascending), then per bucket
+//	                   (1..maxTelemetryBuckets), then per bucket
 //	                   ⟨boundBits uvarint, count uvarint⟩
 //	spanCount         uvarint, then per span:
 //	    name, cat  string ≤ maxTelemetryLabel
@@ -31,9 +30,12 @@
 // Decoding follows the validated-decode discipline of the wire and dist
 // codecs: every count is bounds-checked against a named limit and against
 // the remaining body capacity before anything is allocated, string
-// lengths are capped, and arbitrary bytes fail cleanly with an error —
-// never a panic, never an unbounded allocation. FuzzTelemetryDecode holds
-// the codec to that contract.
+// lengths are capped, integers that land in int64 fields must fit, and
+// arbitrary bytes fail cleanly with an error — never a panic, never an
+// unbounded allocation. That is all decoding judges: what the metrics
+// mean (plausible counts, histogram shape, kinds that agree) is checked by
+// federation, for the whole snapshot, before any series moves.
+// FuzzTelemetryDecode holds both to that contract.
 package obs
 
 import (
@@ -178,43 +180,34 @@ func EncodeTelemetry(w io.Writer, t *Telemetry) (int64, error) {
 }
 
 // DecodeTelemetry reads one framed telemetry snapshot and returns it with
-// the bytes consumed.
+// the bytes consumed, bounding every count and length before allocating
+// for it.
 func DecodeTelemetry(r io.Reader) (*Telemetry, int64, error) {
 	body, n, err := framing.ReadFrame(r, TelemetryMagic)
 	if err != nil {
 		return nil, n, fmt.Errorf("obs: read telemetry frame: %w", err)
 	}
-	t, bodyErr := DecodeTelemetryBody(body)
-	if bodyErr != nil {
-		return nil, n, bodyErr
-	}
-	return t, n, nil
-}
-
-// DecodeTelemetryBody parses a telemetry frame body, validating every
-// count, length, and histogram shape before allocating for it.
-func DecodeTelemetryBody(body []byte) (*Telemetry, error) {
 	d := framing.NewDecoder(body)
 	version := d.Uvarint()
 	jobReceived := d.Uvarint()
 	captured := d.Uvarint()
 	metricCount := d.Uvarint()
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("obs: decode telemetry header: %w", err)
+		return nil, n, fmt.Errorf("obs: decode telemetry header: %w", err)
 	}
 	if version != TelemetryVersion {
-		return nil, fmt.Errorf("obs: unsupported telemetry version %d (want %d)", version, TelemetryVersion)
+		return nil, n, fmt.Errorf("obs: unsupported telemetry version %d (want %d)", version, TelemetryVersion)
 	}
 	if jobReceived > math.MaxInt64 || captured > math.MaxInt64 {
-		return nil, fmt.Errorf("obs: implausible telemetry clock anchor")
+		return nil, n, fmt.Errorf("obs: implausible telemetry clock anchor")
 	}
 	if metricCount > maxTelemetryMetrics {
-		return nil, fmt.Errorf("obs: metric count %d exceeds limit %d", metricCount, maxTelemetryMetrics)
+		return nil, n, fmt.Errorf("obs: metric count %d exceeds limit %d", metricCount, maxTelemetryMetrics)
 	}
 	// A metric is at least four bytes (kind, two length prefixes, a value
 	// varint), so the body bounds the plausible count.
 	if metricCount > uint64(d.Remaining())/4+1 {
-		return nil, fmt.Errorf("obs: metric count %d exceeds body capacity %d", metricCount, d.Remaining())
+		return nil, n, fmt.Errorf("obs: metric count %d exceeds body capacity %d", metricCount, d.Remaining())
 	}
 	t := &Telemetry{Anchor: ClockAnchor{
 		JobReceived: time.Duration(jobReceived),
@@ -226,20 +219,20 @@ func DecodeTelemetryBody(body []byte) (*Telemetry, error) {
 	for i := uint64(0); i < metricCount; i++ {
 		m, err := decodeMetric(d)
 		if err != nil {
-			return nil, fmt.Errorf("obs: telemetry metric %d: %w", i, err)
+			return nil, n, fmt.Errorf("obs: telemetry metric %d: %w", i, err)
 		}
 		t.Metrics = append(t.Metrics, m)
 	}
 	spanCount := d.Uvarint()
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("obs: decode telemetry span count: %w", err)
+		return nil, n, fmt.Errorf("obs: decode telemetry span count: %w", err)
 	}
 	if spanCount > maxTelemetrySpans {
-		return nil, fmt.Errorf("obs: span count %d exceeds limit %d", spanCount, maxTelemetrySpans)
+		return nil, n, fmt.Errorf("obs: span count %d exceeds limit %d", spanCount, maxTelemetrySpans)
 	}
 	// A span is at least six bytes (two length prefixes, four varints).
 	if spanCount > uint64(d.Remaining())/6+1 {
-		return nil, fmt.Errorf("obs: span count %d exceeds body capacity %d", spanCount, d.Remaining())
+		return nil, n, fmt.Errorf("obs: span count %d exceeds body capacity %d", spanCount, d.Remaining())
 	}
 	if spanCount > 0 {
 		t.Spans = make([]SpanEvent, 0, spanCount)
@@ -247,14 +240,14 @@ func DecodeTelemetryBody(body []byte) (*Telemetry, error) {
 	for i := uint64(0); i < spanCount; i++ {
 		s, err := decodeSpan(d)
 		if err != nil {
-			return nil, fmt.Errorf("obs: telemetry span %d: %w", i, err)
+			return nil, n, fmt.Errorf("obs: telemetry span %d: %w", i, err)
 		}
 		t.Spans = append(t.Spans, s)
 	}
 	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("obs: %d trailing bytes in telemetry frame", d.Remaining())
+		return nil, n, fmt.Errorf("obs: %d trailing bytes in telemetry frame", d.Remaining())
 	}
-	return t, nil
+	return t, n, nil
 }
 
 // decodeMetric parses one metric record.
@@ -293,7 +286,6 @@ func decodeMetric(d *framing.Decoder) (Metric, error) {
 		}
 		m.Count = int64(count)
 		m.Buckets = make([]Bucket, 0, buckets)
-		prev := math.Inf(-1)
 		for b := uint64(0); b < buckets; b++ {
 			bound := math.Float64frombits(d.Uvarint())
 			bcount := d.Uvarint()
@@ -303,14 +295,7 @@ func decodeMetric(d *framing.Decoder) (Metric, error) {
 			if bcount > math.MaxInt64 {
 				return Metric{}, fmt.Errorf("bucket count %d overflows int64", bcount)
 			}
-			if math.IsNaN(bound) || (b > 0 && bound <= prev) {
-				return Metric{}, fmt.Errorf("histogram bounds not strictly ascending at bucket %d", b)
-			}
-			prev = bound
 			m.Buckets = append(m.Buckets, Bucket{UpperBound: JSONFloat(bound), Count: int64(bcount)})
-		}
-		if !math.IsInf(prev, 1) {
-			return Metric{}, fmt.Errorf("histogram last bound %v is not +Inf", prev)
 		}
 	default:
 		return Metric{}, fmt.Errorf("unknown metric kind %d", kind)

@@ -177,22 +177,6 @@ func TestTelemetryDecodeRejections(t *testing.T) {
 			e.Uvarint(0)
 			e.Uvarint(0)
 		}, "unknown metric kind"},
-		{"histogram without +Inf", func(e *framing.Encoder) {
-			histogram(1)(e)
-			e.Uvarint(math.Float64bits(5)) // bound: finite, must be +Inf
-			e.Uvarint(1)                   // bucket count
-			e.Uvarint(0)                   // spans
-		}, "not +Inf"},
-		{"histogram bounds not ascending", func(e *framing.Encoder) {
-			histogram(3)(e)
-			e.Uvarint(math.Float64bits(5))
-			e.Uvarint(0)
-			e.Uvarint(math.Float64bits(2)) // below previous bound
-			e.Uvarint(0)
-			e.Uvarint(math.Float64bits(math.Inf(1)))
-			e.Uvarint(0)
-			e.Uvarint(0)
-		}, "not strictly ascending"},
 		{"implausible span tid", func(e *framing.Encoder) {
 			header(e)
 			e.Uvarint(0)
@@ -243,8 +227,10 @@ func TestTelemetryTruncated(t *testing.T) {
 }
 
 // FuzzTelemetryDecode holds the telemetry codec to the validated-decode
-// contract: arbitrary bytes must fail cleanly (or round-trip exactly),
-// never panic, never over-allocate.
+// contract — arbitrary bytes must fail cleanly (or round-trip exactly),
+// never panic, never over-allocate — and federation to all or nothing:
+// every decoded frame is handed to a fresh coordinator, which must not
+// panic, and a frame it rejects must leave no fleet series behind.
 func FuzzTelemetryDecode(f *testing.F) {
 	var seed bytes.Buffer
 	if _, err := EncodeTelemetry(&seed, sampleTelemetry()); err != nil {
@@ -279,6 +265,16 @@ func FuzzTelemetryDecode(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Fatal("decode → encode → decode is not byte-stable")
+		}
+
+		o := New()
+		o.StartFleet(1).ShardTelemetry(0, tel, nil)
+		if note := o.Cluster.Snapshot().Shards[0].Telemetry; strings.HasPrefix(note, "rejected") {
+			for _, m := range o.Metrics.Snapshot() {
+				if strings.HasPrefix(m.Name, fleetPrefix) {
+					t.Fatalf("%s: rejected frame left series %s", note, m.Name)
+				}
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -13,16 +14,18 @@ import (
 // per-document loops, and exports them as Chrome trace-event JSON — the
 // format Perfetto and chrome://tracing load directly.
 //
-// Phase spans are appended under a mutex (there are a handful per run).
-// Worker-loop spans are buffered in worker-owned WorkerTrace slices and
-// folded in once per worker, so the hot path never contends on the
-// tracer. Event volume is bounded: each worker keeps at most
-// perWorkerSpanCap document spans.
+// Every span has one shape from the moment it is recorded: the SpanEvent
+// that Events hands out and a worker's telemetry frame ships, args
+// already in key order. Phase spans are appended under a mutex (there are
+// a handful per run). Worker-loop spans are buffered in worker-owned
+// WorkerTrace slices and folded in once per worker, so the hot path never
+// contends on the tracer. Event volume is bounded: each worker keeps at
+// most perWorkerSpanCap document spans.
 type Tracer struct {
 	clock Clock
 
 	mu     sync.Mutex
-	events []traceEvent
+	events []SpanEvent
 	procs  map[int]string // foreign pid → process label, for trace metadata
 }
 
@@ -33,17 +36,6 @@ const perWorkerSpanCap = 1 << 13
 // the shared system clock).
 func NewTracer(clock Clock) *Tracer {
 	return &Tracer{clock: clockOrDefault(clock)}
-}
-
-// traceEvent is one complete span in the Chrome trace-event model.
-type traceEvent struct {
-	name     string
-	cat      string
-	pid      int // 0 renders as CoordinatorPid (the local process)
-	tid      int64
-	start    time.Duration
-	duration time.Duration
-	args     map[string]int64
 }
 
 // tid values: phases render on thread 0, worker w on thread w+1.
@@ -59,7 +51,7 @@ const CoordinatorPid = 1
 func WorkerPid(shard int) int { return shard + 2 }
 
 // append folds events into the shared buffer.
-func (t *Tracer) append(evs ...traceEvent) {
+func (t *Tracer) append(evs ...SpanEvent) {
 	if t == nil {
 		return
 	}
@@ -75,7 +67,7 @@ type WorkerTrace struct {
 	tracer *Tracer
 	tid    int64
 	start  time.Duration
-	events []traceEvent
+	events []SpanEvent
 }
 
 // worker returns a buffer for worker id (zero-based) in the given phase.
@@ -103,13 +95,9 @@ func (wt *WorkerTrace) docEnd(doc int, sentences, statements int64) {
 		return
 	}
 	now := wt.tracer.clock.Now()
-	wt.events = append(wt.events, traceEvent{
-		name:     "doc",
-		cat:      "doc",
-		tid:      wt.tid,
-		start:    wt.start,
-		duration: now - wt.start,
-		args:     map[string]int64{"doc": int64(doc), "sentences": sentences, "statements": statements},
+	wt.events = append(wt.events, SpanEvent{
+		Name: "doc", Cat: "doc", Tid: wt.tid, Start: wt.start, Dur: now - wt.start,
+		Args: []SpanArg{{"doc", int64(doc)}, {"sentences", sentences}, {"statements", statements}},
 	})
 }
 
@@ -119,26 +107,22 @@ func (wt *WorkerTrace) close(phase string, loopStart, loopEnd time.Duration, doc
 	if wt == nil {
 		return
 	}
-	wt.events = append(wt.events, traceEvent{
-		name:     phase + "/worker",
-		cat:      "worker",
-		tid:      wt.tid,
-		start:    loopStart,
-		duration: loopEnd - loopStart,
-		args:     map[string]int64{"docs": docs},
+	wt.events = append(wt.events, SpanEvent{
+		Name: phase + "/worker", Cat: "worker", Tid: wt.tid,
+		Start: loopStart, Dur: loopEnd - loopStart, Args: []SpanArg{{"docs", docs}},
 	})
 	wt.tracer.append(wt.events...)
 	wt.events = nil
 }
 
-// SpanEvent is the exported, passive form of one collected span: what
-// Events returns and what a worker's telemetry frame ships to the
-// coordinator. Args are sorted by key so the encoding of the same span
-// set is always the same bytes.
+// SpanEvent is one collected span: what the tracer buffers, what Events
+// returns and what a worker's telemetry frame ships to the coordinator.
+// Args are in key order (the recording sites write them so), so the
+// encoding of the same span set is always the same bytes.
 type SpanEvent struct {
 	Name       string
 	Cat        string
-	Pid        int // 0 = the collecting process itself
+	Pid        int // 0 = the collecting process itself (CoordinatorPid on export)
 	Tid        int64
 	Start, Dur time.Duration
 	Args       []SpanArg
@@ -150,43 +134,16 @@ type SpanArg struct {
 	Value int64
 }
 
-// Events returns the collected spans in collection order, args sorted by
-// key. This is a read-side API: it serves the telemetry exporter and
-// tests, never instrumented pipeline code (the write-only contract).
+// Events returns the collected spans in collection order. This is a
+// read-side API: it serves the telemetry exporter and tests, never
+// instrumented pipeline code (the write-only contract).
 func (t *Tracer) Events() []SpanEvent {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	events := make([]traceEvent, len(t.events))
-	copy(events, t.events)
-	t.mu.Unlock()
-
-	out := make([]SpanEvent, len(events))
-	for i, e := range events {
-		out[i] = SpanEvent{
-			Name: e.name, Cat: e.cat, Pid: e.pid, Tid: e.tid,
-			Start: e.start, Dur: e.duration, Args: sortedArgs(e.args),
-		}
-	}
-	return out
-}
-
-// sortedArgs flattens an args map into a key-sorted slice.
-func sortedArgs(args map[string]int64) []SpanArg {
-	if len(args) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(args))
-	for k := range args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]SpanArg, len(keys))
-	for i, k := range keys {
-		out[i] = SpanArg{Key: k, Value: args[k]}
-	}
-	return out
+	defer t.mu.Unlock()
+	return slices.Clone(t.events)
 }
 
 // AbsorbSpans stitches foreign spans (a worker's, decoded from its
@@ -197,27 +154,16 @@ func (t *Tracer) AbsorbSpans(pid int, label string, offset time.Duration, spans 
 	if t == nil || len(spans) == 0 {
 		return
 	}
-	events := make([]traceEvent, len(spans))
-	for i, s := range spans {
-		ev := traceEvent{
-			name: s.Name, cat: s.Cat, pid: pid, tid: s.Tid,
-			start: s.Start + offset, duration: s.Dur,
-		}
-		if len(s.Args) > 0 {
-			ev.args = make(map[string]int64, len(s.Args))
-			for _, a := range s.Args {
-				ev.args[a.Key] = a.Value
-			}
-		}
-		events[i] = ev
-	}
 	t.mu.Lock()
-	t.events = append(t.events, events...)
+	defer t.mu.Unlock()
+	for _, s := range spans {
+		s.Pid, s.Start = pid, s.Start+offset
+		t.events = append(t.events, s)
+	}
 	if t.procs == nil {
 		t.procs = map[int]string{}
 	}
 	t.procs[pid] = label
-	t.mu.Unlock()
 }
 
 // chromeEvent is the JSON shape of one trace event.
@@ -262,8 +208,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return nil
 	}
 	t.mu.Lock()
-	events := make([]traceEvent, len(t.events))
-	copy(events, t.events)
+	events := slices.Clone(t.events)
 	procs := make([]chromeMeta, 0, len(t.procs)+1)
 	if len(t.procs) > 0 {
 		pids := make([]int, 0, len(t.procs))
@@ -285,20 +230,26 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		out.TraceEvents = append(out.TraceEvents, m)
 	}
 	for _, e := range events {
-		pid := e.pid
+		pid := e.Pid
 		if pid == 0 {
 			pid = CoordinatorPid
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: e.name,
-			Cat:  e.cat,
+		ce := chromeEvent{
+			Name: e.Name,
+			Cat:  e.Cat,
 			Ph:   "X",
-			Ts:   float64(e.start.Nanoseconds()) / 1e3,
-			Dur:  float64(e.duration.Nanoseconds()) / 1e3,
+			Ts:   float64(e.Start.Nanoseconds()) / 1e3,
+			Dur:  float64(e.Dur.Nanoseconds()) / 1e3,
 			Pid:  pid,
-			Tid:  e.tid,
-			Args: e.args,
-		})
+			Tid:  e.Tid,
+		}
+		if len(e.Args) > 0 {
+			ce.Args = make(map[string]int64, len(e.Args))
+			for _, a := range e.Args {
+				ce.Args[a.Key] = a.Value
+			}
+		}
+		out.TraceEvents = append(out.TraceEvents, ce)
 	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(out); err != nil {

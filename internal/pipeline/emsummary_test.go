@@ -1,4 +1,4 @@
-package obs_test
+package pipeline
 
 import (
 	"encoding/json"
@@ -9,15 +9,14 @@ import (
 	"repro/internal/evidence"
 	"repro/internal/kb"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
-// TestEMRecorderTrajectory: the EM telemetry of a fitted group is recorded
-// by its result. The summary aggregates count the fit, its row names the
-// group and its size, and the replayed trajectory has one row per iteration,
-// ending at the fit's parameters and final log-likelihood.
-func TestEMRecorderTrajectory(t *testing.T) {
-	g := pipeline.GroupResult{Key: evidence.GroupKey{Type: "city", Property: "big"}}
+// TestEMSummaryAndTrajectoryOfOneFit: the EM telemetry of a fitted group is
+// re-derived from its result. The summary aggregates count the fit, its row
+// names the group and its size, and the replayed trajectory has one row per
+// iteration, ending at the fit's parameters and final log-likelihood.
+func TestEMSummaryAndTrajectoryOfOneFit(t *testing.T) {
+	g := GroupResult{Key: evidence.GroupKey{Type: "city", Property: "big"}}
 	tuples := make([]core.Tuple, 50)
 	for i := range tuples {
 		pos, neg := i%7, i%3
@@ -25,7 +24,7 @@ func TestEMRecorderTrajectory(t *testing.T) {
 			pos, neg = 0, 0 // entities nobody wrote about
 		}
 		tuples[i] = core.Tuple{Pos: pos, Neg: neg}
-		g.Entities = append(g.Entities, pipeline.EntityOpinion{Entity: kb.EntityID(i), Pos: int64(pos), Neg: int64(neg)})
+		g.Entities = append(g.Entities, EntityOpinion{Entity: kb.EntityID(i), Pos: int64(pos), Neg: int64(neg)})
 	}
 	cfg := core.DefaultEMConfig()
 	g.Model, g.Trace = core.FitEM(tuples, cfg)
@@ -33,7 +32,7 @@ func TestEMRecorderTrajectory(t *testing.T) {
 		t.Fatalf("fit ran %d iterations, want at least 2", g.Trace.Iterations)
 	}
 
-	snap := pipeline.AssembleResult(nil, []pipeline.GroupResult{g}, pipeline.ResultStats{}).EMSummary()
+	snap := AssembleResult(nil, []GroupResult{g}, ResultStats{}).EMSummary()
 	converged := 0
 	if g.Trace.Converged {
 		converged = 1
@@ -61,18 +60,18 @@ func TestEMRecorderTrajectory(t *testing.T) {
 	}
 }
 
-// TestEMSnapshotSortedAndJSONSafe: the EM summary of a result lists its rows
+// TestEMSummarySortedAndJSONSafe: the EM summary of a result lists its rows
 // in (type, property) order, and a degenerate fit's -Inf log-likelihood
 // survives a JSON round trip.
-func TestEMSnapshotSortedAndJSONSafe(t *testing.T) {
-	var groups []pipeline.GroupResult
+func TestEMSummarySortedAndJSONSafe(t *testing.T) {
+	var groups []GroupResult
 	for _, k := range [][2]string{{"a", "x"}, {"a", "z"}, {"b", "y"}} {
-		groups = append(groups, pipeline.GroupResult{
+		groups = append(groups, GroupResult{
 			Key:   evidence.GroupKey{Type: k[0], Property: k[1]},
 			Trace: core.Trace{Iterations: 1, LogLikelihoods: []float64{math.Inf(-1)}}, // degenerate fit
 		})
 	}
-	snap := pipeline.AssembleResult(nil, groups, pipeline.ResultStats{}).EMSummary()
+	snap := AssembleResult(nil, groups, ResultStats{}).EMSummary()
 	order := ""
 	for _, rec := range snap.Records {
 		order += rec.Type + rec.Property + " "
