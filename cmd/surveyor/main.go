@@ -54,15 +54,16 @@
 // dead coordinator when their input stream ends and exit on their own.
 //
 // Observability: -debug-addr starts a live debug server (Prometheus
-// /metrics, /progress, /trace for Perfetto, /em, /cluster, expvar, pprof);
-// -linger keeps it serving after the run finishes so the final state can
-// be scraped. -report writes a machine-readable JSON run report. EM
-// telemetry is re-derived from the run's result, for every group, with no
-// caps and no sampling: /em and the report's "em" section are the
-// convergence summary, and /em?type=T&property=P replays that group's
-// per-iteration trajectory (404 for a group that was not modelled). Before
-// the result exists /em serves the zero summary. Combined
-// with -distribute, forked and socket workers alike record each shard
+// /metrics, /trace for Perfetto, /em, /cluster, /healthz, pprof); -linger
+// keeps it serving after the run finishes so the final state can be
+// scraped. /metrics is the live view: surveyor_doc_sentences_count and
+// _sum count documents and sentences as they finish. -report writes a
+// machine-readable JSON run report. EM telemetry is re-derived from the
+// run's result, for every group, with no caps and no sampling: /em and the
+// report's "em" section are the convergence summary, and
+// /em?type=T&property=P replays that group's per-iteration trajectory (404
+// for a group that was not modelled). Before the result exists /em serves
+// the zero summary. Combined with -distribute, forked and socket workers alike record each shard
 // attempt's observability and ship it back as a telemetry frame:
 // /metrics grows federated surveyor_fleet_* series, /trace stitches every
 // worker's spans onto its own pid track with skew-corrected timestamps,
@@ -182,7 +183,7 @@ func run() int {
 			return 1
 		}
 		defer ds.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/ (metrics, progress, trace, em, em?type=&property=, pprof)\n", ds.Addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s/ (metrics, trace, cluster, healthz, em, em?type=&property=, pprof)\n", ds.Addr)
 	}
 
 	// SIGINT/SIGTERM cancel the mining run. The first signal cancels the

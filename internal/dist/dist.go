@@ -98,7 +98,6 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 	}
 	o := cfg.Pipeline.Obs
 	fleet := o.StartFleet(shards)
-	o.StartRun(len(docs), shards)
 	total := o.Phase("run")
 
 	if cfg.Transport == nil {
@@ -169,7 +168,6 @@ func Mine(ctx context.Context, docs []corpus.Document, base *kb.KB, cfg Config) 
 	})
 	res.Timings.Extraction = extractDur
 	res.Timings.Total = total.End()
-	o.EndRun()
 
 	if err := ctx.Err(); err != nil {
 		return res, failed, err

@@ -137,7 +137,6 @@ func (m *Miner) Ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats, error) {
 	o := m.cfg.Obs
 	io := o.Incremental()
-	o.StartRun(len(docs), min(m.cfg.Workers, len(docs)))
 	span := o.Phase("epoch")
 
 	// Extract the epoch's evidence delta, with document indices offset so
@@ -146,7 +145,6 @@ func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 	prev := m.published.Load()
 	ext, err := pipeline.ExtractEvidence(ctx, docs, m.base, m.lex, m.cfg, prev.Documents+len(prev.Quarantined))
 	if err != nil {
-		o.EndRun()
 		return EpochStats{}, err
 	}
 	delta := ext.Store
@@ -190,7 +188,6 @@ func (m *Miner) ingest(ctx context.Context, docs []corpus.Document) (EpochStats,
 		io.RefitFraction.Set(float64(stats.RefitGroups) / float64(stats.ModelledGroups))
 	}
 	io.EpochMillis.Observe(float64(stats.Duration) / float64(time.Millisecond))
-	o.EndRun()
 	return stats, nil
 }
 

@@ -200,7 +200,9 @@ func (c *Cluster) ResultReceived(s int, wireBytes int64) {
 	})
 }
 
-// ShardCommitted marks shard s merged into the cumulative store.
+// ShardCommitted marks shard s merged into the cumulative store. Its
+// quarantined documents count into the run's MetricQuarantinedDocs, as a
+// batch run's do: the workers counted them in registries of their own.
 func (c *Cluster) ShardCommitted(s, consumed, quarantined int, mergeMillis float64) {
 	c.record(s, func(sh *shardState) {
 		sh.Status = ShardDone
@@ -208,6 +210,7 @@ func (c *Cluster) ShardCommitted(s, consumed, quarantined int, mergeMillis float
 		sh.Quarantined = quarantined
 		sh.MergeMillis = mergeMillis
 		c.series.shipped.Inc()
+		c.series.quarantined.Add(int64(quarantined))
 		c.series.mergeMillis.Observe(mergeMillis)
 	})
 }

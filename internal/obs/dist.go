@@ -17,6 +17,7 @@ const (
 type fleetSeries struct {
 	workers     *Gauge     // shard/worker count of the current run
 	shipped     *Counter   // shard deltas received and committed
+	quarantined *Counter   // committed shards' quarantined documents; /healthz degrades on it
 	failed      *Counter   // shards lost for good; /healthz degrades on it
 	frames      *Counter   // worker telemetry frames received
 	rejected    *Counter   // telemetry frames missing, undecodable or not federated
@@ -40,6 +41,8 @@ func resolveFleetSeries(r *Registry) fleetSeries {
 			"worker count of the current distributed run"),
 		shipped: r.Counter("surveyor_dist_shards_shipped_total",
 			"shard evidence deltas merged by the coordinator"),
+		quarantined: r.Counter(MetricQuarantinedDocs,
+			"documents quarantined by the per-document panic boundary"),
 		failed: r.Counter(MetricDistShardsFailed,
 			"shards lost to worker crashes or protocol errors"),
 		frames: r.Counter("surveyor_dist_telemetry_frames_total",

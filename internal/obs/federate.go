@@ -71,10 +71,11 @@ func (r *Registry) AbsorbSnapshot(metrics []Metric) error {
 }
 
 // check reports why m cannot fold into the series named name: a counter
-// value that is not a count, a histogram that is not one (no buckets,
-// bounds not finite and strictly ascending, last bound not +Inf), an
-// unknown kind, or a kind or bounds that differ from the series already
-// federated there. Called with r.mu held; it moves nothing.
+// value that is not a count, or whose sum with the federated value would
+// overflow; a histogram that is not one (no buckets, bounds not finite and
+// strictly ascending, last bound not +Inf, a count that disagrees with its
+// buckets); an unknown kind; or a kind or bounds that differ from the
+// series already federated there. Called with r.mu held; it moves nothing.
 func (r *Registry) check(name string, m *Metric) error {
 	switch m.Kind {
 	case KindCounter:
@@ -96,6 +97,16 @@ func (r *Registry) check(name string, m *Metric) error {
 		if !math.IsInf(float64(m.Buckets[last].UpperBound), 1) {
 			return fmt.Errorf("histogram last bound %v is not +Inf", float64(m.Buckets[last].UpperBound))
 		}
+		var n int64
+		for _, b := range m.Buckets {
+			if b.Count < 0 || b.Count > math.MaxInt64-n {
+				return fmt.Errorf("histogram bucket count %d is negative or overflows the total", b.Count)
+			}
+			n += b.Count
+		}
+		if n != m.Count {
+			return fmt.Errorf("histogram count %d disagrees with its buckets' %d", m.Count, n)
+		}
 	default:
 		return fmt.Errorf("unknown metric kind %d", m.Kind)
 	}
@@ -105,6 +116,9 @@ func (r *Registry) check(name string, m *Metric) error {
 	}
 	if old.kind() != m.Kind {
 		return fmt.Errorf("already registered as %s, snapshot says %s", old.kind(), m.Kind)
+	}
+	if c, ok := old.(*Counter); ok && int64(m.Value) > math.MaxInt64-c.Value() {
+		return fmt.Errorf("counter value %v overflows the federated %d", m.Value, c.Value())
 	}
 	if h, ok := old.(*Histogram); ok {
 		if len(h.bounds) != len(m.Buckets)-1 {

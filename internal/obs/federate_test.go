@@ -236,6 +236,10 @@ func TestAbsorbShardTelemetryRejection(t *testing.T) {
 			[]Metric{counter("surveyor_a_total", 7), histogram(1, 5, 16)}},
 		{"one name with two kinds", nil,
 			[]Metric{counter("surveyor_y_total", 1), {Name: "surveyor_y_total", Kind: KindGauge, Value: 1}}},
+		{"count disagrees with buckets", nil,
+			[]Metric{counter("surveyor_a_total", 7), func() Metric { h := histogram(1, 4, 16); h.Count = 5; return h }()}},
+		{"two frames of 9e18", []Metric{counter("surveyor_c_total", 9e18)},
+			[]Metric{counter("surveyor_a_total", 7), counter("surveyor_c_total", 9e18)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

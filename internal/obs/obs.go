@@ -2,12 +2,13 @@
 // reproduction: a metrics registry with lock-free counters, gauges, and
 // fixed-bucket histograms; span tracing for pipeline phases and per-worker
 // document loops, one SpanEvent shape from record to Chrome trace-event
-// export (Perfetto-loadable); live run progress; the distributed
-// coordinator's fleet sink (Cluster: the records behind /cluster and the
-// surveyor_dist_* series move together) with worker telemetry federation,
-// which checks a worker's whole snapshot before any series moves; an
-// optional debug HTTP server (Prometheus text, expvar, pprof, progress);
-// the run report; and profiling helpers.
+// export (Perfetto-loadable); the distributed coordinator's fleet sink
+// (Cluster: the records behind /cluster and the surveyor_dist_* series
+// move together) with worker telemetry federation, which checks a
+// worker's whole snapshot before any series moves; an optional debug HTTP
+// server (Prometheus text, trace, cluster, health, pprof); the run report;
+// and profiling helpers. The live view of a run is /metrics:
+// surveyor_doc_sentences' _count and _sum move as each document finishes.
 //
 // EM convergence telemetry is not recorded here. A fit is a deterministic
 // function of its group's counts, so the summary and any group's
@@ -32,20 +33,18 @@ import "time"
 
 // RunObs bundles the observability sinks of one pipeline run. Any field
 // may be nil to disable that aspect; a nil *RunObs disables everything.
-// The same RunObs may serve several consecutive runs (metrics accumulate;
-// progress resets per run).
+// The same RunObs may serve several consecutive runs (metrics and spans
+// accumulate).
 type RunObs struct {
 	// Metrics receives pipeline counters, gauges, and histograms.
 	Metrics *Registry
 	// Tracer receives phase, worker, and document spans.
 	Tracer *Tracer
-	// Progress is the live run view served by the debug server.
-	Progress *Progress
 	// Cluster is the distributed coordinator's fleet view, served by the
 	// debug server's /cluster endpoint. Nil outside distributed runs.
 	Cluster *Cluster
 	// Clock overrides the time source for spans started through this
-	// RunObs. Nil selects the shared system clock. Tracer and Progress
+	// RunObs. Nil selects the shared system clock. Tracer and Cluster
 	// carry their own clocks (set at construction).
 	Clock Clock
 }
@@ -55,11 +54,10 @@ type RunObs struct {
 func New() *RunObs {
 	clock := NewSystemClock()
 	return &RunObs{
-		Metrics:  NewRegistry(),
-		Tracer:   NewTracer(clock),
-		Progress: NewProgress(clock),
-		Cluster:  NewCluster(clock),
-		Clock:    clock,
+		Metrics: NewRegistry(),
+		Tracer:  NewTracer(clock),
+		Cluster: NewCluster(clock),
+		Clock:   clock,
 	}
 }
 
@@ -74,11 +72,10 @@ func (o *RunObs) clock() Clock {
 // RunObs the pipeline needs phase durations for Result.Timings — and
 // additionally records a trace event when a tracer is attached.
 type Span struct {
-	tracer   *Tracer
-	progress *Progress
-	clock    Clock
-	name     string
-	start    time.Duration
+	tracer *Tracer
+	clock  Clock
+	name   string
+	start  time.Duration
 }
 
 // Phase starts a span for a named pipeline phase. Works on a nil RunObs
@@ -87,10 +84,8 @@ func (o *RunObs) Phase(name string) *Span {
 	s := &Span{clock: o.clock(), name: name}
 	if o != nil {
 		s.tracer = o.Tracer
-		s.progress = o.Progress
 	}
 	s.start = s.clock.Now()
-	s.progress.setPhase(name)
 	return s
 }
 
@@ -106,79 +101,14 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
-// StartRun initialises per-run progress state. Call before spawning
-// workers.
-func (o *RunObs) StartRun(totalDocs, workers int) {
-	if o == nil {
-		return
-	}
-	o.Progress.startRun(totalDocs, workers)
-}
-
-// EndRun marks the run complete.
-func (o *RunObs) EndRun() {
-	if o == nil {
-		return
-	}
-	o.Progress.endRun()
-}
-
-// WorkerObs is one extraction worker's write-only telemetry handle:
-// per-worker progress counters plus document spans. Methods are
-// nil-safe; the pipeline holds one per worker goroutine.
-type WorkerObs struct {
-	trace     *WorkerTrace
-	slot      *WorkerSlot
-	clock     Clock
-	loopStart time.Duration
-	docs      int64
-	inDoc     bool
-}
-
-// Worker returns the telemetry handle for worker id (zero-based). Nil
-// when o is nil.
-func (o *RunObs) Worker(id int) *WorkerObs {
+// Worker returns the telemetry handle for extraction worker id
+// (zero-based): its document spans, buffered on the tracer's clock. Nil —
+// and every method a no-op — when o or its tracer is nil.
+func (o *RunObs) Worker(id int) *WorkerTrace {
 	if o == nil {
 		return nil
 	}
-	w := &WorkerObs{
-		trace: o.Tracer.worker(id),
-		slot:  o.Progress.worker(id),
-		clock: o.clock(),
-	}
-	w.loopStart = w.clock.Now()
-	return w
-}
-
-// DocStart marks the beginning of one document.
-func (w *WorkerObs) DocStart() {
-	if w == nil {
-		return
-	}
-	w.inDoc = w.trace.docStart()
-}
-
-// DocEnd marks the end of one document with its sentence and statement
-// counts.
-func (w *WorkerObs) DocEnd(doc int, sentences, statements int64) {
-	if w == nil {
-		return
-	}
-	w.docs++
-	if w.inDoc {
-		w.trace.docEnd(doc, sentences, statements)
-		w.inDoc = false
-	}
-	w.slot.AddDoc(sentences, statements)
-}
-
-// Close flushes the worker's buffered telemetry. Call once, when the
-// worker's loop exits.
-func (w *WorkerObs) Close(phase string) {
-	if w == nil {
-		return
-	}
-	w.trace.close(phase, w.loopStart, w.clock.Now(), w.docs)
+	return o.Tracer.worker(id)
 }
 
 // PipelineMetrics is the fixed inventory of pipeline metrics, resolved

@@ -10,7 +10,6 @@ import (
 // Result.Timings needs them with observability off.
 func TestNilRunObsStillMeasures(t *testing.T) {
 	var o *RunObs
-	o.StartRun(10, 2)
 	span := o.Phase("extract")
 	w := o.Worker(0)
 	w.DocStart()
@@ -22,7 +21,6 @@ func TestNilRunObsStillMeasures(t *testing.T) {
 	if d := span.End(); d < 0 {
 		t.Errorf("span duration = %v", d)
 	}
-	o.EndRun()
 }
 
 // TestPhaseDurationUsesInjectedClock: the RunObs clock is the single time
@@ -40,11 +38,11 @@ func TestPhaseDurationUsesInjectedClock(t *testing.T) {
 // TestNewWiresSharedClock: New gives every component the same clock.
 func TestNewWiresSharedClock(t *testing.T) {
 	o := New()
-	if o.Metrics == nil || o.Tracer == nil || o.Progress == nil || o.Clock == nil {
+	if o.Metrics == nil || o.Tracer == nil || o.Cluster == nil || o.Clock == nil {
 		t.Fatalf("New left components nil: %+v", o)
 	}
-	if o.Tracer.clock != o.Clock || o.Progress.clock != o.Clock {
-		t.Error("tracer/progress do not share the RunObs clock")
+	if o.Tracer.clock != o.Clock || o.Cluster.clock != o.Clock {
+		t.Error("tracer/cluster do not share the RunObs clock")
 	}
 }
 

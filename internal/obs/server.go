@@ -3,19 +3,18 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
 
 // DebugServer is the live introspection endpoint of a run: Prometheus
-// text metrics, expvar, net/http/pprof, and a JSON progress view. It is
-// read-only — serving it cannot perturb pipeline results — and intended
-// for operators (and the CI smoke test), not for untrusted networks.
+// text metrics, the Chrome trace, the fleet view, health and
+// net/http/pprof. It is read-only — serving it cannot perturb pipeline
+// results — and intended for operators (and the CI smoke test), not for
+// untrusted networks.
 type DebugServer struct {
 	// Addr is the bound address (useful when the requested port was 0).
 	Addr string
@@ -24,11 +23,11 @@ type DebugServer struct {
 	lis net.Listener
 }
 
-// Handler returns the debug mux for o: /metrics (Prometheus text),
-// /progress (JSON), /trace (Chrome trace events), /cluster (the
-// distributed fleet view), /debug/vars (expvar), /debug/pprof/*,
-// /healthz, and an HTML index at /. Callers mount routes of their own on
-// it (cmd/surveyor adds /em, re-derived from the run's result).
+// Handler returns the debug mux for o: /metrics (Prometheus text, the
+// live view of a run), /trace (Chrome trace events), /cluster (the
+// distributed fleet view), /healthz, /debug/pprof/*, and an HTML index
+// at /. Callers mount routes of their own on it (cmd/surveyor adds /em,
+// re-derived from the run's result).
 func Handler(o *RunObs) *http.ServeMux {
 	if o == nil {
 		o = &RunObs{} // every sink nil: each endpoint serves its empty form
@@ -40,12 +39,6 @@ func Handler(o *RunObs) *http.ServeMux {
 			// The scrape connection broke mid-write; nothing to salvage.
 			return
 		}
-	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(o.Progress.Snapshot())
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -78,7 +71,6 @@ func Handler(o *RunObs) *http.ServeMux {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.Handle("/debug/vars", expvarHandlerFor(o))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -92,31 +84,13 @@ func Handler(o *RunObs) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, `<html><body><h1>surveyor debug</h1><ul>
 <li><a href="/metrics">/metrics</a> — Prometheus text</li>
-<li><a href="/progress">/progress</a> — live run progress (JSON)</li>
 <li><a href="/trace">/trace</a> — Chrome trace events (load in Perfetto)</li>
 <li><a href="/cluster">/cluster</a> — distributed fleet view: per-shard status, telemetry, skew (JSON)</li>
-<li><a href="/debug/vars">/debug/vars</a> — expvar</li>
+<li><a href="/healthz">/healthz</a> — ok, or degraded with the fault counts</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — pprof</li>
 </ul></body></html>`)
 	})
 	return mux
-}
-
-// publishOnce guards the process-global expvar namespace: expvar.Publish
-// panics on duplicate names, and a process may start several debug
-// servers across runs (or tests).
-var publishOnce sync.Once
-
-// expvarHandlerFor returns the standard expvar page with the registry and
-// progress published under "surveyor_metrics" / "surveyor_progress". The
-// expvar vars capture o by reference; the first server's RunObs wins for
-// the life of the process, matching expvar's global nature.
-func expvarHandlerFor(o *RunObs) http.Handler {
-	publishOnce.Do(func() {
-		expvar.Publish("surveyor_metrics", expvar.Func(func() any { return o.Metrics.Snapshot() }))
-		expvar.Publish("surveyor_progress", expvar.Func(func() any { return o.Progress.Snapshot() }))
-	})
-	return expvar.Handler()
 }
 
 // StartDebugServer binds addr (e.g. "localhost:8080" or ":0") and serves

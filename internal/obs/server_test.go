@@ -13,23 +13,21 @@ import (
 func populatedRunObs() *RunObs {
 	clock := &ManualClock{}
 	o := &RunObs{
-		Metrics:  NewRegistry(),
-		Tracer:   NewTracer(clock),
-		Progress: NewProgress(clock),
-		Clock:    clock,
+		Metrics: NewRegistry(),
+		Tracer:  NewTracer(clock),
+		Clock:   clock,
 	}
-	o.StartRun(4, 1)
 	pm := o.PipelineMetrics()
 	span := o.Phase("extract")
 	w := o.Worker(0)
 	w.DocStart()
 	clock.Advance(time.Millisecond)
 	w.DocEnd(0, 2, 1)
+	pm.DocSentences.Observe(2)
 	w.Close("extract")
 	pm.Documents.Add(4)
 	span.End()
 	pm.EMIterations.Observe(1)
-	o.EndRun()
 	return o
 }
 
@@ -60,19 +58,12 @@ func TestDebugEndpoints(t *testing.T) {
 		"# TYPE surveyor_documents_total counter",
 		"surveyor_documents_total 4",
 		`surveyor_em_iterations_bucket{le="+Inf"} 1`,
+		"surveyor_doc_sentences_count 1",
+		"surveyor_doc_sentences_sum 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
-	}
-
-	body, _ = get(t, srv, "/progress")
-	var ps ProgressSnapshot
-	if err := json.Unmarshal([]byte(body), &ps); err != nil {
-		t.Fatalf("/progress: %v", err)
-	}
-	if ps.DocumentsProcessed != 1 || ps.DocumentsTotal != 4 || ps.Running {
-		t.Errorf("/progress = %+v", ps)
 	}
 
 	body, _ = get(t, srv, "/trace")
@@ -89,23 +80,13 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("/healthz = %q", body)
 	}
 
-	body, _ = get(t, srv, "/debug/vars")
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars: %v", err)
-	}
-	if _, ok := vars["surveyor_metrics"]; !ok {
-		t.Error("/debug/vars missing surveyor_metrics")
-	}
-	if _, ok := vars["surveyor_progress"]; !ok {
-		t.Error("/debug/vars missing surveyor_progress")
-	}
-
 	if body, _ = get(t, srv, "/"); !strings.Contains(body, "/debug/pprof/") {
 		t.Error("index page missing pprof link")
 	}
-	if _, resp = get(t, srv, "/nonexistent"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown path status = %d", resp.StatusCode)
+	for _, path := range []string{"/nonexistent", "/progress", "/debug/vars"} {
+		if _, resp = get(t, srv, path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 	if body, _ = get(t, srv, "/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Error("pprof index not served")
@@ -269,7 +250,7 @@ func TestCloseGraceful(t *testing.T) {
 func TestHandlerWithNilRunObs(t *testing.T) {
 	srv := httptest.NewServer(Handler(nil))
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/progress", "/trace", "/healthz"} {
+	for _, path := range []string{"/metrics", "/trace", "/cluster", "/healthz"} {
 		_, resp := get(t, srv, path)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s with nil RunObs: status %d", path, resp.StatusCode)

@@ -18,7 +18,7 @@ import (
 // that Events hands out and a worker's telemetry frame ships, args
 // already in key order. Phase spans are appended under a mutex (there are
 // a handful per run). Worker-loop spans are buffered in worker-owned
-// WorkerTrace slices and folded in once per worker, so the hot path never
+// WorkerTrace handles and folded in once per worker, so the hot path never
 // contends on the tracer. Event volume is bounded: each worker keeps at
 // most perWorkerSpanCap document spans.
 type Tracer struct {
@@ -60,38 +60,47 @@ func (t *Tracer) append(evs ...SpanEvent) {
 	t.mu.Unlock()
 }
 
-// WorkerTrace is a worker-owned span buffer: document spans are appended
-// without locks and folded into the tracer once, when the worker calls
-// close.
+// WorkerTrace is one extraction worker's write-only telemetry handle: a
+// worker-owned span buffer. Document spans are appended without locks and
+// folded into the tracer once, with one span covering the worker's whole
+// loop, when the worker calls Close. Every timestamp is read from the
+// tracer's clock. Methods are nil-safe; the pipeline holds one per worker
+// goroutine.
 type WorkerTrace struct {
-	tracer *Tracer
-	tid    int64
-	start  time.Duration
-	events []SpanEvent
+	tracer    *Tracer
+	tid       int64
+	loopStart time.Duration
+	start     time.Duration
+	docs      int64
+	events    []SpanEvent
 }
 
-// worker returns a buffer for worker id (zero-based) in the given phase.
+// worker returns the handle of worker id (zero-based), its loop started
+// now.
 func (t *Tracer) worker(id int) *WorkerTrace {
 	if t == nil {
 		return nil
 	}
-	return &WorkerTrace{tracer: t, tid: int64(id) + 1}
+	return &WorkerTrace{tracer: t, tid: int64(id) + 1, loopStart: t.clock.Now()}
 }
 
-// docStart marks the beginning of one document's processing and reports
-// whether its span is recorded — false once the buffer is at its cap
-// (callers skip docEnd bookkeeping then).
-func (wt *WorkerTrace) docStart() bool {
+// DocStart marks the beginning of one document. Once the buffer holds
+// perWorkerSpanCap spans, documents are counted but not spanned.
+func (wt *WorkerTrace) DocStart() {
 	if wt == nil || len(wt.events) >= perWorkerSpanCap {
-		return false
+		return
 	}
 	wt.start = wt.tracer.clock.Now()
-	return true
 }
 
-// docEnd closes the span opened by the last successful docStart.
-func (wt *WorkerTrace) docEnd(doc int, sentences, statements int64) {
+// DocEnd closes the document opened by the last DocStart with its
+// sentence and statement counts.
+func (wt *WorkerTrace) DocEnd(doc int, sentences, statements int64) {
 	if wt == nil {
+		return
+	}
+	wt.docs++
+	if len(wt.events) >= perWorkerSpanCap {
 		return
 	}
 	now := wt.tracer.clock.Now()
@@ -101,15 +110,15 @@ func (wt *WorkerTrace) docEnd(doc int, sentences, statements int64) {
 	})
 }
 
-// close folds the buffered spans (plus one covering span for the worker's
-// whole loop) into the tracer.
-func (wt *WorkerTrace) close(phase string, loopStart, loopEnd time.Duration, docs int64) {
+// Close folds the buffered spans, plus one covering span for the worker's
+// whole loop, into the tracer. Call once, when the worker's loop exits.
+func (wt *WorkerTrace) Close(phase string) {
 	if wt == nil {
 		return
 	}
 	wt.events = append(wt.events, SpanEvent{
 		Name: phase + "/worker", Cat: "worker", Tid: wt.tid,
-		Start: loopStart, Dur: loopEnd - loopStart, Args: []SpanArg{{"docs", docs}},
+		Start: wt.loopStart, Dur: wt.tracer.clock.Now() - wt.loopStart, Args: []SpanArg{{"docs", wt.docs}},
 	})
 	wt.tracer.append(wt.events...)
 	wt.events = nil

@@ -99,38 +99,35 @@ func TestEventsArgsSorted(t *testing.T) {
 
 // TestTracerSampling pins the sampling policy: every document gets a span.
 func TestTracerSampling(t *testing.T) {
-	clock := &ManualClock{}
-	tr := NewTracer(clock)
+	tr := NewTracer(&ManualClock{})
 	wt := tr.worker(0)
 	for i := 0; i < 9; i++ {
-		if !wt.docStart() {
-			t.Errorf("doc %d not recorded", i)
-		}
-		wt.docEnd(i, 1, 0)
+		wt.DocStart()
+		wt.DocEnd(i, 1, 0)
 	}
-	wt.close("extract", 0, clock.Now(), 9)
+	wt.Close("extract")
 	if got := len(tr.Events()); got != 10 { // 9 docs + cover span
 		t.Errorf("event count = %d, want 10", got)
 	}
 }
 
-// TestTracerPerWorkerCap trips the real cap: one span more than a worker
-// buffer holds is refused, everything before it is kept.
+// TestTracerPerWorkerCap trips the real cap: one document more than a
+// worker buffer holds gets no span, everything before it is kept, and the
+// covering span still counts every document.
 func TestTracerPerWorkerCap(t *testing.T) {
-	clock := &ManualClock{}
-	tr := NewTracer(clock)
+	tr := NewTracer(&ManualClock{})
 	wt := tr.worker(0)
 	for i := 0; i <= perWorkerSpanCap; i++ {
-		if recorded := wt.docStart(); recorded != (i < perWorkerSpanCap) {
-			t.Fatalf("doc %d recorded = %v", i, recorded)
-		}
-		if i < perWorkerSpanCap {
-			wt.docEnd(i, 1, 0)
-		}
+		wt.DocStart()
+		wt.DocEnd(i, 1, 0)
 	}
-	wt.close("extract", 0, clock.Now(), perWorkerSpanCap+1)
-	if got := len(tr.Events()); got != perWorkerSpanCap+1 { // capped docs + cover span
-		t.Errorf("event count = %d, want %d", got, perWorkerSpanCap+1)
+	wt.Close("extract")
+	evs := tr.Events()
+	if got := len(evs); got != perWorkerSpanCap+1 { // capped docs + cover span
+		t.Fatalf("event count = %d, want %d", got, perWorkerSpanCap+1)
+	}
+	if cover := evs[len(evs)-1]; cover.Cat != "worker" || cover.Args[0].Value != perWorkerSpanCap+1 {
+		t.Errorf("cover span = %+v, want %d docs", cover, perWorkerSpanCap+1)
 	}
 }
 

@@ -20,12 +20,12 @@
 // fault.go for the contract).
 //
 // Observability: a Config.Obs sink receives write-only telemetry (metrics,
-// phase/worker spans, live progress). The pipeline never reads obs state —
-// timestamps flow through the obs-owned clock and the only value that
-// returns is each phase span's duration, which feeds Result.Timings
-// (explicitly outside the determinism contract). Runs with a live sink are
-// bit-identical to runs with a nil one; the testkit differential suite
-// proves it. EM convergence telemetry is not recorded at all:
+// live per document, and phase/worker spans). The pipeline never reads
+// obs state — timestamps flow through the obs-owned clock and the only
+// value that returns is each phase span's duration, which feeds
+// Result.Timings (explicitly outside the determinism contract). Runs with
+// a live sink are bit-identical to runs with a nil one; the testkit
+// differential suite proves it. EM convergence telemetry is not recorded at all:
 // Result.EMSummary and GroupResult.Trajectory re-derive it from the result,
 // for every group, when asked.
 package pipeline
@@ -326,7 +326,7 @@ func Run(docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) 
 // Result.Quarantined and the contract in fault.go.
 func RunContext(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
-	return run(cfg, base, lex, len(docs), min(cfg.Workers, len(docs)), &sliceSource{ctx: ctx, docs: docs})
+	return run(cfg, base, lex, min(cfg.Workers, len(docs)), &sliceSource{ctx: ctx, docs: docs})
 }
 
 // RunStream executes the full pipeline over documents drawn from a
@@ -343,7 +343,7 @@ func RunContext(ctx context.Context, docs []corpus.Document, base *kb.KB, lex *l
 // are surfaced on Result.SkippedLines.
 func RunStream(ctx context.Context, it *corpus.Iterator, base *kb.KB, lex *lexicon.Lexicon, cfg Config) (*Result, error) {
 	cfg = cfg.WithDefaults()
-	return run(cfg, base, lex, 0, cfg.Workers, &iterSource{ctx: ctx, it: it}) // total unknown up front
+	return run(cfg, base, lex, cfg.Workers, &iterSource{ctx: ctx, it: it})
 }
 
 // run is the one run lifecycle behind every end-to-end entry point: the
@@ -353,9 +353,8 @@ func RunStream(ctx context.Context, it *corpus.Iterator, base *kb.KB, lex *lexic
 // bounded, and modelling it is what makes the partial result — and the
 // -report a SIGINT-ed cmd/surveyor flushes on the way down — exactly the
 // clean result over the committed subset.
-func run(cfg Config, base *kb.KB, lex *lexicon.Lexicon, total, workers int, src source) (*Result, error) {
+func run(cfg Config, base *kb.KB, lex *lexicon.Lexicon, workers int, src source) (*Result, error) {
 	o := cfg.Obs
-	o.StartRun(total, workers)
 	whole := o.Phase("run")
 	span := o.Phase("extract")
 	ext, skipped, stopErr := extractFrom(cfg, base, lex, workers, src)
@@ -368,7 +367,6 @@ func run(cfg Config, base *kb.KB, lex *lexicon.Lexicon, total, workers int, src 
 	})
 	res.Timings.Extraction = extraction
 	res.Timings.Total = whole.End()
-	o.EndRun()
 	if stopErr != nil {
 		return res, &PartialError{Result: res, Processed: res.Documents, Consumed: ext.Consumed, Err: stopErr}
 	}

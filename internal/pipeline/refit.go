@@ -59,10 +59,9 @@ func ExtractEvidence(ctx context.Context, docs []corpus.Document, base *kb.KB, l
 // error says why if that was early — and run each through their own
 // NLP processor inside the quarantine boundary. A document reaches the
 // worker's private evidence accumulator, folded into the shared store once
-// at the end, only after it has fully processed. Telemetry goes through a
-// worker-owned obs handle (per-worker progress slot, locally buffered
-// spans), so the hot loop never contends on a shared observability
-// structure.
+// at the end, only after it has fully processed. Spans go through a
+// worker-owned obs handle that buffers them locally, so the hot loop
+// never contends on a shared observability structure.
 func extractFrom(cfg Config, base *kb.KB, lex *lexicon.Lexicon, workers int, src source) (ext *Extraction, skipped int64, err error) {
 	o := cfg.Obs
 	pm := o.PipelineMetrics()
@@ -193,9 +192,8 @@ type ReduceStats struct {
 // (internal/dist): workers ship evidence deltas, the coordinator merges
 // them through Store.Merge in deterministic shard order and hands the
 // result here, so the reduce output is bit-identical to a single-process
-// run whose extraction committed the same store. The caller owns
-// run-lifecycle telemetry (obs StartRun/EndRun) and the extraction/total
-// timings.
+// run whose extraction committed the same store. The caller owns the
+// extraction and total timings.
 func ReduceStore(store *evidence.Store, base *kb.KB, cfg Config, stats ReduceStats) *Result {
 	return reduce(store, base, cfg.WithDefaults(), stats)
 }

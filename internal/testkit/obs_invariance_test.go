@@ -1,10 +1,14 @@
 package testkit
 
 import (
+	"fmt"
+	"io"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -14,10 +18,9 @@ import (
 func fullRunObs() *obs.RunObs {
 	clock := &obs.ManualClock{}
 	return &obs.RunObs{
-		Metrics:  obs.NewRegistry(),
-		Tracer:   obs.NewTracer(clock),
-		Progress: obs.NewProgress(clock),
-		Clock:    clock,
+		Metrics: obs.NewRegistry(),
+		Tracer:  obs.NewTracer(clock),
+		Clock:   clock,
 	}
 }
 
@@ -43,15 +46,16 @@ func TestObsInvariance(t *testing.T) {
 
 			// Sanity: the telemetry actually recorded the run (an inert sink
 			// would also pass the diff).
+			// The live view counts each document as it finishes.
 			o := cfgObs.Obs
-			snap := o.Progress.Snapshot()
-			if snap.DocumentsProcessed != int64(observed.Documents) {
-				t.Errorf("seed %d workers %d: progress saw %d documents, run had %d",
-					seed, workers, snap.DocumentsProcessed, observed.Documents)
+			live := o.PipelineMetrics().DocSentences
+			if live.Count() != int64(observed.Documents) {
+				t.Errorf("seed %d workers %d: surveyor_doc_sentences counted %d documents, run had %d",
+					seed, workers, live.Count(), observed.Documents)
 			}
-			if snap.Sentences != observed.Sentences {
-				t.Errorf("seed %d workers %d: progress saw %d sentences, run had %d",
-					seed, workers, snap.Sentences, observed.Sentences)
+			if live.Sum() != float64(observed.Sentences) {
+				t.Errorf("seed %d workers %d: surveyor_doc_sentences summed %v sentences, run had %d",
+					seed, workers, live.Sum(), observed.Sentences)
 			}
 			if len(o.Tracer.Events()) == 0 {
 				t.Errorf("seed %d workers %d: tracer recorded no spans", seed, workers)
@@ -70,8 +74,47 @@ func TestObsInvariance(t *testing.T) {
 	}
 }
 
+// TestMetricsLiveMidRun: /metrics is the live view of a run. A one-worker
+// run held in its Fault hook at document k has finished exactly documents
+// 0..k-1, and a scrape taken then must say so.
+func TestMetricsLiveMidRun(t *testing.T) {
+	const k = 7
+	w := NewWorld(1, diffScale)
+	reached, release := make(chan struct{}), make(chan struct{})
+	cfg := pipeline.Config{Rho: 10, Workers: 1, Obs: fullRunObs(), Fault: func(i int, _ *corpus.Document) {
+		if i == k {
+			close(reached)
+			<-release
+		}
+	}}
+	done := make(chan *pipeline.Result, 1)
+	go func() { done <- pipeline.Run(w.Docs(), w.KB, w.Lex, cfg) }()
+	<-reached
+
+	srv := httptest.NewServer(obs.Handler(cfg.Obs))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		close(release)
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	close(release)
+	res := <-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nsurveyor_doc_sentences_count %d\n", k); !strings.Contains(string(body), want) {
+		t.Errorf("mid-run /metrics lacks %q:\n%s", strings.TrimSpace(want), body)
+	}
+	if got := cfg.Obs.PipelineMetrics().DocSentences.Count(); got != int64(res.Documents) || res.Documents <= k {
+		t.Errorf("after the run surveyor_doc_sentences_count = %d, run had %d documents", got, res.Documents)
+	}
+}
+
 // TestObsSameSinkTwice: reusing one RunObs across runs must not change the
-// second run's results either (metrics accumulate, progress resets).
+// second run's results either (metrics and spans accumulate).
 func TestObsSameSinkTwice(t *testing.T) {
 	w := NewWorld(2, diffScale)
 	cfg := pipeline.Config{Rho: 10, Workers: 2}

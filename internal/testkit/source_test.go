@@ -96,7 +96,6 @@ func TestNoAmbientSources(t *testing.T) {
 		"dist/transport.go deadlineIn time.Now":         "a liveness deadline for the kernel's poller: it can decide that a retry happens, never what a shard contains",
 		"obs/clock.go NewSystemClock time.Now":          "the one wall-clock source behind obs.Clock",
 		"obs/clock.go Now time.Since":                   "the same clock's reading",
-		"obs/server.go import expvar":                   "the debug server serves /debug/vars",
 		"obs/server.go Close context.Background":        "Close owns shutdown: the request contexts are gone by then",
 		"pipeline/pipeline.go Run context.Background":   "Run is the documented non-cancellable entry point; RunContext takes a ctx",
 		"testkit/epoch.go RunEpochs context.Background": "the harness drives every epoch to completion",

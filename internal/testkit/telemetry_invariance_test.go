@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -133,6 +134,16 @@ func TestTelemetryInvarianceChaos(t *testing.T) {
 			if sv.Status != obs.ShardDone || sv.Telemetry != "ok" {
 				t.Errorf("shards %d: shard view %+v", shards, sv)
 			}
+		}
+		// The workers counted the quarantines in their own registries; the
+		// coordinator's series, which /healthz reads, must count them too.
+		if got := o.Metrics.Counter(obs.MetricQuarantinedDocs, "").Value(); got != int64(len(res.Quarantined)) {
+			t.Errorf("shards %d: %s = %d, want %d", shards, obs.MetricQuarantinedDocs, got, len(res.Quarantined))
+		}
+		rec := httptest.NewRecorder()
+		obs.Handler(o).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		if body := rec.Body.String(); !strings.HasPrefix(body, "degraded") {
+			t.Errorf("shards %d: /healthz = %q, want degraded", shards, body)
 		}
 	}
 }

@@ -143,8 +143,9 @@ type Config struct {
 	PatternVersion int
 	// EMIterations caps the per-group EM loop (0 = default 50).
 	EMIterations int
-	// Obs is an optional observability sink (metrics, tracing, live
-	// progress). Nil disables all telemetry; mined results are
+	// Obs is an optional observability sink (metrics, whose
+	// surveyor_doc_sentences series moves as each document finishes, and
+	// tracing). Nil disables all telemetry; mined results are
 	// bit-identical either way. EM telemetry needs no sink: Result's
 	// EMSummary and EMTrajectory re-derive it for every group, uncapped.
 	Obs *obs.RunObs
